@@ -19,7 +19,7 @@ print(f"full model order: {fom.n}")
 data = sample_frequency_response(fom, np.logspace(0, 4, 50))
 print(f"sampled {len(data)} points on the imaginary axis")
 
-init = irka_init(fom.E, fom.A, fom.B, fom.C, 2)
+init = irka_init(fom, 2)
 trace = fit(init, data, FitOptions(max_iters=500))
 print(f"fit: {trace.iterations} iterations, objective {trace.objectives[-1]:.3e}, "
       f"converged: {trace.converged}")

@@ -107,11 +107,8 @@ def cmd_generate(args):
             "n_o": args.outputs,
             "seed": args.seed,
         }
-    payload = io.model_to_payload(args.model, params)
-    fom = io.model_from_payload(payload)
-    n = getattr(getattr(fom, "A", None), "shape", (None,))[0]
-    if n is None and hasattr(fom, "A1"):
-        n = fom.A1.shape[0]
+    fom = io.model_from_payload(io.model_to_payload(args.model, params))
+    n = getattr(fom, "n", None)  # the kron-parametric map has no state dimension
     payload = io.model_to_payload(args.model, params, meta={} if n is None else {"n": int(n)})
     io.write_payload(args.out, payload)
     print(f"wrote {args.model} model to {args.out}" + (f" (n = {n})" if n else ""))
@@ -193,7 +190,7 @@ def cmd_fit(args):
             if args.structure not in ("lti", "lti-dt"):
                 raise UsageError("irka initialization applies to lti structures")
             td = "dt" if args.structure == "lti-dt" else "ct"
-            inits = [irka_init(fom.E, fom.A, fom.B, fom.C, args.order, time_domain=td, seed=args.seed)]
+            inits = [irka_init(fom, args.order, time_domain=td, seed=args.seed)]
         elif args.init == "rb":
             if args.structure != "stationary":
                 raise UsageError("rb initialization applies to the stationary structure")
@@ -250,7 +247,11 @@ def cmd_certify(args):
         if not args.samples:
             raise UsageError("discrete-ls certification requires --samples")
         data = io.samples_from_payload(_load(args.samples, "samples"))
-        cert = ls_residuals(data, pr, tolerance=tol)
+        try:
+            cert = ls_residuals(data, pr, tolerance=tol)
+        except RuntimeError as exc:  # the two forms of the condition sums disagree
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CERT_FAIL
     else:
         if not args.model:
             raise UsageError(f"{args.family} certification requires --model")

@@ -9,6 +9,7 @@ weighted sample sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,22 +30,66 @@ __all__ = [
 ]
 
 
+def _operator(entries, n):
+    """An (n, n) full-order operator from a dense array or COO triplets.
+
+    Triplets (rows, cols, values) become a CSC matrix with duplicates
+    summed.  scipy.sparse is imported here, on first use, so importing l2rom
+    and building a model do not pay for it.
+    """
+    if isinstance(entries, np.ndarray):
+        return entries
+    import scipy.sparse
+
+    rows, cols, values = entries
+    return scipy.sparse.csc_array((values, (rows, cols)), shape=(n, n))
+
+
+def _factor(op):
+    """LU factors of one shifted full-order operator (scipy's SuperLU).
+
+    ``solve(rhs)`` is the primal solve and ``solve(rhs, trans="H")`` the
+    adjoint one.  Dense operators take the same path through a CSC copy.
+    """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    try:
+        return scipy.sparse.linalg.splu(scipy.sparse.csc_array(op))
+    except RuntimeError as exc:  # SuperLU's report of an exactly singular factor
+        raise np.linalg.LinAlgError(f"full-order operator is singular: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class AffineLtiFom:
-    """E x' = A x + B u, y = C x, with transfer function C (sE - A)^{-1} B."""
+    """E x' = A x + B u, y = C x, with transfer function C (sE - A)^{-1} B.
 
-    E: np.ndarray
-    A: np.ndarray
+    ``E_entries`` and ``A_entries`` are dense (n, n) arrays or COO triplets
+    (rows, cols, values); ``E`` and ``A`` are the operators, built on first
+    use (CSC for triplets).  Every full-order solve goes through ``factor``.
+    """
+
+    E_entries: object
+    A_entries: object
     B: np.ndarray
     C: np.ndarray
     time_domain: str = "ct"  # or "dt"
 
     def __post_init__(self):
-        assert self.time_domain in ("ct", "dt")
+        if self.time_domain not in ("ct", "dt"):
+            raise ValueError(f"time_domain must be 'ct' or 'dt', got {self.time_domain!r}")
+
+    @cached_property
+    def E(self):
+        return _operator(self.E_entries, self.n)
+
+    @cached_property
+    def A(self):
+        return _operator(self.A_entries, self.n)
 
     @property
     def n(self):
-        return self.A.shape[0]
+        return self.B.shape[0]
 
     @property
     def n_i(self):
@@ -54,12 +99,16 @@ class AffineLtiFom:
     def n_o(self):
         return self.C.shape[0]
 
+    def factor(self, s):
+        """Factored s E - A, for primal and adjoint solves at the shift s."""
+        return _factor(s * self.E - self.A)
+
     def transfer(self, s):
-        return self.C @ np.linalg.solve(s * self.E - self.A, self.B)
+        return self.C @ self.factor(s).solve(self.B)
 
     def transfer_deriv(self, s):
-        K_inv_B = np.linalg.solve(s * self.E - self.A, self.B)
-        return -self.C @ np.linalg.solve(s * self.E - self.A, self.E @ K_inv_B)
+        lu = self.factor(s)
+        return -self.C @ lu.solve(self.E @ lu.solve(self.B))
 
     def evaluator(self):
         return FomEvaluator(
@@ -74,17 +123,29 @@ class AffineLtiFom:
 
 @dataclass(frozen=True)
 class AffineStationaryFom:
-    """(A1 + p A2) x = B, y = C x, over a real parameter interval [a, b]."""
+    """(A1 + p A2) x = B, y = C x, over a real parameter interval [a, b].
 
-    A1: np.ndarray
-    A2: np.ndarray
+    ``A1_entries`` and ``A2_entries`` are dense (n, n) arrays or COO
+    triplets; ``A1`` and ``A2`` are the operators, built on first use.
+    """
+
+    A1_entries: object
+    A2_entries: object
     B: np.ndarray
     C: np.ndarray
     interval: tuple = (0.1, 10.0)
 
+    @cached_property
+    def A1(self):
+        return _operator(self.A1_entries, self.n)
+
+    @cached_property
+    def A2(self):
+        return _operator(self.A2_entries, self.n)
+
     @property
     def n(self):
-        return self.A1.shape[0]
+        return self.B.shape[0]
 
     @property
     def n_i(self):
@@ -94,12 +155,16 @@ class AffineStationaryFom:
     def n_o(self):
         return self.C.shape[0]
 
+    def factor(self, p):
+        """Factored A1 + p A2, for primal and adjoint solves at the parameter p."""
+        return _factor(self.A1 + p * self.A2)
+
     def output(self, p):
-        return self.C @ np.linalg.solve(self.A1 + p * self.A2, self.B)
+        return self.C @ self.factor(p).solve(self.B)
 
     def output_deriv(self, p):
-        K = self.A1 + p * self.A2
-        return -self.C @ np.linalg.solve(K, self.A2 @ np.linalg.solve(K, self.B))
+        lu = self.factor(p)
+        return -self.C @ lu.solve(self.A2 @ lu.solve(self.B))
 
     def evaluator(self):
         return FomEvaluator(
@@ -164,74 +229,65 @@ def make_penzl():
 
     E = I; A is block-diagonal with blocks [[-1, w], [-w, -1]] for
     w in {100, 200, 400} and diag(-1, ..., -1000); B = C^T has entries 10 on
-    the first six states and 1 elsewhere.
+    the first six states and 1 elsewhere.  E and A are given as COO triplets.
     """
-    A = np.zeros((1006, 1006))
-    for k, w in enumerate((100.0, 200.0, 400.0)):
-        i = 2 * k
-        A[i : i + 2, i : i + 2] = [[-1.0, w], [-w, -1.0]]
-    A[6:, 6:] = np.diag(-np.arange(1.0, 1001.0))
-    B = np.ones((1006, 1))
+    n = 1006
+    w = np.repeat([100.0, 200.0, 400.0], 2)
+    spiral = np.arange(6)
+    partner = spiral ^ 1  # 0 <-> 1, 2 <-> 3, 4 <-> 5
+    rows = np.concatenate([np.arange(n), spiral])
+    cols = np.concatenate([np.arange(n), partner])
+    values = np.concatenate([-np.ones(6), -np.arange(1.0, 1001.0), np.where(spiral % 2, -w, w)])
+    B = np.ones((n, 1))
     B[:6] = 10.0
-    return AffineLtiFom(E=np.eye(1006), A=A, B=B, C=B.T)
+    eye = (np.arange(n), np.arange(n), np.ones(n))
+    return AffineLtiFom(E_entries=eye, A_entries=(rows, cols, values), B=B, C=B.T)
+
+
+# Bilinear Q1 reference element on [0, 1]^2, node order (0,0), (1,0), (0,1),
+# (1,1), with 2-point Gauss-Legendre abscissae per direction.
+_GAUSS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+
+
+def _q1_reference_stiffness():
+    """Stiffness of the unit reference element per x-direction Gauss abscissa.
+
+    Entry a is sum_b w_a w_b (grad phi_i . grad phi_j)(u_a, v_b) on the unit
+    square; the integrand is scale free, so it holds for any element size h.
+    """
+    ref = np.zeros((2, 4, 4))
+    for a, u in enumerate(_GAUSS):
+        for v in _GAUSS:
+            du = np.array([-(1 - v), (1 - v), -v, v])
+            dv = np.array([-(1 - u), -u, (1 - u), u])
+            ref[a] += 0.25 * (np.outer(du, du) + np.outer(dv, dv))
+    return ref
 
 
 def _q1_stiffness(cells, weight):
-    """Q1 stiffness matrix and unit-load vector on the unit square.
+    """Q1 stiffness triplets and unit-load vector on the unit square.
 
     The diffusion coefficient ``weight`` is affine in z1, so 2-point Gauss
-    per direction integrates the element matrices exactly.  Assembled on all
-    (cells + 1)^2 grid nodes; boundary conditions are applied by the caller.
+    per direction integrates the element matrices exactly, and an element's
+    matrix is the two reference matrices weighted by the diffusion at its
+    two Gauss abscissae in z1.  Returns COO triplets (duplicates to be
+    summed) on all (cells + 1)^2 grid nodes, the load vector and the
+    boundary mask; boundary conditions are applied by the caller.
     """
     h = 1.0 / cells
     m = cells + 1  # nodes per direction
-    gauss = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-    gw = np.array([0.5, 0.5])
-
-    # Reference bilinear basis on [0,1]^2, node order (0,0),(1,0),(0,1),(1,1)
-    def shape_grads(u, v):
-        du = np.array([-(1 - v), (1 - v), -v, v]) / h
-        dv = np.array([-(1 - u), -u, (1 - u), u]) / h
-        return du, dv
-
-    rows, cols, data = [], [], []
-    b_rows, b_data = [], []
-
-    for ex in range(cells):
-        for ey in range(cells):
-            ke = np.zeros((4, 4))
-            fe = np.zeros(4)
-            for a, u in enumerate(gauss):
-                for b, v in enumerate(gauss):
-                    w = gw[a] * gw[b] * h * h
-                    z1 = (ex + u) * h
-                    du, dv = shape_grads(u, v)
-                    d = weight(z1)
-                    ke += w * d * (np.outer(du, du) + np.outer(dv, dv))
-                    shp = np.array([(1 - u) * (1 - v), u * (1 - v), (1 - u) * v, u * v])
-                    fe += w * shp
-            glb = [
-                ey * m + ex,
-                ey * m + ex + 1,
-                (ey + 1) * m + ex,
-                (ey + 1) * m + ex + 1,
-            ]
-            for ia, ga in enumerate(glb):
-                b_rows.append(ga)
-                b_data.append(fe[ia])
-                for ib, gb in enumerate(glb):
-                    rows.append(ga)
-                    cols.append(gb)
-                    data.append(ke[ia, ib])
-
-    n = m * m
-    K = np.zeros((n, n))
-    np.add.at(K, (np.array(rows), np.array(cols)), np.array(data))
-    load = np.zeros(n)
-    np.add.at(load, np.array(b_rows), np.array(b_data))
+    z1 = (np.arange(cells)[:, None] + _GAUSS[None, :]) * h  # (ex, a)
+    ke = np.einsum("xa,aij->xij", weight(z1), _q1_reference_stiffness())
+    ex, ey = np.meshgrid(np.arange(cells), np.arange(cells), indexing="ij")
+    base = (ey * m + ex).ravel()
+    glb = base[:, None] + np.array([0, 1, m, m + 1])  # (element, local node)
+    rows = np.repeat(glb, 4, axis=1).ravel()
+    cols = np.tile(glb, (1, 4)).ravel()
+    data = ke[ex.ravel()].ravel()
+    load = np.bincount(glb.ravel(), minlength=m * m) * (0.25 * h * h)
     ix, iy = np.meshgrid(np.arange(m), np.arange(m))
     boundary = ((ix == 0) | (ix == cells) | (iy == 0) | (iy == cells)).ravel()
-    return K, load, boundary
+    return (rows, cols, data), load, boundary
 
 
 def make_poisson(cells_per_side=32):
@@ -242,24 +298,29 @@ def make_poisson(cells_per_side=32):
     rows in A1 and zero rows in A2 (and zero load) at boundary nodes.  The
     default mesh gives n = 33^2 = 1089 unknowns with A2 of structural rank
     31^2 = 961.  A1 carries the z1-weighted stiffness, A2 the
-    (1 - z1)-weighted one; B is the unit-load vector and C = B^T.
+    (1 - z1)-weighted one; B is the unit-load vector and C = B^T.  A1 and
+    A2 are given as COO triplets.
     """
     if cells_per_side < 4:
         raise ValueError("cells_per_side must be at least 4")
-    A1, load, boundary = _q1_stiffness(cells_per_side, lambda z1: z1)
-    A2, _, _ = _q1_stiffness(cells_per_side, lambda z1: 1.0 - z1)
-    A1[boundary, :] = 0.0
-    A1[:, boundary] = 0.0
-    A1[boundary, boundary] = 1.0
-    A2[boundary, :] = 0.0
-    A2[:, boundary] = 0.0
+    (rows, cols, d1), load, boundary = _q1_stiffness(cells_per_side, lambda z1: z1)
+    (_, _, d2), _, _ = _q1_stiffness(cells_per_side, lambda z1: 1.0 - z1)
+    interior = ~(boundary[rows] | boundary[cols])
+    rows, cols = rows[interior], cols[interior]
+    fixed = np.flatnonzero(boundary)
+    A1 = (
+        np.concatenate([rows, fixed]),
+        np.concatenate([cols, fixed]),
+        np.concatenate([d1[interior], np.ones(len(fixed))]),
+    )
+    A2 = (rows, cols, d2[interior])
     load[boundary] = 0.0
     B = load[:, None]
-    return AffineStationaryFom(A1=A1, A2=A2, B=B, C=B.T, interval=(0.1, 10.0))
+    return AffineStationaryFom(A1_entries=A1, A2_entries=A2, B=B, C=B.T, interval=(0.1, 10.0))
 
 
 def make_random_stable(n, n_i=1, n_o=1, seed=0, time_domain="ct"):
-    """Reproducible random stable LTI system (E = I).
+    """Reproducible random stable LTI system (E = I), with dense operators.
 
     Continuous time: A = R - (s_max + margin) I with R random, shifted so all
     eigenvalues have negative real part.  Discrete time: random A rescaled to
@@ -275,7 +336,7 @@ def make_random_stable(n, n_i=1, n_o=1, seed=0, time_domain="ct"):
         A = A * (0.9 / max(rho, 1e-12))
     B = rng.standard_normal((n, n_i))
     C = rng.standard_normal((n_o, n))
-    return AffineLtiFom(E=np.eye(n), A=A, B=B, C=C, time_domain=time_domain)
+    return AffineLtiFom(E_entries=np.eye(n), A_entries=A, B=B, C=C, time_domain=time_domain)
 
 
 def make_kron_parametric(r_s_terms, r_xi_terms, n_i=1, n_o=1, seed=0):
@@ -351,8 +412,9 @@ def sample_frequency_response(fom, freqs, weights=None):
     values = np.concatenate([values, np.conj(values)])
     weights = np.concatenate([weights, weights])
     samples = SampleSet(points=points, values=values, weights=weights)
-    ok, _ = check_conjugation_closure(samples)
-    assert ok
+    ok, bad = check_conjugation_closure(samples)
+    if not ok:
+        raise ValueError(f"frequency samples are not closed under conjugation (indices {bad})")
     return samples
 
 

@@ -460,43 +460,52 @@ def _orth(mat):
     return q
 
 
-def irka_init(E, A, B, C, r, tol=1e-10, max_iters=200, time_domain="ct", seed=0):
+def _dense(op):
+    return op.toarray() if hasattr(op, "toarray") else np.asarray(op, dtype=float)
+
+
+def irka_init(fom, r, tol=1e-10, max_iters=200, time_domain="ct", seed=0):
     """Tangential rational Krylov fixed-point iteration for LTI systems.
 
-    Iterates Petrov-Galerkin projection at the mirror images of the current
-    reduced poles, with tangential directions from the residue factors, until
-    the relative pole movement drops below ``tol``.  Returns an order-r LTI
-    StructuredRom; a non-converged run returns the last iterate.
+    ``fom`` exposes E, A, B, C and ``factor(s)``, the factored s E - A
+    (``models.AffineLtiFom``).  Iterates Petrov-Galerkin projection at the
+    mirror images of the current reduced poles, with tangential directions
+    from the residue factors, until the relative pole movement drops below
+    ``tol``; each shift costs one factorization, a primal and an adjoint
+    solve.  Returns an order-r LTI StructuredRom.  Stopping at ``max_iters``
+    emits a RuntimeWarning; an unstable final iterate (a pole in the closed
+    right half-plane, or on or outside the unit circle for "dt") raises
+    ValueError.
     """
-    E = np.asarray(E, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = A.shape[0]
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    E, A = fom.E, fom.A
+    B = np.atleast_2d(np.asarray(fom.B, dtype=float))
+    C = np.atleast_2d(np.asarray(fom.C, dtype=float))
+    n = fom.n
     if r >= n:
-        return lti_rom(E, A, B, C)
+        return lti_rom(_dense(E), _dense(A), B, C)
 
     rng = np.random.default_rng(seed)
     # Galerkin projection onto a random subspace seeds the pole iteration.
     v0 = _orth(rng.standard_normal((n, r)))
-    lam0 = np.linalg.eigvals(np.linalg.solve(v0.T @ E @ v0, v0.T @ A @ v0))
-    shifts = _mirror(lam0, time_domain)
+    lam0 = np.linalg.eigvals(np.linalg.solve(v0.T @ (E @ v0), v0.T @ (A @ v0)))
+    shifts = _mirror(lam0.astype(complex), time_domain)  # complex shifts factor complex operators
     b_dirs = np.ones((r, B.shape[1]), dtype=complex)
     c_dirs = np.ones((r, C.shape[0]), dtype=complex)
 
-    rom = None
     for _ in range(max_iters):
         v_cols = np.zeros((n, r), dtype=complex)
         w_cols = np.zeros((n, r), dtype=complex)
         for k in range(r):
-            op = shifts[k] * E - A
-            v_cols[:, k] = np.linalg.solve(op, B @ b_dirs[k])
-            w_cols[:, k] = np.linalg.solve(op.conj().T, C.conj().T @ c_dirs[k])
+            lu = fom.factor(shifts[k])
+            v_cols[:, k] = lu.solve(B @ b_dirs[k])
+            w_cols[:, k] = lu.solve(C.conj().T @ c_dirs[k], trans="H")
         v = _orth(_realify_basis(shifts, v_cols))
         w = _orth(_realify_basis(shifts, w_cols))
-        e_r = w.T @ E @ v
-        rom = lti_rom(e_r, w.T @ A @ v, w.T @ B, C @ v)
-        pr = pole_residue_lti(e_r, w.T @ A @ v, w.T @ B, C @ v)
+        e_r, a_r, b_r, c_r = w.T @ (E @ v), w.T @ (A @ v), w.T @ B, C @ v
+        rom = lti_rom(e_r, a_r, b_r, c_r)
+        pr = pole_residue_lti(e_r, a_r, b_r, c_r)
         new_shifts = _mirror(pr.poles, time_domain)
         # match old and new shifts greedily for the movement measure
         move = 0.0
@@ -511,22 +520,36 @@ def irka_init(E, A, B, C, r, tol=1e-10, max_iters=200, time_domain="ct", seed=0)
         c_dirs = pr.left_factors
         if move <= tol * scale:
             break
+    else:
+        warnings.warn(
+            f"irka_init stopped at max_iters={max_iters} with relative shift "
+            f"movement {move / scale:.3e} (tol {tol:.1e})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    unstable = np.abs(pr.poles) >= 1.0 if time_domain == "dt" else pr.poles.real >= 0.0
+    if np.any(unstable):
+        raise ValueError(f"irka_init produced an unstable reduced model (poles {pr.poles})")
     return rom
 
 
 def greedy_rb_init(fom, r, candidates):
     """Greedy reduced-basis initializer for affine stationary systems.
 
-    ``fom`` must expose real matrices A1, A2, B, C with the map
-    y(p) = C (A1 + p A2)^{-1} B.  Snapshots are taken at the candidates
-    maximizing the current output error; one-sided Galerkin projection.
+    ``fom`` exposes real A1, A2, B, C with the map y(p) = C (A1 + p A2)^{-1} B
+    and ``factor(p)``, the factored A1 + p A2 (``models.AffineStationaryFom``).
+    Each candidate costs one factorization and one solve, whose state is
+    reused as the snapshot when the candidate is picked; snapshots are taken
+    at the candidates maximizing the current output error; one-sided
+    Galerkin projection.
     """
     a1, a2, b, c = fom.A1, fom.A2, np.atleast_2d(fom.B), np.atleast_2d(fom.C)
     candidates = np.unique(np.asarray(candidates, dtype=float))
     if len(candidates) == 0:
         raise ValueError("at least one candidate parameter point is required")
 
-    y_full = np.stack([c @ np.linalg.solve(a1 + p * a2, b) for p in candidates])
+    states = [fom.factor(p).solve(b) for p in candidates]
+    y_full = np.stack([c @ x for x in states])
 
     basis = None
     chosen = []
@@ -534,8 +557,8 @@ def greedy_rb_init(fom, r, candidates):
         if basis is None:
             errs = np.max(np.abs(y_full), axis=(1, 2))
         else:
-            a1_r = basis.T @ a1 @ basis
-            a2_r = basis.T @ a2 @ basis
+            a1_r = basis.T @ (a1 @ basis)
+            a2_r = basis.T @ (a2 @ basis)
             b_r = basis.T @ b
             c_r = c @ basis
             y_red = np.stack(
@@ -544,7 +567,7 @@ def greedy_rb_init(fom, r, candidates):
             errs = np.max(np.abs(y_full - y_red), axis=(1, 2))
         errs[chosen] = -1.0
         pick = int(np.argmax(errs))
-        snapshot = np.linalg.solve(a1 + candidates[pick] * a2, b)
+        snapshot = states[pick]
         chosen.append(pick)
         cols = snapshot if basis is None else np.hstack([basis, snapshot])
         q, rr = np.linalg.qr(cols)
@@ -560,4 +583,4 @@ def greedy_rb_init(fom, r, candidates):
             f"only {basis.shape[1]} independent snapshots found; reduced order lowered",
             stacklevel=2,
         )
-    return stationary_rom(basis.T @ a1 @ basis, basis.T @ a2 @ basis, basis.T @ b, c @ basis)
+    return stationary_rom(basis.T @ (a1 @ basis), basis.T @ (a2 @ basis), basis.T @ b, c @ basis)

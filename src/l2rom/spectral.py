@@ -148,7 +148,8 @@ def _pole_residue_affine_symmetric(A1, A2, B, C, rank_rtol):
     """
     import scipy.linalg
 
-    d, X = scipy.linalg.eigh(A2, A1)  # X^T A1 X = I, X^T A2 X = diag(d)
+    # X^T A1 X = I, X^T A2 X = diag(d); A1 and A2 are overwritten
+    d, X = scipy.linalg.eigh(A2, A1, overwrite_a=True, overwrite_b=True)
     d_scale = max(np.max(np.abs(d)), 1e-300)
     nonzero = np.abs(d) > rank_rtol * d_scale
     if not np.any(nonzero):
@@ -204,10 +205,12 @@ def pole_residue_affine_singular(A1, A2, B, C, rank_rtol=None):
     singular values at threshold max(n) * eps * sigma_max unless a relative
     threshold is supplied.  Uses a low-rank update identity on A1; symmetric
     pencils with A1 positive definite take a symmetric eigensolver path that
-    tolerates repeated eigenvalues.
+    tolerates repeated eigenvalues.  A1 and A2 may be dense arrays or scipy
+    sparse matrices; either way they are densified once.
     """
-    A1 = np.asarray(A1, dtype=float)
-    A2 = np.asarray(A2, dtype=float)
+    # Private Fortran-order copies: the symmetric path factors them in place.
+    A1 = A1.toarray(order="F") if hasattr(A1, "toarray") else np.array(A1, dtype=float, order="F")
+    A2 = A2.toarray(order="F") if hasattr(A2, "toarray") else np.array(A2, dtype=float, order="F")
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n = A1.shape[0]

@@ -151,7 +151,7 @@ def test_penzl_reproduction():
     fom = make_penzl()
     data = sample_frequency_response(fom, np.logspace(0, 4, 50))
     assert len(data) == 100 and np.all(data.weights == 1.0)
-    init = irka_init(fom.E, fom.A, fom.B, fom.C, 2)
+    init = irka_init(fom, 2)
     trace = fit(init, data, FitOptions(max_iters=500))
     assert_trace_contract(trace)
     rom = trace.rom
@@ -198,7 +198,7 @@ def rom_lti_pr(rom):
 def test_h2_conditions_continuous():
     for n, n_i, n_o, seed in ((30, 1, 1, 70), (20, 2, 2, 71)):
         fom = make_random_stable(n, n_i, n_o, seed=seed)
-        rom = irka_init(fom.E, fom.A, fom.B, fom.C, 4)
+        rom = irka_init(fom, 4)
         cert = h2_ct_residuals(fom.evaluator(), rom_lti_pr(rom), tolerance=1e-6)
         assert cert.passed, f"n={n}: H2 residual {cert.max_residual:.2e}"
 
@@ -207,7 +207,7 @@ def test_h2_conditions_discrete():
     for n, n_i, n_o, seed in ((30, 1, 1, 72), (20, 2, 2, 73)):
         fom = make_random_stable(n, n_i, n_o, seed=seed, time_domain="dt")
         data = sample_unit_circle(fom, 512)
-        init = irka_init(fom.E, fom.A, fom.B, fom.C, 4, time_domain="dt")
+        init = irka_init(fom, 4, time_domain="dt")
         trace = fit(init, data, FitOptions(max_iters=300))
         assert_trace_contract(trace)
         cert = h2_dt_residuals(fom.evaluator(), rom_lti_pr(trace.rom), tolerance=1e-4)

@@ -182,3 +182,29 @@ def test_cli_rom_structure_classification():
     assert cli.rom_structure(lti) == "lti"
     assert cli.rom_structure(stat) == "stationary"
     assert cli.rom_structure(kr) == "kron"
+
+
+def test_cli_generate_records_state_dimension(tmp_path):
+    path = str(tmp_path / "m.json")
+    cases = ((["penzl"], 1006), (["poisson", "--cells", "8"], 81), (["random-lti", "--n", "7"], 7),
+             (["kron-parametric"], None))
+    for argv, n in cases:
+        assert cli.main(["generate", *argv, "-o", path]) == 0
+        assert io.read_payload(path, expect_kind="model").get("meta", {}).get("n") == n
+
+
+def test_cli_certify_cross_check_failure_exits_1(tmp_path, monkeypatch, capsys):
+    model = str(tmp_path / "m.json")
+    samples = str(tmp_path / "s.json")
+    rom = str(tmp_path / "r.json")
+    cli.main(["generate", "random-lti", "--n", "6", "-o", model])
+    cli.main(["sample", model, "--scheme", "logspace 0.1 1 4", "-o", samples])
+    cli.main(["fit", samples, "--structure", "lti", "-r", "2", "--max-iters", "5", "-o", rom])
+
+    def disagree(*args, **kwargs):
+        raise RuntimeError("least-squares condition sums disagree")
+
+    monkeypatch.setattr(cli, "ls_residuals", disagree)
+    capsys.readouterr()
+    assert cli.main(["certify", rom, "--family", "discrete-ls", "--samples", samples]) == 1
+    assert capsys.readouterr().err.startswith("error: least-squares condition sums disagree")

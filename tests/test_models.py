@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,16 +18,19 @@ from l2rom.models import (
     sample_unit_circle,
 )
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def test_penzl_structure():
     fom = make_penzl()
     assert fom.n == 1006
     assert fom.n_i == fom.n_o == 1
     # spiral blocks at frequencies 100, 200, 400; tail -1..-1000
-    lam = np.linalg.eigvals(fom.A[:6, :6])
+    A = fom.A.toarray()
+    lam = np.linalg.eigvals(A[:6, :6])
     assert np.allclose(np.sort(np.abs(lam.imag)), [100, 100, 200, 200, 400, 400])
     assert np.allclose(lam.real, -1.0)
-    assert np.allclose(np.diag(fom.A)[6:], -np.arange(1.0, 1001.0))
+    assert np.allclose(np.diag(A)[6:], -np.arange(1.0, 1001.0))
     assert np.allclose(fom.B[:6], 10.0) and np.allclose(fom.B[6:], 1.0)
     assert np.allclose(fom.C, fom.B.T)
 
@@ -43,11 +51,12 @@ def test_lti_transfer_deriv_matches_fd():
 def test_poisson_dimensions_and_rank():
     fom = make_poisson()
     assert fom.n == 1089
-    assert np.linalg.matrix_rank(fom.A2) == 961
+    A1, A2 = fom.A1.toarray(), fom.A2.toarray()
+    assert np.linalg.matrix_rank(A2) == 961
     # both coefficients symmetric, A1 positive definite
-    assert np.max(np.abs(fom.A1 - fom.A1.T)) <= 1e-12
-    assert np.max(np.abs(fom.A2 - fom.A2.T)) <= 1e-12
-    np.linalg.cholesky(fom.A1)
+    assert np.max(np.abs(A1 - A1.T)) <= 1e-12
+    assert np.max(np.abs(A2 - A2.T)) <= 1e-12
+    np.linalg.cholesky(A1)
 
 
 def test_poisson_output_monotone_in_diffusion():
@@ -141,3 +150,114 @@ def test_sample_h2l2_closure():
     data = sample_h2l2(fom, n_s=12, n_xi=8)
     ok, _ = check_conjugation_closure(data)
     assert ok
+
+
+def _q1_stiffness_loop(cells, weight):
+    """Element-loop Q1 assembly with dense boundary handling (reference)."""
+    h = 1.0 / cells
+    m = cells + 1
+    gauss = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+    gw = np.array([0.5, 0.5])
+    n = m * m
+    K = np.zeros((n, n))
+    load = np.zeros(n)
+    for ex in range(cells):
+        for ey in range(cells):
+            ke = np.zeros((4, 4))
+            fe = np.zeros(4)
+            for a, u in enumerate(gauss):
+                for b, v in enumerate(gauss):
+                    w = gw[a] * gw[b] * h * h
+                    du = np.array([-(1 - v), (1 - v), -v, v]) / h
+                    dv = np.array([-(1 - u), -u, (1 - u), u]) / h
+                    ke += w * weight((ex + u) * h) * (np.outer(du, du) + np.outer(dv, dv))
+                    fe += w * np.array([(1 - u) * (1 - v), u * (1 - v), (1 - u) * v, u * v])
+            glb = [ey * m + ex, ey * m + ex + 1, (ey + 1) * m + ex, (ey + 1) * m + ex + 1]
+            for ia, ga in enumerate(glb):
+                load[ga] += fe[ia]
+                for ib, gb in enumerate(glb):
+                    K[ga, gb] += ke[ia, ib]
+    ix, iy = np.meshgrid(np.arange(m), np.arange(m))
+    boundary = ((ix == 0) | (ix == cells) | (iy == 0) | (iy == cells)).ravel()
+    return K, load, boundary
+
+
+def test_poisson_assembly_matches_element_loop():
+    cells = 6
+    A1, load, boundary = _q1_stiffness_loop(cells, lambda z1: z1)
+    A2, _, _ = _q1_stiffness_loop(cells, lambda z1: 1.0 - z1)
+    A1[boundary, :] = 0.0
+    A1[:, boundary] = 0.0
+    A1[boundary, boundary] = 1.0
+    A2[boundary, :] = 0.0
+    A2[:, boundary] = 0.0
+    load[boundary] = 0.0
+    fom = make_poisson(cells_per_side=cells)
+    for got, want in ((fom.A1.toarray(), A1), (fom.A2.toarray(), A2), (fom.B, load[:, None])):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["penzl", "poisson"])
+def test_factored_solves_match_dense_oracle(name):
+    if name == "penzl":
+        fom, p = make_penzl(), 0.3 + 150.0j
+        K = p * fom.E.toarray() - fom.A.toarray()
+        dK = fom.E.toarray()
+        value, deriv = fom.transfer, fom.transfer_deriv
+    else:
+        fom, p = make_poisson(cells_per_side=8), 1.7
+        K = fom.A1.toarray() + p * fom.A2.toarray()
+        dK = fom.A2.toarray()
+        value, deriv = fom.output, fom.output_deriv
+    rhs = np.random.default_rng(4).standard_normal((fom.n, 2))
+    lu = fom.factor(p)
+    cases = (
+        (lu.solve(rhs), np.linalg.solve(K, rhs)),
+        (lu.solve(rhs, trans="H"), np.linalg.solve(K.conj().T, rhs)),
+        (value(p), fom.C @ np.linalg.solve(K, fom.B)),
+        (deriv(p), -fom.C @ np.linalg.solve(K, dK @ np.linalg.solve(K, fom.B))),
+    )
+    for got, want in cases:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _run_python(args, code):
+    proc = subprocess.run([sys.executable, *args, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_model_validation_survives_optimized_mode():
+    code = """
+import numpy as np
+from l2rom.models import AffineLtiFom, make_random_stable, sample_frequency_response
+
+class NanFom:
+    def transfer(self, s):
+        return np.full((1, 1), np.nan + 0j)
+
+fom = make_random_stable(4)
+for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
+             lambda: sample_frequency_response(NanFom(), [1.0, 2.0])):
+    try:
+        make()
+    except ValueError:
+        print("raised")
+"""
+    assert _run_python(["-O"], code).split() == ["raised", "raised"]
+
+
+def test_building_models_does_not_import_scipy_sparse():
+    # scipy.sparse costs a large share of the set-up time; the operators are
+    # built, and scipy imported, on the first solve
+    code = """
+import sys
+import l2rom.cli
+from l2rom.models import make_penzl, make_poisson
+make_penzl()
+make_poisson(8)
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+"""
+    assert _run_python([], code).strip() == "[]"

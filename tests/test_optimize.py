@@ -6,6 +6,8 @@ import pytest
 
 from l2rom.core import SampleSet, batch_states, kron_rom, lti_rom, stationary_rom
 from l2rom.models import (
+    AffineLtiFom,
+    make_penzl,
     make_poisson,
     make_random_stable,
     sample_frequency_response,
@@ -215,13 +217,13 @@ def test_fit_options_validation():
 
 def test_irka_exact_copy_when_r_equals_n():
     fom = make_random_stable(4, seed=30)
-    rom = irka_init(fom.E, fom.A, fom.B, fom.C, 4)
+    rom = irka_init(fom, 4)
     assert np.array_equal(rom.A_terms[1][1], fom.A)
 
 
 def test_irka_produces_good_siso_approximant():
     fom = make_random_stable(30, seed=31)
-    rom = irka_init(fom.E, fom.A, fom.B, fom.C, 4)
+    rom = irka_init(fom, 4)
     pr = pole_residue_lti(rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1])
     assert np.all(pr.poles.real < 0)
     # reduced model tracks the full response on the axis
@@ -281,6 +283,29 @@ def test_fit_improves_stationary_objective():
 def test_fit_frequency_data_round_trip():
     fom = make_random_stable(10, seed=33)
     data = sample_frequency_response(fom, np.logspace(-1, 1, 8))
-    init = irka_init(fom.E, fom.A, fom.B, fom.C, 3)
+    init = irka_init(fom, 3)
     trace = fit(init, data, FitOptions(max_iters=200))
     assert trace.objectives[-1] <= trace.objectives[0]
+
+
+def test_irka_warns_when_stopped_at_max_iters():
+    fom = make_penzl()
+    with pytest.warns(RuntimeWarning, match="max_iters=1"):
+        irka_init(fom, 2, max_iters=1)
+
+
+def test_irka_penzl_stable_over_seeds():
+    fom = make_penzl()
+    for seed in range(8):
+        rom = irka_init(fom, 2, seed=seed)
+        pr = pole_residue_lti(rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1])
+        assert np.all(pr.poles.real < 0), f"seed {seed}: poles {pr.poles}"
+
+
+def test_irka_rejects_unstable_model():
+    # a system with all poles in the right half-plane projects onto unstable reduced models
+    n = 6
+    a = np.random.default_rng(1).standard_normal((n, n)) + 3.0 * np.eye(n)
+    fom = AffineLtiFom(E_entries=np.eye(n), A_entries=a, B=np.ones((n, 1)), C=np.ones((1, n)))
+    with pytest.raises(ValueError, match="unstable"):
+        irka_init(fom, 2)
