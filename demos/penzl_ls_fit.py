@@ -22,7 +22,7 @@ print(f"sampled {len(data)} points on the imaginary axis")
 init = irka_init(fom, 2)
 trace = fit(init, data, FitOptions(max_iters=500))
 print(f"fit: {trace.iterations} iterations, objective {trace.objectives[-1]:.3e}, "
-      f"converged: {trace.converged}")
+      f"converged: {trace.converged} ({trace.message})")
 
 rom = trace.rom
 pr = pole_residue_lti(rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1])

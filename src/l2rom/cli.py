@@ -190,7 +190,7 @@ def cmd_fit(args):
             if args.structure not in ("lti", "lti-dt"):
                 raise UsageError("irka initialization applies to lti structures")
             td = "dt" if args.structure == "lti-dt" else "ct"
-            inits = [irka_init(fom, args.order, time_domain=td, seed=args.seed)]
+            inits = [irka_init(fom, args.order, time_domain=td)]
         elif args.init == "rb":
             if args.structure != "stationary":
                 raise UsageError("rb initialization applies to the stationary structure")
@@ -208,7 +208,7 @@ def cmd_fit(args):
     trace_path = args.trace or args.out + ".trace"
     io.write_payload(trace_path, io.trace_to_payload(best))
     print(f"final objective {best.objectives[-1]:.6e}, gradient norm {best.grad_norms[-1]:.3e}, "
-          f"converged: {best.converged}")
+          f"converged: {best.converged} ({best.message})")
     try:
         pr = rom_pole_residue(rom)
         if hasattr(pr, "poles"):

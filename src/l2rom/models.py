@@ -17,6 +17,7 @@ from .core import FomEvaluator, SampleSet, check_conjugation_closure
 
 __all__ = [
     "AffineLtiFom",
+    "BandedLU",
     "AffineStationaryFom",
     "KronParametricFom",
     "make_penzl",
@@ -45,19 +46,71 @@ def _operator(entries, n):
     return scipy.sparse.csc_array((values, (rows, cols)), shape=(n, n))
 
 
-def _factor(op):
-    """LU factors of one shifted full-order operator (scipy's SuperLU).
+def _triplets(entries):
+    """COO triplets (rows, cols, values) of a dense array or of triplets."""
+    if isinstance(entries, np.ndarray):
+        rows, cols = np.nonzero(entries)
+        return rows, cols, entries[rows, cols]
+    return tuple(np.asarray(t) for t in entries)
 
-    ``solve(rhs)`` is the primal solve and ``solve(rhs, trans="H")`` the
-    adjoint one.  Dense operators take the same path through a CSC copy.
+
+def _band_layouts(n, *operators):
+    """LAPACK band storage of (n, n) operators that share one band.
+
+    Returns (kl, ku, layouts): kl and ku are the widest sub- and
+    super-diagonal over all operators, in their assembly order.  Each layout
+    is a (2 kl + ku + 1, n) Fortran-order array holding entry (i, j) at row
+    kl + ku + i - j of column j (duplicate triplets summed); its top kl rows
+    stay zero for the fill-in of ?gbtrf's row interchanges.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
+    triplets = [_triplets(op) for op in operators]
+    offsets = np.concatenate([rows - cols for rows, cols, _ in triplets])
+    kl = int(offsets.max(initial=0))
+    ku = int(-offsets.min(initial=0))
+    ldab = 2 * kl + ku + 1
+    layouts = []
+    for rows, cols, values in triplets:
+        flat = kl + ku + rows - cols + ldab * cols
+        layouts.append(np.bincount(flat, weights=values, minlength=ldab * n).reshape(n, ldab).T)
+    return kl, ku, layouts
 
-    try:
-        return scipy.sparse.linalg.splu(scipy.sparse.csc_array(op))
-    except RuntimeError as exc:  # SuperLU's report of an exactly singular factor
-        raise np.linalg.LinAlgError(f"full-order operator is singular: {exc}") from exc
+
+class BandedLU:
+    """LU factors, with partial pivoting, of one banded full-order operator.
+
+    ``ab`` is the operator in LAPACK band storage (``_band_layouts``); it is
+    factored in place by ?gbtrf, real or complex as its dtype is.
+    ``solve(rhs)`` is the primal solve and ``solve(rhs, trans="H")`` the
+    adjoint one; a complex right-hand side on a real factor is solved as its
+    real and imaginary parts.  An exactly singular operator raises
+    ``np.linalg.LinAlgError``.
+    """
+
+    def __init__(self, ab, kl, ku):
+        from scipy.linalg import lapack
+
+        self.is_complex = np.iscomplexobj(ab)
+        gbtrf = lapack.zgbtrf if self.is_complex else lapack.dgbtrf
+        self._gbtrs = lapack.zgbtrs if self.is_complex else lapack.dgbtrs
+        self.kl, self.ku = kl, ku
+        self.lu, self.ipiv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"full-order operator is singular (zero pivot in column {info - 1})")
+
+    def solve(self, rhs, trans="N"):
+        if trans not in ("N", "H"):
+            raise ValueError(f"trans must be 'N' or 'H', got {trans!r}")
+        # ?gbtrs: 1 is the transpose (the adjoint of a real factor), 2 the conjugate transpose
+        code = 0 if trans == "N" else 2 if self.is_complex else 1
+        rhs = np.asarray(rhs)
+        b = rhs.reshape(rhs.shape[0], -1)
+        if np.iscomplexobj(b) and not self.is_complex:
+            k = b.shape[1]
+            x, _ = self._gbtrs(self.lu, self.kl, self.ku, np.hstack([b.real, b.imag]), self.ipiv, trans=code)
+            x = x[:, :k] + 1j * x[:, k:]
+        else:
+            x, _ = self._gbtrs(self.lu, self.kl, self.ku, b, self.ipiv, trans=code)
+        return x.reshape(rhs.shape)
 
 
 @dataclass(frozen=True)
@@ -66,7 +119,8 @@ class AffineLtiFom:
 
     ``E_entries`` and ``A_entries`` are dense (n, n) arrays or COO triplets
     (rows, cols, values); ``E`` and ``A`` are the operators, built on first
-    use (CSC for triplets).  Every full-order solve goes through ``factor``.
+    use (CSC for triplets), for products.  Every full-order solve goes
+    through ``factor``, a banded LU in the assembly order.
     """
 
     E_entries: object
@@ -87,6 +141,11 @@ class AffineLtiFom:
     def A(self):
         return _operator(self.A_entries, self.n)
 
+    @cached_property
+    def bands(self):
+        """(kl, ku, (E, A)) in LAPACK band storage, built on first use."""
+        return _band_layouts(self.n, self.E_entries, self.A_entries)
+
     @property
     def n(self):
         return self.B.shape[0]
@@ -101,7 +160,8 @@ class AffineLtiFom:
 
     def factor(self, s):
         """Factored s E - A, for primal and adjoint solves at the shift s."""
-        return _factor(s * self.E - self.A)
+        kl, ku, (ab_e, ab_a) = self.bands
+        return BandedLU(s * ab_e - ab_a, kl, ku)
 
     def transfer(self, s):
         return self.C @ self.factor(s).solve(self.B)
@@ -126,7 +186,9 @@ class AffineStationaryFom:
     """(A1 + p A2) x = B, y = C x, over a real parameter interval [a, b].
 
     ``A1_entries`` and ``A2_entries`` are dense (n, n) arrays or COO
-    triplets; ``A1`` and ``A2`` are the operators, built on first use.
+    triplets; ``A1`` and ``A2`` are the operators, built on first use, for
+    products.  Every full-order solve goes through ``factor``, a banded LU in
+    the assembly order.
     """
 
     A1_entries: object
@@ -143,6 +205,11 @@ class AffineStationaryFom:
     def A2(self):
         return _operator(self.A2_entries, self.n)
 
+    @cached_property
+    def bands(self):
+        """(kl, ku, (A1, A2)) in LAPACK band storage, built on first use."""
+        return _band_layouts(self.n, self.A1_entries, self.A2_entries)
+
     @property
     def n(self):
         return self.B.shape[0]
@@ -157,7 +224,8 @@ class AffineStationaryFom:
 
     def factor(self, p):
         """Factored A1 + p A2, for primal and adjoint solves at the parameter p."""
-        return _factor(self.A1 + p * self.A2)
+        kl, ku, (ab_1, ab_2) = self.bands
+        return BandedLU(ab_1 + p * ab_2, kl, ku)
 
     def output(self, p):
         return self.C @ self.factor(p).solve(self.B)

@@ -327,7 +327,9 @@ def fit(init, data, opts=None):
     Quasi-Newton (limited-memory) or steepest descent with Armijo
     backtracking; the objective trace is monotone non-increasing.  A trial
     step that makes the operator singular at some sample point is rejected
-    by the line search.  Returns a FitTrace carrying the final rom.
+    by the line search.  The fit stops, without taking the step, when the
+    accepted step does not strictly decrease the objective ("objective
+    stagnated", not converged).  Returns a FitTrace carrying the final rom.
     """
     if opts is None:
         opts = FitOptions()
@@ -384,6 +386,9 @@ def fit(init, data, opts=None):
             f_new = objective(x + t * d)
         if t < opts.min_step:
             trace.message = "line search failed; returning best iterate"
+            break
+        if not f_new < f_x:  # Armijo accepted a step below the objective's resolution
+            trace.message = "objective stagnated"
             break
 
         x_new = x + t * d
@@ -464,17 +469,37 @@ def _dense(op):
     return op.toarray() if hasattr(op, "toarray") else np.asarray(op, dtype=float)
 
 
-def irka_init(fom, r, tol=1e-10, max_iters=200, time_domain="ct", seed=0):
+def _krylov_start(fom, r):
+    """Orthonormal basis of the order-r Krylov space of (-A)^{-1} E from (-A)^{-1} B 1.
+
+    Its columns span the moments of the transfer function at s = 0, the
+    rational Krylov space of one factorization of -A (``fom.factor(0)``)
+    and r solves.
+    """
+    lu = fom.factor(0.0)
+    basis = np.zeros((fom.n, r))
+    for k in range(r):
+        q = lu.solve(fom.E @ basis[:, k - 1] if k else fom.B @ np.ones(fom.n_i))
+        for _ in range(2):  # Gram-Schmidt, repeated for orthogonality to working precision
+            q = q - basis[:, :k] @ (basis[:, :k].T @ q)
+        basis[:, k] = q / np.linalg.norm(q)
+    return basis
+
+
+def irka_init(fom, r, tol=1e-10, max_iters=200, time_domain="ct"):
     """Tangential rational Krylov fixed-point iteration for LTI systems.
 
     ``fom`` exposes E, A, B, C and ``factor(s)``, the factored s E - A
-    (``models.AffineLtiFom``).  Iterates Petrov-Galerkin projection at the
-    mirror images of the current reduced poles, with tangential directions
-    from the residue factors, until the relative pole movement drops below
-    ``tol``; each shift costs one factorization, a primal and an adjoint
-    solve.  Returns an order-r LTI StructuredRom.  Stopping at ``max_iters``
-    emits a RuntimeWarning; an unstable final iterate (a pole in the closed
-    right half-plane, or on or outside the unit circle for "dt") raises
+    (``models.AffineLtiFom``).  The first shifts are the mirror images of
+    the poles of the Galerkin projection onto the Krylov space of
+    (-A)^{-1} E at s = 0 (``_krylov_start``), so the result is
+    deterministic.  Iterates Petrov-Galerkin projection at the mirror images
+    of the current reduced poles, with tangential directions from the
+    residue factors, until the relative pole movement drops below ``tol``;
+    each shift costs one factorization, a primal and an adjoint solve.
+    Returns an order-r LTI StructuredRom.  Stopping at ``max_iters`` emits a
+    RuntimeWarning; an unstable final iterate (a pole in the closed right
+    half-plane, or on or outside the unit circle for "dt") raises
     ValueError.
     """
     if max_iters < 1:
@@ -486,9 +511,7 @@ def irka_init(fom, r, tol=1e-10, max_iters=200, time_domain="ct", seed=0):
     if r >= n:
         return lti_rom(_dense(E), _dense(A), B, C)
 
-    rng = np.random.default_rng(seed)
-    # Galerkin projection onto a random subspace seeds the pole iteration.
-    v0 = _orth(rng.standard_normal((n, r)))
+    v0 = _krylov_start(fom, r)
     lam0 = np.linalg.eigvals(np.linalg.solve(v0.T @ (E @ v0), v0.T @ (A @ v0)))
     shifts = _mirror(lam0.astype(complex), time_domain)  # complex shifts factor complex operators
     b_dirs = np.ones((r, B.shape[1]), dtype=complex)

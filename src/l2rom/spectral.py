@@ -138,25 +138,22 @@ def pole_residue_lti(E, A, B, C):
     return PoleResidue(poles=diag.eigenvalues, left_factors=left, right_factors=right)
 
 
-def _pole_residue_affine_symmetric(A1, A2, B, C, rank_rtol):
+def _pole_residue_affine_symmetric(d, X, B, C, constant, rank_rtol):
     """Symmetric-definite specialization of the affine pole-residue map.
 
     For symmetric A1 > 0 and symmetric A2 the generalized eigenproblem
-    A2 X = A1 X D has A1-orthogonal eigenvectors, which stays stable when
-    eigenvalues repeat.  Residues of clustered poles are merged; each merged
-    residue must remain rank one to fit the c b^* representation.
+    A2 X = A1 X D (eigenvalues ``d``, A1-orthonormal eigenvectors ``X``)
+    stays stable when eigenvalues repeat.  Residues of clustered poles are
+    merged; each merged residue must remain rank one to fit the c b^*
+    representation.  ``constant`` is added to the constant term.
     """
-    import scipy.linalg
-
-    # X^T A1 X = I, X^T A2 X = diag(d); A1 and A2 are overwritten
-    d, X = scipy.linalg.eigh(A2, A1, overwrite_a=True, overwrite_b=True)
     d_scale = max(np.max(np.abs(d)), 1e-300)
     nonzero = np.abs(d) > rank_rtol * d_scale
     if not np.any(nonzero):
         raise ValueError("A2 is numerically zero; the map has no finite poles")
     cx = C @ X  # (n_o, n)
     xb = X.T @ B  # (n, n_i)
-    constant = cx[:, ~nonzero] @ xb[~nonzero, :]
+    constant = constant + cx[:, ~nonzero] @ xb[~nonzero, :]
 
     d_nz = d[nonzero]
     res_left = cx[:, nonzero] / d_nz  # residue of pole -1/d_i is (C x_i)(x_i^T B)/d_i
@@ -198,6 +195,24 @@ def _pole_residue_affine_symmetric(A1, A2, B, C, rank_rtol):
     )
 
 
+def _pattern(op):
+    """Row and column indices of the stored entries of a sparse or dense matrix."""
+    if hasattr(op, "tocoo"):
+        coo = op.tocoo()
+        return coo.row, coo.col
+    return np.nonzero(op)
+
+
+def _dense_block(op, keep):
+    """Private Fortran-order dense copy of op[keep][:, keep]."""
+    block = op[np.ix_(keep, keep)]
+    return block.toarray(order="F") if hasattr(block, "toarray") else np.array(block, dtype=float, order="F")
+
+
+def _is_symmetric(op, tol):
+    return abs(op - op.T).max() <= tol
+
+
 def pole_residue_affine_singular(A1, A2, B, C, rank_rtol=None):
     """Pole-residue form (with constant term) of C (A1 + p A2)^{-1} B.
 
@@ -205,29 +220,48 @@ def pole_residue_affine_singular(A1, A2, B, C, rank_rtol=None):
     singular values at threshold max(n) * eps * sigma_max unless a relative
     threshold is supplied.  Uses a low-rank update identity on A1; symmetric
     pencils with A1 positive definite take a symmetric eigensolver path that
-    tolerates repeated eigenvalues.  A1 and A2 may be dense arrays or scipy
-    sparse matrices; either way they are densified once.
+    tolerates repeated eigenvalues (an A1 that the eigensolver finds not
+    positive definite falls back to the general path).  A1 and A2 may be
+    dense arrays or scipy sparse matrices.  Indices i whose row and column
+    are zero in A2 and zero off the diagonal in A1 (a nonzero a1_ii) are
+    decoupled: they add C[:, i] B[i, :] / a1_ii to the constant term and are
+    left out of the eigenproblem.  The rest is densified once.
     """
-    # Private Fortran-order copies: the symmetric path factors them in place.
-    A1 = A1.toarray(order="F") if hasattr(A1, "toarray") else np.array(A1, dtype=float, order="F")
-    A2 = A2.toarray(order="F") if hasattr(A2, "toarray") else np.array(A2, dtype=float, order="F")
+    A1, A2 = (op if hasattr(op, "tocoo") else np.asarray(op, dtype=float) for op in (A1, A2))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = A1.shape[0]
     if rank_rtol is None:
         rank_rtol_eff = max(A2.shape) * np.finfo(float).eps
     else:
         rank_rtol_eff = rank_rtol
 
-    sym_tol = 1e-12 * max(np.max(np.abs(A1)), np.max(np.abs(A2)), 1e-300)
-    if np.max(np.abs(A1 - A1.T)) <= sym_tol and np.max(np.abs(A2 - A2.T)) <= sym_tol:
-        try:
-            np.linalg.cholesky(A1)
-        except np.linalg.LinAlgError:
+    diag = np.asarray(A1.diagonal(), dtype=float)
+    coupled = diag == 0.0
+    rows, cols = _pattern(A2)
+    coupled[rows] = coupled[cols] = True
+    rows, cols = _pattern(A1)
+    off = rows != cols
+    coupled[rows[off]] = coupled[cols[off]] = True
+    keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+    if len(keep) == 0:
+        raise ValueError("A2 is numerically zero; the map has no finite poles")
+    constant = (C[:, drop] / diag[drop]) @ B[drop, :]
+    B, C = B[keep], C[:, keep]
+
+    sym_tol = 1e-12 * max(abs(A1).max(), abs(A2).max(), 1e-300)
+    if _is_symmetric(A1, sym_tol) and _is_symmetric(A2, sym_tol):
+        import scipy.linalg
+
+        try:  # X^T A1 X = I, X^T A2 X = diag(d); the dense copies are overwritten
+            d, X = scipy.linalg.eigh(
+                _dense_block(A2, keep), _dense_block(A1, keep), overwrite_a=True, overwrite_b=True
+            )
+        except np.linalg.LinAlgError:  # A1 is not positive definite
             pass
         else:
-            return _pole_residue_affine_symmetric(A1, A2, B, C, rank_rtol_eff)
+            return _pole_residue_affine_symmetric(d, X, B, C, constant, rank_rtol_eff)
 
+    A1, A2 = _dense_block(A1, keep), _dense_block(A2, keep)
     W, sigma, Zt = np.linalg.svd(A2)
     n2 = int(np.sum(sigma > rank_rtol_eff * sigma[0]))
     if n2 == 0:
@@ -246,7 +280,7 @@ def pole_residue_affine_singular(A1, A2, B, C, rank_rtol=None):
     if np.any(np.abs(d) < 1e-14 * max(np.max(np.abs(d)), 1e-300)):
         raise ValueError("zero eigenvalue in the reduced coupling matrix (pole at infinity)")
 
-    constant = C @ A1_inv_B - C_U @ np.linalg.solve(M, B_V)
+    constant = constant + C @ A1_inv_B - C_U @ np.linalg.solve(M, B_V)
     T_inv_BV = np.linalg.solve(T, B_V)
     left = (C_U @ T).T  # row i: C_U T e_i
     right = np.conj(T_inv_BV / (d[:, None] ** 2))  # row i so that b_i^* = e_i^T T^{-1} B_V / d_i^2

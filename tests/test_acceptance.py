@@ -168,6 +168,30 @@ def test_penzl_reproduction():
     assert time.monotonic() - start < 300.0
 
 
+def test_penzl_pipeline_robust_to_sample_rounding():
+    # the fit must reach the reference poles, stop short of its iteration
+    # cap and certify, whatever the last digits of the 50 samples
+    fom = make_penzl()
+    data = sample_frequency_response(fom, np.logspace(0, 4, 50))
+    init = irka_init(fom, 2)
+    half = len(data) // 2
+    for seed in range(8):
+        g = np.random.default_rng(seed)
+        noise = g.standard_normal(data.values[:half].shape) + 1j * g.standard_normal(data.values[:half].shape)
+        upper = data.values[:half] * (1.0 + 1e-15 * noise)
+        perturbed = SampleSet(data.points, np.concatenate([upper, np.conj(upper)]), data.weights)
+        trace = fit(init, perturbed, FitOptions(max_iters=500))
+        assert_trace_contract(trace)
+        assert trace.iterations < 100, f"seed {seed}: {trace.iterations} iterations ({trace.message})"
+        rom = trace.rom
+        pr = pole_residue_lti(rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1])
+        poles = np.sort(pr.poles.real)
+        assert abs(poles[0] - (-431.00)) <= 0.01 * 431.00, f"seed {seed}: poles {pr.poles}"
+        assert abs(poles[1] - (-4.7984)) <= 0.01 * 4.7984, f"seed {seed}: poles {pr.poles}"
+        cert = ls_residuals(perturbed, pr, tolerance=1e-6)
+        assert cert.passed, f"seed {seed}: least-squares certificate residual {cert.max_residual:.2e}"
+
+
 def test_poisson_reproduction():
     start = time.monotonic()
     fom = make_poisson()

@@ -102,7 +102,7 @@ def test_trace_payload():
     assert payload["converged"] is True
 
 
-def test_cli_pipeline_lti(tmp_path):
+def test_cli_pipeline_lti(tmp_path, capsys):
     model = str(tmp_path / "model.json")
     samples = str(tmp_path / "samples.json")
     rom = str(tmp_path / "rom.json")
@@ -116,13 +116,15 @@ def test_cli_pipeline_lti(tmp_path):
         ])
         == 0
     )
+    # trace file written next to the rom by default; the fit reports why it
+    # stopped next to its convergence flag
+    trace = io.read_payload(rom + ".trace", expect_kind="trace")
+    assert f"converged: {trace['converged']} ({trace['message']})" in capsys.readouterr().out
     # the rom solves the sampled least-squares problem, so its ls certificate passes
     assert cli.main(["certify", rom, "--family", "discrete-ls", "--samples", samples,
                      "-o", cert]) == 0
     payload = io.read_payload(cert, expect_kind="certificate")
     assert payload["passed"] is True
-    # trace file written next to the rom by default
-    io.read_payload(rom + ".trace", expect_kind="trace")
     # report for the same data
     report = str(tmp_path / "report.txt")
     assert cli.main(["report", rom, "--family", "discrete-ls", "--samples", samples,

@@ -8,6 +8,7 @@ import pytest
 
 from l2rom.core import check_conjugation_closure
 from l2rom.models import (
+    AffineStationaryFom,
     make_kron_parametric,
     make_penzl,
     make_poisson,
@@ -198,28 +199,52 @@ def test_poisson_assembly_matches_element_loop():
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("name", ["penzl", "poisson"])
+def _dense(op):
+    return op.toarray() if hasattr(op, "toarray") else op
+
+
+@pytest.mark.parametrize("name", ["penzl", "poisson", "random"])
 def test_factored_solves_match_dense_oracle(name):
-    if name == "penzl":
-        fom, p = make_penzl(), 0.3 + 150.0j
-        K = p * fom.E.toarray() - fom.A.toarray()
-        dK = fom.E.toarray()
-        value, deriv = fom.transfer, fom.transfer_deriv
-    else:
-        fom, p = make_poisson(cells_per_side=8), 1.7
+    # penzl: complex factor (adjoint at a complex shift); poisson and the
+    # dense random model (full band): real factors with complex right-hand sides
+    if name == "poisson":
+        fom, p, band = make_poisson(cells_per_side=8), 1.7, (10, 10)
         K = fom.A1.toarray() + p * fom.A2.toarray()
         dK = fom.A2.toarray()
         value, deriv = fom.output, fom.output_deriv
-    rhs = np.random.default_rng(4).standard_normal((fom.n, 2))
+    else:
+        if name == "penzl":
+            fom, p, band = make_penzl(), 0.3 + 150.0j, (1, 1)
+        else:
+            fom, p, band = make_random_stable(12, 2, 3, seed=5), 0.7, (11, 11)
+        K = p * _dense(fom.E) - _dense(fom.A)
+        dK = _dense(fom.E)
+        value, deriv = fom.transfer, fom.transfer_deriv
+    assert fom.bands[:2] == band
+    g = np.random.default_rng(4)
+    real_rhs = g.standard_normal((fom.n, 2))
+    complex_rhs = real_rhs + 1j * g.standard_normal((fom.n, 2))
     lu = fom.factor(p)
-    cases = (
-        (lu.solve(rhs), np.linalg.solve(K, rhs)),
-        (lu.solve(rhs, trans="H"), np.linalg.solve(K.conj().T, rhs)),
+    cases = [
         (value(p), fom.C @ np.linalg.solve(K, fom.B)),
         (deriv(p), -fom.C @ np.linalg.solve(K, dK @ np.linalg.solve(K, fom.B))),
-    )
+    ]
+    for rhs in (real_rhs, complex_rhs, complex_rhs[:, 0]):
+        cases.append((lu.solve(rhs), np.linalg.solve(K, rhs)))
+        cases.append((lu.solve(rhs, trans="H"), np.linalg.solve(K.conj().T, rhs)))
     for got, want in cases:
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_singular_full_order_operator_raises():
+    n = 4
+    diag = (np.arange(n), np.arange(n), np.array([1.0, 2.0, 0.0, 1.0]))
+    fom = AffineStationaryFom(A1_entries=diag, A2_entries=diag, B=np.ones((n, 1)), C=np.ones((1, n)))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        fom.factor(1.5)
+    with pytest.raises(np.linalg.LinAlgError):
+        fom.output(3.0)
 
 
 def _run_python(args, code):
