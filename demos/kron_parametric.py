@@ -11,7 +11,7 @@ Run:  python3 demos/kron_parametric.py     (takes a few minutes)
 
 import numpy as np
 
-from l2rom import FitOptions, fit, h2l2_residuals, kron_pole_residue, kron_rom
+from l2rom import FitOptions, fit, h2l2_residuals, kron_rom, pole_residue
 from l2rom.models import make_kron_parametric, sample_h2l2
 
 
@@ -39,9 +39,7 @@ fine = sample_h2l2(fom, n_s=192, n_xi=96)
 best = fit(best.rom, fine, FitOptions(max_iters=400))
 print(f"refined objective {best.objectives[-1]:.6e}")
 
-ks = best.rom.kron
-pr = kron_pole_residue(ks.E, ks.A, ks.E_xi, ks.A_xi,
-                       best.rom.B_terms[0][1], best.rom.C_terms[0][1])
+pr = pole_residue(best.rom)
 print(f"frequency poles: {np.sort_complex(pr.s_poles)}")
 print(f"parameter poles: {np.sort_complex(pr.xi_poles)}")
 

@@ -10,7 +10,7 @@ Run:  python3 demos/penzl_ls_fit.py
 
 import numpy as np
 
-from l2rom import FitOptions, fit, irka_init, ls_residuals, pole_residue_lti
+from l2rom import FitOptions, fit, irka_init, ls_residuals, pole_residue
 from l2rom.models import make_penzl, sample_frequency_response
 
 fom = make_penzl()
@@ -24,8 +24,7 @@ trace = fit(init, data, FitOptions(max_iters=500))
 print(f"fit: {trace.iterations} iterations, objective {trace.objectives[-1]:.3e}, "
       f"converged: {trace.converged} ({trace.message})")
 
-rom = trace.rom
-pr = pole_residue_lti(rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1])
+pr = pole_residue(trace.rom)
 print(f"reduced poles: {np.sort(pr.poles.real)}")
 
 cert = ls_residuals(data, pr, tolerance=1e-6)

@@ -15,6 +15,7 @@ from l2rom import (
     Interval,
     fit,
     greedy_rb_init,
+    pole_residue,
     pole_residue_affine_singular,
     stationary_residuals,
 )
@@ -28,10 +29,7 @@ init = greedy_rb_init(fom, 2, np.logspace(-1, 1, 20))
 trace = fit(init, data, FitOptions(max_iters=500))
 print(f"fit: {trace.iterations} iterations, objective {trace.objectives[-1]:.3e}")
 
-rom = trace.rom
-rom_pr = pole_residue_affine_singular(
-    rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1]
-)
+rom_pr = pole_residue(trace.rom)
 print(f"reduced poles: {np.sort(rom_pr.poles.real)}")
 
 fom_pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)

@@ -322,7 +322,32 @@ def f_sigma_eval(a, b, sigma, p, order=0):
     return ((b - a) * (p - sigma) / ((p - a) * (p - b)) - log_p + log_s) / (p - sigma) ** 2
 
 
-def _real_stationary_parts(pr, what):
+def _f_sigma_many(a, b, sigma, p, order):
+    """f_sigma(p) or its derivative for an array of sigma at one point p.
+
+    The formulas of f_sigma_eval, elementwise, including the removable
+    singularity where p is within 1e-12 (1 + |sigma|) of sigma; the callers
+    keep sigma and p off the interval endpoints.
+    """
+    near = np.abs(p - sigma) <= 1e-12 * (1.0 + np.abs(sigma))
+    dp = np.where(near, 1.0, p - sigma)  # placeholder where the limit is used
+    log_p = np.log(abs((p - b) / (p - a)))
+    log_s = np.log(np.abs((sigma - b) / (sigma - a)))
+    if order == 0:
+        return np.where(near, (b - a) / ((sigma - a) * (sigma - b)), (log_p - log_s) / dp)
+    return np.where(
+        near,
+        (b - a) * (a + b - 2 * sigma) / (2 * (sigma - a) ** 2 * (sigma - b) ** 2),
+        ((b - a) * dp / ((p - a) * (p - b)) - log_p + log_s) / dp**2,
+    )
+
+
+def _stationary_terms(pr, interval, what, with_constant):
+    """Real poles, residues and constant term (or None) of a stationary form.
+
+    Raises ValueError when poles or residues are not real or a pole lies in
+    [a, b] (widened by STATIONARY_POLE_MARGIN).
+    """
     poles = pr.poles
     scale = max(np.max(np.abs(poles)), 1.0)
     if np.max(np.abs(poles.imag)) > 1e-8 * scale:
@@ -331,7 +356,25 @@ def _real_stationary_parts(pr, what):
     res_scale = max(np.max(np.abs(residues)), NORM_FLOOR)
     if np.max(np.abs(residues.imag)) > 1e-8 * res_scale:
         raise ValueError(f"{what} residues must be real for the stationary certificate")
-    return poles.real, residues.real
+    poles = poles.real
+    margin = STATIONARY_POLE_MARGIN * (interval.b - interval.a)
+    if np.any((poles > interval.a - margin) & (poles < interval.b + margin)):
+        raise ValueError("stationary poles must lie strictly outside the interval [a, b]")
+    phi0 = np.real(pr.constant_term()) if with_constant and pr.constant is not None else None
+    return poles, residues.real, phi0
+
+
+def _modified_output(terms, interval, p, order):
+    """sum_i f_{nu_i}(p) Phi_i (or its derivative) plus the log-weighted constant."""
+    poles, residues, phi0 = terms
+    a, b = interval.a, interval.b
+    out = np.einsum("k,koi->oi", _f_sigma_many(a, b, poles, p, order), residues)
+    if phi0 is not None:
+        if order == 0:
+            out = out + np.log(abs((p - b) / (p - a))) * phi0
+        else:
+            out = out + (b - a) / ((p - a) * (p - b)) * phi0
+    return out
 
 
 def modified_output_eval(fom_pr, rom_pr, interval, p, order=0, which="Y"):
@@ -342,24 +385,16 @@ def modified_output_eval(fom_pr, rom_pr, interval, p, order=0, which="Y"):
     """
     if which not in ("Y", "Yhat"):
         raise ValueError("which must be 'Y' or 'Yhat'")
-    a, b = interval.a, interval.b
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
     p = float(p)
-    pr = fom_pr if which == "Y" else rom_pr
-    poles, residues = _real_stationary_parts(pr, "full-order" if which == "Y" else "reduced")
-    margin = STATIONARY_POLE_MARGIN * (b - a)
-    if np.any((poles > a - margin) & (poles < b + margin)):
-        raise ValueError("stationary poles must lie strictly outside the interval [a, b]")
-
-    out = np.zeros(residues.shape[1:])
-    for nu, phi in zip(poles, residues):
-        out = out + f_sigma_eval(a, b, nu, p, order=order) * phi
-    if which == "Y" and fom_pr.constant is not None:
-        phi0 = np.real(fom_pr.constant_term())
-        if order == 0:
-            out = out + np.log(abs((p - b) / (p - a))) * phi0
-        else:
-            out = out + (b - a) / ((p - a) * (p - b)) * phi0
-    return out
+    if min(abs(p - interval.a), abs(p - interval.b)) <= 1e-14 * (interval.b - interval.a):
+        raise ValueError("p must differ from the interval endpoints")
+    if which == "Y":
+        terms = _stationary_terms(fom_pr, interval, "full-order", with_constant=True)
+    else:
+        terms = _stationary_terms(rom_pr, interval, "reduced", with_constant=False)
+    return _modified_output(terms, interval, p, order)
 
 
 def stationary_residuals(fom_pr, rom_pr, interval, tolerance=1e-6):
@@ -368,15 +403,17 @@ def stationary_residuals(fom_pr, rom_pr, interval, tolerance=1e-6):
     Interpolation for the stationary family happens at the poles themselves,
     not their mirror images.
     """
-    lam, _ = _real_stationary_parts(rom_pr, "reduced")
+    rom_terms = _stationary_terms(rom_pr, interval, "reduced", with_constant=False)
+    fom_terms = _stationary_terms(fom_pr, interval, "full-order", with_constant=True)
+    lam = rom_terms[0]
     rows = []
     for k in range(len(lam)):
         b = np.real(rom_pr.right_factors[k])
         c = np.real(rom_pr.left_factors[k])
-        y = modified_output_eval(fom_pr, rom_pr, interval, lam[k], which="Y")
-        y_hat = modified_output_eval(fom_pr, rom_pr, interval, lam[k], which="Yhat")
-        yd = modified_output_eval(fom_pr, rom_pr, interval, lam[k], order=1, which="Y")
-        yd_hat = modified_output_eval(fom_pr, rom_pr, interval, lam[k], order=1, which="Yhat")
+        y = _modified_output(fom_terms, interval, lam[k], 0)
+        y_hat = _modified_output(rom_terms, interval, lam[k], 0)
+        yd = _modified_output(fom_terms, interval, lam[k], 1)
+        yd_hat = _modified_output(rom_terms, interval, lam[k], 1)
         rows.append(
             CertificateRow(
                 label=f"k={k}",

@@ -30,7 +30,7 @@ from .certify import (
 )
 from .core import kron_rom, lti_rom, stationary_rom
 from .optimize import FitOptions, fit, greedy_rb_init, irka_init
-from .spectral import kron_pole_residue, pole_residue_affine_singular, pole_residue_lti
+from .spectral import pole_residue, pole_residue_affine_singular, rom_structure
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -50,30 +50,8 @@ class UsageError(Exception):
     pass
 
 
-def rom_structure(rom):
-    """Classify a structured rom by its scalar families."""
-    if rom.kron is not None:
-        return "kron"
-    fams = tuple(fam.terms for fam, _ in rom.A_terms)
-    if fams == (((1.0, (1,)),), ((-1.0, (0,)),)):
-        return "lti"
-    if fams == (((1.0, (0,)),), ((1.0, (1,)),)):
-        return "stationary"
-    return "unknown"
-
-
-def rom_pole_residue(rom):
-    structure = rom_structure(rom)
-    b = rom.B_terms[0][1]
-    c = rom.C_terms[0][1]
-    if structure == "lti":
-        return pole_residue_lti(rom.A_terms[0][1], rom.A_terms[1][1], b, c)
-    if structure == "stationary":
-        return pole_residue_affine_singular(rom.A_terms[0][1], rom.A_terms[1][1], b, c)
-    if structure == "kron":
-        ks = rom.kron
-        return kron_pole_residue(ks.E, ks.A, ks.E_xi, ks.A_xi, b, c)
-    raise UsageError("rom file has an unrecognized operator structure")
+# The dispatcher lives in spectral; this name stays for existing callers.
+rom_pole_residue = pole_residue
 
 
 def _load(path, kind):
@@ -210,7 +188,7 @@ def cmd_fit(args):
     print(f"final objective {best.objectives[-1]:.6e}, gradient norm {best.grad_norms[-1]:.3e}, "
           f"converged: {best.converged} ({best.message})")
     try:
-        pr = rom_pole_residue(rom)
+        pr = pole_residue(rom)
         if hasattr(pr, "poles"):
             print("poles:", np.array2string(np.sort_complex(pr.poles), precision=6))
         else:
@@ -240,7 +218,7 @@ def cmd_certify(args):
             f"certificate family {args.family} requires a {_FAMILY_STRUCTURE[family]} rom, "
             f"found {structure}"
         )
-    pr = rom_pole_residue(rom)
+    pr = pole_residue(rom)
     tol = args.tol if args.tol is not None else {"H2_CT": 1e-6, "H2_DT": 1e-4, "H2xL2": 1e-4,
                                                 "DISCRETE_LS": 1e-6, "STATIONARY": 1e-6}[family]
     if family == "DISCRETE_LS":
@@ -274,7 +252,7 @@ def cmd_certify(args):
 
 def cmd_report(args):
     rom = io.rom_from_payload(_load(args.rom, "rom"))
-    pr = rom_pole_residue(rom)
+    pr = pole_residue(rom)
     family = FAMILY_FLAGS[args.family]
     lines = []
     if family == "DISCRETE_LS":

@@ -272,25 +272,48 @@ class SampleSet:
 def check_conjugation_closure(samples, tol=1e-12):
     """Check that for every sample there is a conjugate partner.
 
+    Sample j partners sample i when its point is within tol * max(1, max|p|)
+    of conj(p_i) in every coordinate, its value within tol * max(1, max|y|)
+    of conj(y_i) entrywise, and its weight within tol * max(1, w_i) of w_i.
     Returns (ok, violations) where violations lists the offending indices.
+
+    Candidates come from a sort: the points are ordered by a fixed generic
+    linear projection of their real and imaginary parts, and the partners of
+    sample i can only lie in the window of projections that the point
+    tolerance allows around the projection of conj(p_i), found by binary
+    search.  Only those candidates are tested.
     """
     pts, vals, wts = samples.points, samples.values, samples.weights
+    n_p = pts.shape[1]
     scale_p = max(1.0, float(np.max(np.abs(pts))))
     scale_v = max(1.0, float(np.max(np.abs(vals))))
-    violations = []
-    for i in range(len(samples)):
-        dp = np.max(np.abs(pts - np.conj(pts[i])), axis=1)
-        candidates = np.nonzero(dp <= tol * scale_p)[0]
-        ok = False
-        for j in candidates:
-            if (
-                np.max(np.abs(vals[j] - np.conj(vals[i]))) <= tol * scale_v
-                and abs(wts[j] - wts[i]) <= tol * max(1.0, wts[i])
-            ):
-                ok = True
-                break
-        if not ok:
-            violations.append(i)
+    # golden-ratio weights: distinct points get distinct projections
+    proj = 0.5 + (np.arange(1, 2 * n_p + 1) * 0.6180339887498949) % 1.0
+
+    def key(z):
+        return np.concatenate([z.real, z.imag], axis=1) @ proj
+
+    keys = key(pts)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    # a point within tol * scale_p moves the projection by at most
+    # tol * scale_p * sum(proj); the eps term covers the rounding of the sums
+    radius = (tol + 8 * n_p * np.finfo(float).eps) * scale_p * np.sum(proj)
+    target = key(np.conj(pts))
+    lo = np.searchsorted(sorted_keys, target - radius, side="left")
+    hi = np.searchsorted(sorted_keys, target + radius, side="right")
+
+    counts = hi - lo
+    i = np.repeat(np.arange(len(samples)), counts)
+    starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    j = order[np.arange(len(i)) + starts]
+    partner = (
+        (np.max(np.abs(pts[j] - np.conj(pts[i])), axis=1) <= tol * scale_p)
+        & (np.max(np.abs(vals[j] - np.conj(vals[i])), axis=(1, 2)) <= tol * scale_v)
+        & (np.abs(wts[j] - wts[i]) <= tol * np.maximum(1.0, wts[i]))
+    )
+    closed = np.bincount(i[partner], minlength=len(samples)) > 0
+    violations = np.flatnonzero(~closed).tolist()
     return (not violations), violations
 
 

@@ -2,7 +2,8 @@
 
 Covers the conversion from state-space data to partial-fraction (pole-residue)
 form, including the singular-coefficient case that produces a constant term,
-and the two-variable Kronecker-structured case.
+and the two-variable Kronecker-structured case; ``pole_residue(rom)`` picks
+the conversion from a structured reduced model's operator structure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ __all__ = [
     "PencilDiag",
     "DefectivePencilError",
     "diagonalize_pencil",
+    "rom_structure",
+    "pole_residue",
     "pole_residue_lti",
     "pole_residue_affine_singular",
     "kron_pole_residue",
@@ -98,13 +101,15 @@ class PoleResidue2D:
 def _check_distinct(poles):
     if len(poles) < 2:
         return
-    scale = max(np.max(np.abs(poles)), 1e-300)
-    for i in range(len(poles)):
-        sep = np.min(np.abs(np.delete(poles, i) - poles[i]))
-        if sep < POLE_SEPARATION_RTOL * scale:
-            raise DefectivePencilError(
-                f"poles not pairwise distinct: separation {sep:.2e} at pole {poles[i]}"
-            )
+    tol = POLE_SEPARATION_RTOL * max(np.max(np.abs(poles)), 1e-300)
+    # two poles closer than tol have real parts closer than tol: sort on the
+    # real part and measure each pole against the next ones in that window
+    p = poles[np.argsort(poles.real, kind="stable")]
+    ends = np.searchsorted(p.real, p.real + tol, side="right")
+    for i in np.flatnonzero(ends > np.arange(len(p)) + 1):
+        sep = np.min(np.abs(p[i + 1 : ends[i]] - p[i]))
+        if sep < tol:
+            raise DefectivePencilError(f"poles not pairwise distinct: separation {sep:.2e} at pole {p[i]}")
 
 
 def diagonalize_pencil(E, A):
@@ -138,21 +143,52 @@ def pole_residue_lti(E, A, B, C):
     return PoleResidue(poles=diag.eigenvalues, left_factors=left, right_factors=right)
 
 
-def _pole_residue_affine_symmetric(d, X, B, C, constant, rank_rtol):
+def _symmetric_eig_projections(a2, a1, B, C):
+    """Eigenvalues of A2 X = A1 X D and the projections C X, X^T B.
+
+    X holds A1-orthonormal eigenvectors but is never formed.  With
+    A1 = L L^T, L^{-1} A2 L^{-T} = Q T Q^T (Householder tridiagonalization,
+    Q kept as reflectors) and T = Z D Z^T, X = L^{-T} Q Z, so C X and X^T B
+    need L^{-1} and Q^T applied to B and C^T only.  Returns (d, C X, X^T B)
+    in ascending d, or None if A1 is not positive definite or the
+    tridiagonal eigensolver fails.  The dense copies a1 and a2 are
+    overwritten.
+    """
+    from scipy.linalg import lapack
+
+    n = a1.shape[0]
+    L, info = lapack.dpotrf(a1, lower=1, overwrite_a=1)
+    if info != 0:
+        return None
+    M, _ = lapack.dsygst(a2, L, lower=1, overwrite_a=1)
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    T, diag, off, tau, _ = lapack.dsytrd(M, lower=1, lwork=lwork, overwrite_a=1)
+    P, _ = lapack.dtrtrs(L, np.hstack([B, C.T]), lower=1)  # L^{-1} [B, C^T]
+    if n > 1:  # P <- Q^T P; the reflectors lie below the subdiagonal of T
+        lwork = int(lapack.dormqr("L", "T", T[1:, :-1], tau, P[1:], -1)[1][0])
+        P[1:] = lapack.dormqr("L", "T", T[1:, :-1], tau, P[1:], lwork)[0]
+    d, Z, info = lapack.dstevd(diag, off if n > 1 else np.zeros(1))
+    if info != 0:
+        return None
+    P = Z.T @ P
+    n_i = B.shape[1]
+    return d, P[:, n_i:].T, P[:, :n_i]
+
+
+def _pole_residue_affine_symmetric(d, cx, xb, constant, rank_rtol):
     """Symmetric-definite specialization of the affine pole-residue map.
 
     For symmetric A1 > 0 and symmetric A2 the generalized eigenproblem
     A2 X = A1 X D (eigenvalues ``d``, A1-orthonormal eigenvectors ``X``)
-    stays stable when eigenvalues repeat.  Residues of clustered poles are
-    merged; each merged residue must remain rank one to fit the c b^*
-    representation.  ``constant`` is added to the constant term.
+    stays stable when eigenvalues repeat; ``cx`` = C X and ``xb`` = X^T B.
+    Residues of clustered poles are merged; each merged residue must remain
+    rank one to fit the c b^* representation.  ``constant`` is added to the
+    constant term.
     """
     d_scale = max(np.max(np.abs(d)), 1e-300)
     nonzero = np.abs(d) > rank_rtol * d_scale
     if not np.any(nonzero):
         raise ValueError("A2 is numerically zero; the map has no finite poles")
-    cx = C @ X  # (n_o, n)
-    xb = X.T @ B  # (n, n_i)
     constant = constant + cx[:, ~nonzero] @ xb[~nonzero, :]
 
     d_nz = d[nonzero]
@@ -165,34 +201,25 @@ def _pole_residue_affine_symmetric(d, X, B, C, constant, rank_rtol):
     res_left = res_left[:, order]
     res_right = res_right[order, :]
     scale = max(np.max(np.abs(candidates)), 1e-300)
-    poles, lefts, rights = [], [], []
-    i = 0
-    while i < len(candidates):
-        j = i + 1
-        while j < len(candidates) and candidates[j] - candidates[j - 1] < POLE_SEPARATION_RTOL * scale:
-            j += 1
-        if j == i + 1:
-            poles.append(candidates[i])
-            lefts.append(res_left[:, i])
-            rights.append(np.conj(res_right[i, :]))
-        else:
-            phi = res_left[:, i:j] @ res_right[i:j, :]
-            u, s, vt = np.linalg.svd(phi)
-            if s[0] > 0 and (len(s) > 1 and s[1] > 1e-10 * s[0]):
-                raise DefectivePencilError(
-                    "clustered poles carry a residue of rank > 1; no rank-1 "
-                    "pole-residue form exists"
-                )
-            poles.append(float(np.mean(candidates[i:j])))
-            lefts.append(u[:, 0] * s[0])
-            rights.append(np.conj(vt[0, :]))
-        i = j
-    return PoleResidue(
-        poles=np.asarray(poles, dtype=complex),
-        left_factors=np.asarray(lefts, dtype=complex),
-        right_factors=np.asarray(rights, dtype=complex),
-        constant=constant.astype(complex),
-    )
+    # clusters are runs of candidates closer than the separation tolerance
+    starts = np.flatnonzero(np.r_[True, ~(np.diff(candidates) < POLE_SEPARATION_RTOL * scale)])
+    ends = np.r_[starts[1:], len(candidates)]
+    poles = candidates[starts].astype(complex)
+    lefts = res_left[:, starts].T.astype(complex)
+    rights = np.conj(res_right[starts, :]).astype(complex)
+    for k in np.flatnonzero(ends - starts > 1):
+        i, j = starts[k], ends[k]
+        phi = res_left[:, i:j] @ res_right[i:j, :]
+        u, s, vt = np.linalg.svd(phi)
+        if s[0] > 0 and (len(s) > 1 and s[1] > 1e-10 * s[0]):
+            raise DefectivePencilError(
+                "clustered poles carry a residue of rank > 1; no rank-1 "
+                "pole-residue form exists"
+            )
+        poles[k] = np.mean(candidates[i:j])
+        lefts[k] = u[:, 0] * s[0]
+        rights[k] = np.conj(vt[0, :])
+    return PoleResidue(poles=poles, left_factors=lefts, right_factors=rights, constant=constant.astype(complex))
 
 
 def _pattern(op):
@@ -220,8 +247,9 @@ def pole_residue_affine_singular(A1, A2, B, C, rank_rtol=None):
     singular values at threshold max(n) * eps * sigma_max unless a relative
     threshold is supplied.  Uses a low-rank update identity on A1; symmetric
     pencils with A1 positive definite take a symmetric eigensolver path that
-    tolerates repeated eigenvalues (an A1 that the eigensolver finds not
-    positive definite falls back to the general path).  A1 and A2 may be
+    tolerates repeated eigenvalues and projects B and C without forming the
+    eigenvectors (an A1 whose Cholesky factorization fails falls back to the
+    general path).  A1 and A2 may be
     dense arrays or scipy sparse matrices.  Indices i whose row and column
     are zero in A2 and zero off the diagonal in A1 (a nonzero a1_ii) are
     decoupled: they add C[:, i] B[i, :] / a1_ii to the constant term and are
@@ -250,16 +278,9 @@ def pole_residue_affine_singular(A1, A2, B, C, rank_rtol=None):
 
     sym_tol = 1e-12 * max(abs(A1).max(), abs(A2).max(), 1e-300)
     if _is_symmetric(A1, sym_tol) and _is_symmetric(A2, sym_tol):
-        import scipy.linalg
-
-        try:  # X^T A1 X = I, X^T A2 X = diag(d); the dense copies are overwritten
-            d, X = scipy.linalg.eigh(
-                _dense_block(A2, keep), _dense_block(A1, keep), overwrite_a=True, overwrite_b=True
-            )
-        except np.linalg.LinAlgError:  # A1 is not positive definite
-            pass
-        else:
-            return _pole_residue_affine_symmetric(d, X, B, C, constant, rank_rtol_eff)
+        projected = _symmetric_eig_projections(_dense_block(A2, keep), _dense_block(A1, keep), B, C)
+        if projected is not None:
+            return _pole_residue_affine_symmetric(*projected, constant, rank_rtol_eff)
 
     A1, A2 = _dense_block(A1, keep), _dense_block(A2, keep)
     W, sigma, Zt = np.linalg.svd(A2)
@@ -302,6 +323,37 @@ def kron_pole_residue(E, A, E_xi, A_xi, B, C):
     return PoleResidue2D(
         s_poles=ds.eigenvalues, xi_poles=dxi.eigenvalues, left_factors=left, right_factors=right
     )
+
+
+def rom_structure(rom):
+    """Classify a structured rom by its scalar families: lti, stationary, kron or unknown."""
+    if rom.kron is not None:
+        return "kron"
+    fams = tuple(fam.terms for fam, _ in rom.A_terms)
+    if fams == (((1.0, (1,)),), ((-1.0, (0,)),)):
+        return "lti"
+    if fams == (((1.0, (0,)),), ((1.0, (1,)),)):
+        return "stationary"
+    return "unknown"
+
+
+def pole_residue(rom):
+    """Pole-residue form of a structured rom, dispatched on rom_structure.
+
+    lti and stationary roms give a PoleResidue, kron roms a PoleResidue2D;
+    any other structure raises ValueError.
+    """
+    structure = rom_structure(rom)
+    b = rom.B_terms[0][1]
+    c = rom.C_terms[0][1]
+    if structure == "lti":
+        return pole_residue_lti(rom.A_terms[0][1], rom.A_terms[1][1], b, c)
+    if structure == "stationary":
+        return pole_residue_affine_singular(rom.A_terms[0][1], rom.A_terms[1][1], b, c)
+    if structure == "kron":
+        ks = rom.kron
+        return kron_pole_residue(ks.E, ks.A, ks.E_xi, ks.A_xi, b, c)
+    raise ValueError("rom has an unrecognized operator structure")
 
 
 def _guard_pole_distance(diffs, poles, p):

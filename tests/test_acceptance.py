@@ -43,7 +43,7 @@ from l2rom.optimize import (
     l2_gradients_kron,
     l2_objective,
 )
-from l2rom.spectral import kron_pole_residue, pole_residue_affine_singular, pole_residue_lti
+from l2rom.spectral import pole_residue, pole_residue_affine_singular
 
 
 def assert_trace_contract(trace):
@@ -154,10 +154,7 @@ def test_penzl_reproduction():
     init = irka_init(fom, 2)
     trace = fit(init, data, FitOptions(max_iters=500))
     assert_trace_contract(trace)
-    rom = trace.rom
-    pr = pole_residue_lti(
-        rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1]
-    )
+    pr = pole_residue(trace.rom)
     poles = np.sort(pr.poles.real)
     print(f"reduced poles: {poles}")
     assert np.max(np.abs(pr.poles.imag)) <= 1e-6 * np.max(np.abs(pr.poles))
@@ -183,8 +180,7 @@ def test_penzl_pipeline_robust_to_sample_rounding():
         trace = fit(init, perturbed, FitOptions(max_iters=500))
         assert_trace_contract(trace)
         assert trace.iterations < 100, f"seed {seed}: {trace.iterations} iterations ({trace.message})"
-        rom = trace.rom
-        pr = pole_residue_lti(rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1])
+        pr = pole_residue(trace.rom)
         poles = np.sort(pr.poles.real)
         assert abs(poles[0] - (-431.00)) <= 0.01 * 431.00, f"seed {seed}: poles {pr.poles}"
         assert abs(poles[1] - (-4.7984)) <= 0.01 * 4.7984, f"seed {seed}: poles {pr.poles}"
@@ -200,10 +196,7 @@ def test_poisson_reproduction():
     init = greedy_rb_init(fom, 2, np.logspace(-1, 1, 20))
     trace = fit(init, data, FitOptions(max_iters=500))
     assert_trace_contract(trace)
-    rom = trace.rom
-    rom_pr = pole_residue_affine_singular(
-        rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1]
-    )
+    rom_pr = pole_residue(trace.rom)
     poles = np.sort(rom_pr.poles.real)
     # reported, not gated: mesh-dependent reference values -3.2777 and -0.30509
     print(f"reduced poles: {poles} (reference -3.2777, -0.30509)")
@@ -213,17 +206,11 @@ def test_poisson_reproduction():
     assert time.monotonic() - start < 300.0
 
 
-def rom_lti_pr(rom):
-    return pole_residue_lti(
-        rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1]
-    )
-
-
 def test_h2_conditions_continuous():
     for n, n_i, n_o, seed in ((30, 1, 1, 70), (20, 2, 2, 71)):
         fom = make_random_stable(n, n_i, n_o, seed=seed)
         rom = irka_init(fom, 4)
-        cert = h2_ct_residuals(fom.evaluator(), rom_lti_pr(rom), tolerance=1e-6)
+        cert = h2_ct_residuals(fom.evaluator(), pole_residue(rom), tolerance=1e-6)
         assert cert.passed, f"n={n}: H2 residual {cert.max_residual:.2e}"
 
 
@@ -234,7 +221,7 @@ def test_h2_conditions_discrete():
         init = irka_init(fom, 4, time_domain="dt")
         trace = fit(init, data, FitOptions(max_iters=300))
         assert_trace_contract(trace)
-        cert = h2_dt_residuals(fom.evaluator(), rom_lti_pr(trace.rom), tolerance=1e-4)
+        cert = h2_dt_residuals(fom.evaluator(), pole_residue(trace.rom), tolerance=1e-4)
         assert cert.passed, f"n={n}: discrete H2 residual {cert.max_residual:.2e}"
 
 
@@ -255,10 +242,7 @@ def test_h2l2_conditions():
     fine = sample_h2l2(fom, n_s=192, n_xi=96)
     best = fit(best.rom, fine, FitOptions(max_iters=400))
     assert_trace_contract(best)
-    ks = best.rom.kron
-    pr = kron_pole_residue(
-        ks.E, ks.A, ks.E_xi, ks.A_xi, best.rom.B_terms[0][1], best.rom.C_terms[0][1]
-    )
+    pr = pole_residue(best.rom)
     cert = h2l2_residuals(fom.evaluator(), pr, tolerance=1e-4)
     assert cert.passed, f"joint-domain residual {cert.max_residual:.2e}"
 

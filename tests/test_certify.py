@@ -227,6 +227,46 @@ def test_modified_output_constant_term_is_interval_integral():
     assert np.max(np.abs(der - fd)) <= 1e-6 * max(np.max(np.abs(der)), 1.0)
 
 
+def _modified_output_loop(pr, interval, p, order, with_constant):
+    # reference: one scalar f_sigma_eval per pole, summed in a loop
+    residues = np.einsum("ko,ki->koi", pr.left_factors, np.conj(pr.right_factors)).real
+    out = np.zeros(residues.shape[1:])
+    for nu, phi in zip(pr.poles.real, residues):
+        out = out + f_sigma_eval(interval.a, interval.b, nu, p, order=order) * phi
+    if with_constant and pr.constant is not None:
+        a, b = interval.a, interval.b
+        weight = np.log(abs((p - b) / (p - a))) if order == 0 else (b - a) / ((p - a) * (p - b))
+        out = out + weight * np.real(pr.constant_term())
+    return out
+
+
+def test_modified_output_sum_matches_scalar_loop():
+    from l2rom.models import make_poisson
+    from l2rom.spectral import pole_residue_affine_singular
+
+    fom = make_poisson(8)
+    interval = Interval(*fom.interval)
+    forms = (
+        pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C),
+        PoleResidue(
+            poles=np.array([-0.4, -2.0, 12.0, -30.0], dtype=complex),
+            left_factors=rng.standard_normal((4, 2)).astype(complex),
+            right_factors=rng.standard_normal((4, 3)).astype(complex),
+            constant=rng.standard_normal((2, 3)).astype(complex),
+        ),
+    )
+    for pr in forms:
+        poles = np.sort(pr.poles.real)
+        # p == sigma exercises the removable singularity; the others are generic
+        points = (poles[0], poles[len(poles) // 2], poles[-1] + 1e-14, -0.05, 25.0)
+        for p in points:
+            for order in (0, 1):
+                for which, with_constant in (("Y", True), ("Yhat", False)):
+                    got = modified_output_eval(pr, pr, interval, p, order=order, which=which)
+                    want = _modified_output_loop(pr, interval, p, order, with_constant)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (p, order, which)
+
+
 def test_modified_output_rejects_pole_in_interval():
     interval = Interval(0.1, 10.0)
     pr = real_pr([1.0], np.ones((1, 1)), np.ones((1, 1)))

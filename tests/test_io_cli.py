@@ -176,16 +176,6 @@ def test_cli_config_fills_defaults(tmp_path):
     assert io.read_payload(model)["params"]["n"] == 9
 
 
-def test_cli_rom_structure_classification():
-    lti = lti_rom(np.eye(2), -np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
-    stat = stationary_rom(np.eye(2), np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
-    kr = kron_rom(np.eye(2), -np.eye(2), np.eye(2), 2 * np.eye(2),
-                  np.ones((4, 1)), np.ones((1, 4)))
-    assert cli.rom_structure(lti) == "lti"
-    assert cli.rom_structure(stat) == "stationary"
-    assert cli.rom_structure(kr) == "kron"
-
-
 def test_cli_generate_records_state_dimension(tmp_path):
     path = str(tmp_path / "m.json")
     cases = ((["penzl"], 1006), (["poisson", "--cells", "8"], 81), (["random-lti", "--n", "7"], 7),

@@ -275,14 +275,15 @@ for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
 
 
 def test_building_models_does_not_import_scipy_sparse():
-    # scipy.sparse costs a large share of the set-up time; the operators are
+    # scipy.sparse and scipy.linalg cost set-up time; the operators are
     # built, and scipy imported, on the first solve
     code = """
 import sys
+import l2rom
 import l2rom.cli
 from l2rom.models import make_penzl, make_poisson
 make_penzl()
-make_poisson(8)
-print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+make_poisson()
+print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg"))))
 """
     assert _run_python([], code).strip() == "[]"

@@ -23,7 +23,7 @@ from l2rom.optimize import (
     l2_gradients_kron,
     l2_objective,
 )
-from l2rom.spectral import pole_residue_lti
+from l2rom.spectral import pole_residue
 
 rng = np.random.default_rng(11)
 
@@ -224,7 +224,7 @@ def test_irka_exact_copy_when_r_equals_n():
 def test_irka_produces_good_siso_approximant():
     fom = make_random_stable(30, seed=31)
     rom = irka_init(fom, 4)
-    pr = pole_residue_lti(rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1])
+    pr = pole_residue(rom)
     assert np.all(pr.poles.real < 0)
     # reduced model tracks the full response on the axis
     errs = []
@@ -321,7 +321,7 @@ def _irka_poles(fom):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rom = irka_init(fom, 2)
-    pr = pole_residue_lti(rom.A_terms[0][1], rom.A_terms[1][1], rom.B_terms[0][1], rom.C_terms[0][1])
+    pr = pole_residue(rom)
     assert np.max(np.abs(pr.poles.imag)) <= 1e-6 * np.max(np.abs(pr.poles))
     return np.sort(pr.poles.real)
 

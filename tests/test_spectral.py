@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from l2rom import spectral
+from l2rom.core import ScalarFamily, StructuredRom, kron_rom, lti_rom, stationary_rom
 from l2rom.spectral import (
     DefectivePencilError,
+    PoleResidue,
     diagonalize_pencil,
     kron_pole_residue,
+    pole_residue,
     pole_residue_affine_singular,
     pole_residue_eval,
     pole_residue_lti,
+    rom_structure,
 )
 
 rng = np.random.default_rng(7)
@@ -56,6 +62,23 @@ def test_pole_residue_eval_guards_pole_collision():
     pr = pole_residue_lti(np.eye(2), np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)))
     with pytest.raises(ValueError):
         pole_residue_eval(pr, -1.0)
+
+
+def test_distinct_pole_check_matches_pairwise_scan():
+    # poles on a coarse grid (equal real parts, exact duplicates) moved by
+    # offsets just below and above the separation tolerance
+    local = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(local.integers(2, 12))
+        poles = local.integers(-3, 3, n) + 1j * local.integers(-3, 3, n)
+        poles = poles + local.choice([0.0, 1e-9, 3e-8, 1e-7], n) * np.exp(2j * np.pi * local.random(n))
+        gaps = np.abs(poles[:, None] - poles[None, :]) + np.diag(np.full(n, np.inf))
+        close = gaps.min() < spectral.POLE_SEPARATION_RTOL * np.max(np.abs(poles))
+        if close:
+            with pytest.raises(DefectivePencilError):
+                PoleResidue(poles, np.ones((n, 1)), np.ones((n, 1)))
+        else:
+            PoleResidue(poles, np.ones((n, 1)), np.ones((n, 1)))
 
 
 def test_affine_singular_matches_direct_solves():
@@ -132,3 +155,70 @@ def test_kron_pole_residue_round_trip_and_partials():
         fd = (pole_residue_eval(pr, pt + step) - pole_residue_eval(pr, pt - step)) / (2 * h)
         der = pole_residue_eval(pr, pt, order=1, wrt=wrt)
         assert np.max(np.abs(der - fd)) <= 1e-6 * max(np.max(np.abs(der)), 1.0)
+
+
+def test_rom_structure_and_pole_residue_dispatch():
+    e, a = random_pencil(3)
+    b, c = rng.standard_normal((3, 1)), rng.standard_normal((1, 3))
+    a2 = np.diag([1.0, 2.0])
+    lti = lti_rom(e, a, b, c)
+    stat = stationary_rom(np.eye(2), a2, np.ones((2, 1)), np.ones((1, 2)))
+    kr = kron_rom(np.eye(2), np.diag([-1.0, -2.0]), np.eye(2), np.diag([2.0, 3.0]),
+                  np.ones((4, 1)), np.ones((1, 4)))
+    assert rom_structure(lti) == "lti"
+    assert rom_structure(stat) == "stationary"
+    assert rom_structure(kr) == "kron"
+    pairs = (
+        (pole_residue(lti), pole_residue_lti(e, a, b, c)),
+        (pole_residue(stat), pole_residue_affine_singular(np.eye(2), a2, np.ones((2, 1)), np.ones((1, 2)))),
+    )
+    for got, want in pairs:
+        assert np.array_equal(got.poles, want.poles)
+        assert np.array_equal(got.left_factors, want.left_factors)
+        assert np.array_equal(got.right_factors, want.right_factors)
+    got = pole_residue(kr)
+    want = kron_pole_residue(np.eye(2), np.diag([-1.0, -2.0]), np.eye(2), np.diag([2.0, 3.0]),
+                             np.ones((4, 1)), np.ones((1, 4)))
+    assert np.array_equal(got.s_poles, want.s_poles) and np.array_equal(got.xi_poles, want.xi_poles)
+    assert np.array_equal(got.left_factors, want.left_factors)
+    other = StructuredRom(
+        A_terms=((ScalarFamily.constant(1.0), np.eye(2)),),
+        B_terms=((ScalarFamily.constant(1.0), np.ones((2, 1))),),
+        C_terms=((ScalarFamily.constant(1.0), np.ones((1, 2))),),
+    )
+    assert rom_structure(other) == "unknown"
+    with pytest.raises(ValueError):
+        pole_residue(other)
+
+
+def _dense_symmetric_pencil(n=9, rank=4):
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a1 = q @ np.diag(rng.uniform(1.0, 3.0, n)) @ q.T
+    low = rng.standard_normal((n, rank))
+    return 0.5 * (a1 + a1.T), low @ low.T, rng.standard_normal((n, 2)), rng.standard_normal((3, n))
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (2, 1), (9, 4), (40, 40)])
+def test_symmetric_projections_match_dense_eigh(n, rank):
+    # the tridiagonal route never forms X; check it against scipy's generalized
+    # eigh through quantities that do not depend on the eigenvector basis
+    a1, a2, b, c = _dense_symmetric_pencil(n, rank)
+    d, cx, xb = spectral._symmetric_eig_projections(a2.copy(order="F"), a1.copy(order="F"), b, c)
+    d_ref = scipy.linalg.eigh(a2, a1, eigvals_only=True)
+    assert np.max(np.abs(d - d_ref)) <= 1e-13 * np.max(np.abs(d_ref))
+    a1_inv_b = np.linalg.solve(a1, b)
+    for got, want in ((cx @ xb, c @ a1_inv_b), ((cx * d) @ xb, c @ np.linalg.solve(a1, a2 @ a1_inv_b))):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_affine_singular_indefinite_a1_takes_general_path():
+    n = 6
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a1 = q @ np.diag([3.0, 2.0, 1.0, -1.0, -2.0, -3.5]) @ q.T
+    a1 = 0.5 * (a1 + a1.T)
+    _, a2, b, c = _dense_symmetric_pencil(n, n)
+    assert spectral._symmetric_eig_projections(a2.copy(order="F"), a1.copy(order="F"), b, c) is None
+    pr = pole_residue_affine_singular(a1, a2, b, c)
+    for p in (0.3, 1.7, 6.0):
+        direct = c @ np.linalg.solve(a1 + p * a2, b)
+        assert np.max(np.abs(pole_residue_eval(pr, p) - direct)) <= 1e-8 * np.max(np.abs(direct))
