@@ -24,7 +24,7 @@ from l2rom.models import make_random_stable, sample_unit_circle
 # continuous time, n = 30 SISO down to r = 4
 fom = make_random_stable(30, seed=70)
 rom = irka_init(fom, 4)
-cert = h2_ct_residuals(fom.evaluator(), pole_residue(rom), tolerance=1e-6)
+cert = h2_ct_residuals(fom, pole_residue(rom), tolerance=1e-6)
 print(f"continuous H2, n=30 -> r=4: max residual {cert.max_residual:.3e} "
       f"-> {'PASS' if cert.passed else 'FAIL'}")
 
@@ -33,7 +33,7 @@ fom = make_random_stable(20, 2, 2, seed=73, time_domain="dt")
 data = sample_unit_circle(fom, 512)
 init = irka_init(fom, 4, time_domain="dt")
 trace = fit(init, data, FitOptions(max_iters=300))
-cert = h2_dt_residuals(fom.evaluator(), pole_residue(trace.rom), tolerance=1e-4)
+cert = h2_dt_residuals(fom, pole_residue(trace.rom), tolerance=1e-4)
 print(f"discrete H2, n=20 2x2 -> r=4: max residual {cert.max_residual:.3e} "
       f"-> {'PASS' if cert.passed else 'FAIL'}")
 print(f"reduced poles (moduli): {np.sort(np.abs(pole_residue(trace.rom).poles))}")

@@ -88,43 +88,23 @@ def _rel(diff, ref):
     return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), NORM_FLOOR))
 
 
-def _fom_value(fom, p):
-    return fom.evaluate(p)
-
-
-def _fom_partial(fom, p, wrt=0):
-    """First partial of the full-order map; analytic when available."""
-    if fom.has_partials:
-        return fom.partials(p)[wrt]
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    h = 1e-6 * (1.0 + abs(p[wrt]))
-
-    def at(delta):
-        q = p.copy()
-        q[wrt] += delta
-        return fom.evaluate(q)
-
-    # 5-point central difference
-    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
-
-
-def _tangential_rows(fom, rom_pr, mirror):
+def _tangential_rows(fom, rom_pr, sig):
+    """Per-pole residuals at the interpolation points sig[k] (one per pole)."""
+    h = fom.evaluate(sig)
+    hd = fom.partial(sig)
     rows = []
     for k in range(len(rom_pr.poles)):
-        sig = mirror(rom_pr.poles[k])
         b = rom_pr.right_factors[k]
         c = rom_pr.left_factors[k]
-        h = _fom_value(fom, sig)
-        h_hat = pole_residue_eval(rom_pr, sig)
-        hd = _fom_partial(fom, sig)
-        hd_hat = pole_residue_eval(rom_pr, sig, order=1)
+        h_hat = pole_residue_eval(rom_pr, sig[k])
+        hd_hat = pole_residue_eval(rom_pr, sig[k], order=1)
         rows.append(
             CertificateRow(
                 label=f"k={k}",
                 residuals=(
-                    ("right", _rel((h - h_hat) @ b, h @ b)),
-                    ("left", _rel(c.conj() @ (h - h_hat), c.conj() @ h)),
-                    ("hermite", _rel(c.conj() @ (hd - hd_hat) @ b, c.conj() @ hd @ b)),
+                    ("right", _rel((h[k] - h_hat) @ b, h[k] @ b)),
+                    ("left", _rel(c.conj() @ (h[k] - h_hat), c.conj() @ h[k])),
+                    ("hermite", _rel(c.conj() @ (hd[k] - hd_hat) @ b, c.conj() @ hd[k] @ b)),
                 ),
             )
         )
@@ -136,19 +116,24 @@ def h2_ct_residuals(fom, rom_pr, tolerance=1e-6):
 
     Per pole: right tangential H(sigma) b_k, left tangential c_k^* H(sigma),
     and bitangential Hermite c_k^* H'(sigma) b_k, each relative to the
-    full-order-side magnitude.
+    full-order-side magnitude.  ``fom`` is any object with the full-order
+    protocol of ``l2rom.models``: ``evaluate(points)`` and
+    ``partial(points)``, each (N, n_o, n_i) at N points.
     """
     if np.any(rom_pr.poles.real >= 0):
         raise ValueError("continuous-time certificate requires poles in the open left half-plane")
-    rows = _tangential_rows(fom, rom_pr, lambda lam: -np.conj(lam))
+    rows = _tangential_rows(fom, rom_pr, -np.conj(rom_pr.poles))
     return Certificate(family="H2_CT", rows=rows, tolerance=tolerance)
 
 
 def h2_dt_residuals(fom, rom_pr, tolerance=1e-4):
-    """Interpolation residuals at 1/conj(lambda_k) for discrete-time h2."""
+    """Interpolation residuals at 1/conj(lambda_k) for discrete-time h2.
+
+    ``fom`` is any object with ``evaluate``/``partial``, as for h2_ct_residuals.
+    """
     if np.any(np.abs(rom_pr.poles) >= 1):
         raise ValueError("discrete-time certificate requires poles inside the open unit disk")
-    rows = _tangential_rows(fom, rom_pr, lambda lam: 1.0 / np.conj(lam))
+    rows = _tangential_rows(fom, rom_pr, 1.0 / np.conj(rom_pr.poles))
     return Certificate(family="H2_DT", rows=rows, tolerance=tolerance)
 
 
@@ -157,7 +142,8 @@ def h2l2_residuals(fom, rom2d, tolerance=1e-4):
 
     Per pole pair: right and left tangential conditions; per s-pole the
     pi-weighted sum of c_kj^* dH/ds b_kj over j; per xi-pole the sum of
-    c_il^* dH/dxi b_il over i.
+    c_il^* dH/dxi b_il over i.  ``fom`` is any object with ``evaluate`` and
+    ``partial(points, wrt)`` at (N, 2) points (s, xi), as for h2_ct_residuals.
     """
     lam = rom2d.s_poles
     pi = rom2d.xi_poles
@@ -169,58 +155,62 @@ def h2l2_residuals(fom, rom2d, tolerance=1e-4):
     eta = 1.0 / np.conj(pi)
 
     r_s, r_xi = len(lam), len(pi)
-    h = np.empty((r_s, r_xi), dtype=object)
-    h_hat = np.empty_like(h)
-    hs = np.empty_like(h)
-    hs_hat = np.empty_like(h)
-    hxi = np.empty_like(h)
-    hxi_hat = np.empty_like(h)
-    for k in range(r_s):
-        for l in range(r_xi):
-            pt = np.array([sig[k], eta[l]])
-            h[k, l] = _fom_value(fom, pt)
-            h_hat[k, l] = pole_residue_eval(rom2d, pt)
-            hs[k, l] = _fom_partial(fom, pt, wrt=0)
-            hs_hat[k, l] = pole_residue_eval(rom2d, pt, order=1, wrt=0)
-            hxi[k, l] = _fom_partial(fom, pt, wrt=1)
-            hxi_hat[k, l] = pole_residue_eval(rom2d, pt, order=1, wrt=1)
+    pts = np.stack([np.repeat(sig, r_xi), np.tile(eta, r_s)], axis=1)  # pair (k, l) is row k * r_xi + l
+
+    def grid(vals):
+        return vals.reshape(r_s, r_xi, *vals.shape[1:])
+
+    def rom_grid(order, wrt):
+        return grid(np.stack([pole_residue_eval(rom2d, pt, order=order, wrt=wrt) for pt in pts]))
+
+    h, h_hat = grid(fom.evaluate(pts)), rom_grid(0, 0)
+    hs, hs_hat = grid(fom.partial(pts, wrt=0)), rom_grid(1, 0)
+    hxi, hxi_hat = grid(fom.partial(pts, wrt=1)), rom_grid(1, 1)
+    b = rom2d.right_factors
+    c = rom2d.left_factors.conj()
+
+    def bitangential(vals):  # c_kl^* vals[k, l] b_kl, shape (r_s, r_xi)
+        return np.einsum("klo,kloi,kli->kl", c, vals, b)
 
     rows = []
     for k in range(r_s):
         for l in range(r_xi):
-            b = rom2d.right_factors[k, l]
-            c = rom2d.left_factors[k, l]
+            diff = h[k, l] - h_hat[k, l]
             rows.append(
                 CertificateRow(
                     label=f"k={k},l={l}",
                     residuals=(
-                        ("right", _rel((h[k, l] - h_hat[k, l]) @ b, h[k, l] @ b)),
-                        ("left", _rel(c.conj() @ (h[k, l] - h_hat[k, l]), c.conj() @ h[k, l])),
+                        ("right", _rel(diff @ b[k, l], h[k, l] @ b[k, l])),
+                        ("left", _rel(c[k, l] @ diff, c[k, l] @ h[k, l])),
                     ),
                 )
             )
+    lhs, rhs = bitangential(hs) @ eta, bitangential(hs_hat) @ eta
     for k in range(r_s):
-        lhs = rhs = 0.0
-        for j in range(r_xi):
-            b = rom2d.right_factors[k, j]
-            c = rom2d.left_factors[k, j]
-            w = 1.0 / np.conj(pi[j])
-            lhs = lhs + w * (c.conj() @ hs[k, j] @ b)
-            rhs = rhs + w * (c.conj() @ hs_hat[k, j] @ b)
         rows.append(
-            CertificateRow(label=f"s-sum k={k}", residuals=(("hermite-s", _rel(lhs - rhs, lhs)),))
+            CertificateRow(label=f"s-sum k={k}", residuals=(("hermite-s", _rel(lhs[k] - rhs[k], lhs[k])),))
         )
+    lhs, rhs = bitangential(hxi).sum(axis=0), bitangential(hxi_hat).sum(axis=0)
     for l in range(r_xi):
-        lhs = rhs = 0.0
-        for i in range(r_s):
-            b = rom2d.right_factors[i, l]
-            c = rom2d.left_factors[i, l]
-            lhs = lhs + c.conj() @ hxi[i, l] @ b
-            rhs = rhs + c.conj() @ hxi_hat[i, l] @ b
         rows.append(
-            CertificateRow(label=f"xi-sum l={l}", residuals=(("hermite-xi", _rel(lhs - rhs, lhs)),))
+            CertificateRow(label=f"xi-sum l={l}", residuals=(("hermite-xi", _rel(lhs[l] - rhs[l], lhs[l])),))
         )
     return Certificate(family="H2xL2", rows=tuple(rows), tolerance=tolerance)
+
+
+def _ls_sum(data, vals, s, order):
+    """sum_i rho_i vals_i / (s - iw_i) over the data nodes iw_i, or its derivative in s."""
+    nodes = data.points[:, 0]
+    diffs = s - nodes
+    scale = max(np.max(np.abs(nodes)), 1.0)
+    if np.min(np.abs(diffs)) < 1e-12 * scale:
+        raise ValueError(f"evaluation point {s} coincides with a data node")
+    coeff = data.weights / diffs if order == 0 else -data.weights / diffs**2
+    return np.einsum("n,noi->oi", coeff, vals)
+
+
+def _rom_at_nodes(data, rom_pr):
+    return np.stack([pole_residue_eval(rom_pr, z) for z in data.points[:, 0]])
 
 
 def modified_ls_tf_eval(data, rom_pr, s, order=0):
@@ -232,18 +222,8 @@ def modified_ls_tf_eval(data, rom_pr, s, order=0):
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    nodes = data.points[:, 0]
-    s = complex(s)
-    diffs = s - nodes
-    scale = max(np.max(np.abs(nodes)), 1.0)
-    if np.min(np.abs(diffs)) < 1e-12 * scale:
-        raise ValueError(f"evaluation point {s} coincides with a data node")
-    if rom_pr is None:
-        vals = data.values
-    else:
-        vals = np.stack([pole_residue_eval(rom_pr, z) for z in nodes])
-    coeff = data.weights / diffs if order == 0 else -data.weights / diffs**2
-    return np.einsum("n,noi->oi", coeff, vals)
+    vals = data.values if rom_pr is None else _rom_at_nodes(data, rom_pr)
+    return _ls_sum(data, vals, complex(s), order)
 
 
 def ls_residuals(data, rom_pr, tolerance=1e-6):
@@ -251,18 +231,17 @@ def ls_residuals(data, rom_pr, tolerance=1e-6):
 
     Cross-checks the G/Ghat route against the direct weighted sums over the
     data (the two are algebraically identical and must agree to 1e-12).
+    The reduced model is evaluated at the data nodes once, for both.
     """
     nodes = data.points[:, 0]
-    rom_at_nodes = np.stack([pole_residue_eval(rom_pr, z) for z in nodes])
+    rom_at_nodes = _rom_at_nodes(data, rom_pr)
     rows = []
     for k in range(len(rom_pr.poles)):
-        sig = -np.conj(rom_pr.poles[k])
+        sig = complex(-np.conj(rom_pr.poles[k]))
         b = rom_pr.right_factors[k]
         c = rom_pr.left_factors[k]
-        g = modified_ls_tf_eval(data, None, sig)
-        g_hat = modified_ls_tf_eval(data, rom_pr, sig)
-        gd = modified_ls_tf_eval(data, None, sig, order=1)
-        gd_hat = modified_ls_tf_eval(data, rom_pr, sig, order=1)
+        g, gd = (_ls_sum(data, data.values, sig, order) for order in (0, 1))
+        g_hat, gd_hat = (_ls_sum(data, rom_at_nodes, sig, order) for order in (0, 1))
 
         # direct sums over the data, with denominators -iw_i - conj(lambda_k)
         den = -nodes - np.conj(rom_pr.poles[k])

@@ -150,6 +150,7 @@ def cmd_fit(args):
         raise UsageError("reduced order must be positive")
     if args.structure == "kron" and (args.order_s <= 0 or args.order_xi <= 0):
         raise UsageError("reduced orders must be positive")
+    opts = FitOptions(max_iters=args.max_iters, grad_tol=args.tol)
     data = io.samples_from_payload(_load(args.samples, "samples"))
 
     rng = np.random.default_rng(args.seed)
@@ -175,7 +176,6 @@ def cmd_fit(args):
             a, b = fom.interval
             inits = [greedy_rb_init(fom, args.order, np.logspace(np.log10(a), np.log10(b), 20))]
 
-    opts = FitOptions(max_iters=args.max_iters, grad_tol=args.tol)
     best = None
     for init in inits:
         trace = fit(init, data, opts)
@@ -235,11 +235,11 @@ def cmd_certify(args):
             raise UsageError(f"{args.family} certification requires --model")
         fom = io.model_from_payload(_load(args.model, "model"))
         if family == "H2_CT":
-            cert = h2_ct_residuals(fom.evaluator(), pr, tolerance=tol)
+            cert = h2_ct_residuals(fom, pr, tolerance=tol)
         elif family == "H2_DT":
-            cert = h2_dt_residuals(fom.evaluator(), pr, tolerance=tol)
+            cert = h2_dt_residuals(fom, pr, tolerance=tol)
         elif family == "H2xL2":
-            cert = h2l2_residuals(fom.evaluator(), pr, tolerance=tol)
+            cert = h2l2_residuals(fom, pr, tolerance=tol)
         else:
             fom_pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
             cert = stationary_residuals(fom_pr, pr, Interval(*fom.interval), tolerance=tol)

@@ -21,7 +21,6 @@ __all__ = [
     "StructuredRom",
     "KronStructure",
     "SampleSet",
-    "FomEvaluator",
     "SingularOperatorError",
     "eval_family",
     "assemble_operator",
@@ -315,37 +314,6 @@ def check_conjugation_closure(samples, tol=1e-12):
     closed = np.bincount(i[partner], minlength=len(samples)) > 0
     violations = np.flatnonzero(~closed).tolist()
     return (not violations), violations
-
-
-class FomEvaluator:
-    """Black-box full-order parameter-to-output map.
-
-    ``evaluate`` maps a parameter point to a complex (n_o, n_i) matrix.
-    ``partials``, when available, returns the list of the n_p first
-    partial-derivative matrices at a point.  ``realization`` optionally
-    carries affine state-space data (used by projection-based initializers).
-    """
-
-    def __init__(self, n_i, n_o, n_p, evaluate, partials=None, realization=None):
-        self.n_i = n_i
-        self.n_o = n_o
-        self.n_p = n_p
-        self._evaluate = evaluate
-        self._partials = partials
-        self.realization = realization
-
-    def evaluate(self, p):
-        return np.asarray(self._evaluate(np.atleast_1d(np.asarray(p, dtype=complex))), dtype=complex).reshape(self.n_o, self.n_i)
-
-    @property
-    def has_partials(self):
-        return self._partials is not None
-
-    def partials(self, p):
-        if self._partials is None:
-            raise ValueError("this full-order map does not provide partial derivatives")
-        mats = self._partials(np.atleast_1d(np.asarray(p, dtype=complex)))
-        return [np.asarray(m, dtype=complex).reshape(self.n_o, self.n_i) for m in mats]
 
 
 def _as_real(mat, what):

@@ -4,6 +4,12 @@ Provides the classic order-1006 spiral benchmark system, a parametric
 Poisson finite element model, reproducible random stable LTI systems, a
 synthetic two-variable rational map, and the samplers that turn them into
 weighted sample sets.
+
+Every full-order model (FOM) has one batched protocol: ``n_p`` parameter
+coordinates, ``evaluate(points)`` for the value H(p) and
+``partial(points, wrt=0)`` for the first partial in coordinate ``wrt``.
+``points`` is an (N, n_p) array (a 1-D array is N points when n_p = 1);
+both return (N, n_o, n_i).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FomEvaluator, SampleSet, check_conjugation_closure
+from .core import SampleSet, check_conjugation_closure
 
 __all__ = [
     "AffineLtiFom",
@@ -113,8 +119,59 @@ class BandedLU:
         return x.reshape(rhs.shape)
 
 
+def _points(points, n_p):
+    """Parameter points as an (N, n_p) array; a 1-D array is N points when n_p = 1."""
+    points = np.asarray(points)
+    if n_p == 1 and points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2 or points.shape[1] != n_p:
+        raise ValueError(f"points must have shape (N, {n_p}), got {points.shape}")
+    return points
+
+
+def _check_wrt(wrt, n_p):
+    if wrt not in range(n_p):
+        raise ValueError(f"wrt must be a coordinate index below {n_p}, got {wrt!r}")
+
+
+class _AffineFom:
+    """The protocol for y(p) = C K(p)^{-1} B with K(p) affine in one parameter.
+
+    A subclass provides ``factor(p)``, the factored K(p), and ``_slope``, the
+    operator dK/dp.  Each point costs one factorization, real or complex as
+    the point is.
+    """
+
+    n_p = 1
+
+    @property
+    def n(self):
+        return self.B.shape[0]
+
+    @property
+    def n_i(self):
+        return self.B.shape[1]
+
+    @property
+    def n_o(self):
+        return self.C.shape[0]
+
+    def evaluate(self, points):
+        """C K(p)^{-1} B at each of the N points, shape (N, n_o, n_i)."""
+        return np.stack([self.C @ self.factor(p).solve(self.B) for p in _points(points, 1)[:, 0]])
+
+    def partial(self, points, wrt=0):
+        """-C K(p)^{-1} K' K(p)^{-1} B at each of the N points, shape (N, n_o, n_i)."""
+        _check_wrt(wrt, 1)
+        out = []
+        for p in _points(points, 1)[:, 0]:
+            lu = self.factor(p)
+            out.append(-self.C @ lu.solve(self._slope @ lu.solve(self.B)))
+        return np.stack(out)
+
+
 @dataclass(frozen=True)
-class AffineLtiFom:
+class AffineLtiFom(_AffineFom):
     """E x' = A x + B u, y = C x, with transfer function C (sE - A)^{-1} B.
 
     ``E_entries`` and ``A_entries`` are dense (n, n) arrays or COO triplets
@@ -147,42 +204,17 @@ class AffineLtiFom:
         return _band_layouts(self.n, self.E_entries, self.A_entries)
 
     @property
-    def n(self):
-        return self.B.shape[0]
-
-    @property
-    def n_i(self):
-        return self.B.shape[1]
-
-    @property
-    def n_o(self):
-        return self.C.shape[0]
+    def _slope(self):
+        return self.E
 
     def factor(self, s):
         """Factored s E - A, for primal and adjoint solves at the shift s."""
         kl, ku, (ab_e, ab_a) = self.bands
         return BandedLU(s * ab_e - ab_a, kl, ku)
 
-    def transfer(self, s):
-        return self.C @ self.factor(s).solve(self.B)
-
-    def transfer_deriv(self, s):
-        lu = self.factor(s)
-        return -self.C @ lu.solve(self.E @ lu.solve(self.B))
-
-    def evaluator(self):
-        return FomEvaluator(
-            n_i=self.n_i,
-            n_o=self.n_o,
-            n_p=1,
-            evaluate=lambda p: self.transfer(complex(p[0])),
-            partials=lambda p: [self.transfer_deriv(complex(p[0]))],
-            realization=self,
-        )
-
 
 @dataclass(frozen=True)
-class AffineStationaryFom:
+class AffineStationaryFom(_AffineFom):
     """(A1 + p A2) x = B, y = C x, over a real parameter interval [a, b].
 
     ``A1_entries`` and ``A2_entries`` are dense (n, n) arrays or COO
@@ -211,38 +243,13 @@ class AffineStationaryFom:
         return _band_layouts(self.n, self.A1_entries, self.A2_entries)
 
     @property
-    def n(self):
-        return self.B.shape[0]
-
-    @property
-    def n_i(self):
-        return self.B.shape[1]
-
-    @property
-    def n_o(self):
-        return self.C.shape[0]
+    def _slope(self):
+        return self.A2
 
     def factor(self, p):
         """Factored A1 + p A2, for primal and adjoint solves at the parameter p."""
         kl, ku, (ab_1, ab_2) = self.bands
         return BandedLU(ab_1 + p * ab_2, kl, ku)
-
-    def output(self, p):
-        return self.C @ self.factor(p).solve(self.B)
-
-    def output_deriv(self, p):
-        lu = self.factor(p)
-        return -self.C @ lu.solve(self.A2 @ lu.solve(self.B))
-
-    def evaluator(self):
-        return FomEvaluator(
-            n_i=self.n_i,
-            n_o=self.n_o,
-            n_p=1,
-            evaluate=lambda p: self.output(complex(p[0])),
-            partials=lambda p: [self.output_deriv(complex(p[0]))],
-            realization=self,
-        )
 
 
 @dataclass(frozen=True)
@@ -259,6 +266,8 @@ class KronParametricFom:
     left_factors: np.ndarray  # (q_s, q_xi, n_o)
     right_factors: np.ndarray  # (q_s, q_xi, n_i)
 
+    n_p = 2
+
     @property
     def n_i(self):
         return self.right_factors.shape[2]
@@ -267,29 +276,30 @@ class KronParametricFom:
     def n_o(self):
         return self.left_factors.shape[2]
 
-    def value(self, s, xi, order=0, wrt=0):
-        ds = s - self.s_poles
-        dxi = xi - self.xi_poles
-        if order == 0:
-            coeff = 1.0 / (ds[:, None] * dxi[None, :])
-        elif wrt == 0:
-            coeff = -1.0 / (ds[:, None] ** 2 * dxi[None, :])
-        else:
-            coeff = -1.0 / (ds[:, None] * dxi[None, :] ** 2)
-        return np.einsum("kl,klo,klm->om", coeff, self.left_factors, np.conj(self.right_factors))
+    def _offsets(self, points):
+        """(s - nu_i) as (N, q_s, 1) and (xi - pi_j) as (N, 1, q_xi)."""
+        points = _points(points, 2)
+        ds = points[:, 0, None] - self.s_poles
+        dxi = points[:, 1, None] - self.xi_poles
+        return ds[:, :, None], dxi[:, None, :]
+
+    def _contract(self, coeff):
+        return np.einsum("nkl,klo,klm->nom", coeff, self.left_factors, np.conj(self.right_factors))
+
+    def evaluate(self, points):
+        """The map at each of the N (s, xi) points, shape (N, n_o, n_i)."""
+        ds, dxi = self._offsets(points)
+        return self._contract(1.0 / (ds * dxi))
+
+    def partial(self, points, wrt=0):
+        """d/ds (wrt=0) or d/dxi (wrt=1) at each of the N points, shape (N, n_o, n_i)."""
+        _check_wrt(wrt, 2)
+        ds, dxi = self._offsets(points)
+        return self._contract(-1.0 / (ds**2 * dxi) if wrt == 0 else -1.0 / (ds * dxi**2))
 
     def evaluator(self):
-        return FomEvaluator(
-            n_i=self.n_i,
-            n_o=self.n_o,
-            n_p=2,
-            evaluate=lambda p: self.value(complex(p[0]), complex(p[1])),
-            partials=lambda p: [
-                self.value(complex(p[0]), complex(p[1]), order=1, wrt=0),
-                self.value(complex(p[0]), complex(p[1]), order=1, wrt=1),
-            ],
-            realization=self,
-        )
+        # kept only because perfbench/workload.py (KronH2L2.run) calls it; the model has the protocol itself
+        return self
 
 
 def make_penzl():
@@ -475,7 +485,7 @@ def sample_frequency_response(fom, freqs, weights=None):
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(freqs):
         raise ValueError("freqs and weights must have the same length")
-    values = np.array([fom.transfer(1j * w) for w in freqs])
+    values = fom.evaluate(1j * freqs)
     points = np.concatenate([1j * freqs, -1j * freqs])[:, None]
     values = np.concatenate([values, np.conj(values)])
     weights = np.concatenate([weights, weights])
@@ -492,9 +502,8 @@ def sample_unit_circle(fom, num):
         raise ValueError("node count must be even and at least 2")
     theta = 2.0 * np.pi * np.arange(num) / num
     points = np.exp(1j * theta)[:, None]
-    values = np.array([fom.transfer(z) for z in points[:, 0]])
     weights = np.full(num, 1.0 / num)
-    return SampleSet(points=points, values=values, weights=weights)
+    return SampleSet(points=points, values=fom.evaluate(points), weights=weights)
 
 
 def sample_stationary(fom, num_nodes):
@@ -505,7 +514,7 @@ def sample_stationary(fom, num_nodes):
     nodes, weights = np.polynomial.legendre.leggauss(num_nodes)
     nodes = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     weights = 0.5 * (b - a) * weights
-    values = np.array([fom.output(p) for p in nodes])
+    values = fom.evaluate(nodes)  # real nodes: real factorizations
     return SampleSet(points=nodes.astype(complex)[:, None], values=values, weights=weights)
 
 
@@ -528,10 +537,7 @@ def sample_h2l2(fom, n_s=96, n_xi=64, omega_scale=1.0):
     xi = np.exp(1j * theta)
     w_xi = np.full(n_xi, 1.0 / n_xi)
 
-    points, values, weights = [], [], []
-    for wk, ok in zip(w_s, omega):
-        for wl, xl in zip(w_xi, xi):
-            points.append((1j * ok, xl))
-            values.append(fom.value(1j * ok, xl))
-            weights.append(wk * wl)
-    return SampleSet(points=np.array(points), values=np.array(values), weights=np.array(weights))
+    # frequency-major order: point k * n_xi + l is (i omega_k, xi_l)
+    points = np.stack([np.repeat(1j * omega, n_xi), np.tile(xi, n_s)], axis=1)
+    weights = np.outer(w_s, w_xi).ravel()
+    return SampleSet(points=points, values=fom.evaluate(points), weights=weights)

@@ -44,6 +44,15 @@ __all__ = [
 # or a non-closed measure.
 IMAG_CANCEL_RTOL = 1e-10
 
+# Line search and curvature memory of fit: the first trial step, its
+# backtracking factor, the Armijo sufficient-decrease constant, the step
+# below which the line search fails, and the (s, y) pairs kept.
+STEP_INIT = 1.0
+BACKTRACK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MIN_STEP = 1e-16
+LBFGS_MEMORY = 10
+
 
 @dataclass(frozen=True)
 class GradientBundle:
@@ -82,22 +91,12 @@ class KronGradientBundle:
 class FitOptions:
     max_iters: int = 200
     grad_tol: float = 1e-8  # relative to the initial gradient norm
-    step_init: float = 1.0
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
-    min_step: float = 1e-16
-    method: str = "quasi-newton"  # or "steepest-descent"
-    memory: int = 10
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.step_init <= 0 or self.min_step <= 0:
-            raise ValueError("tolerances and steps must be positive")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtracking factor must lie in (0, 1)")
-        if not 0 < self.sufficient_decrease < 1:
-            raise ValueError("sufficient-decrease constant must lie in (0, 1)")
-        if self.method not in ("quasi-newton", "steepest-descent"):
-            raise ValueError("method must be 'quasi-newton' or 'steepest-descent'")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
+        if not self.grad_tol > 0:
+            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 @dataclass
@@ -324,10 +323,10 @@ def _lbfgs_direction(grad, pairs):
 def fit(init, data, opts=None):
     """Minimize the weighted L2 misfit over the rom matrices.
 
-    Quasi-Newton (limited-memory) or steepest descent with Armijo
-    backtracking; the objective trace is monotone non-increasing.  A trial
-    step that makes the operator singular at some sample point is rejected
-    by the line search.  The fit stops, without taking the step, when the
+    Limited-memory quasi-Newton with Armijo backtracking; the objective
+    trace is monotone non-increasing.  A trial step that makes the operator
+    singular at some sample point is rejected by the line search.  The fit
+    stops, without taking the step, when the
     accepted step does not strictly decrease the objective ("objective
     stagnated", not converged).  Returns a FitTrace carrying the final rom.
     """
@@ -367,24 +366,21 @@ def fit(init, data, opts=None):
             trace.message = "gradient tolerance reached"
             break
 
-        if opts.method == "quasi-newton":
-            d = _lbfgs_direction(g, pairs)
-        else:
-            d = -g
+        d = _lbfgs_direction(g, pairs)
         slope = np.dot(g, d)
         if slope >= 0:  # not a descent direction: reset curvature memory
             pairs.clear()
             d = -g
             slope = np.dot(g, d)
 
-        t = opts.step_init
+        t = STEP_INIT
         f_new = objective(x + t * d)
-        while not (np.isfinite(f_new) and f_new <= f_x + opts.sufficient_decrease * t * slope):
-            t *= opts.backtrack
-            if t < opts.min_step:
+        while not (np.isfinite(f_new) and f_new <= f_x + SUFFICIENT_DECREASE * t * slope):
+            t *= BACKTRACK
+            if t < MIN_STEP:
                 break
             f_new = objective(x + t * d)
-        if t < opts.min_step:
+        if t < MIN_STEP:
             trace.message = "line search failed; returning best iterate"
             break
         if not f_new < f_x:  # Armijo accepted a step below the objective's resolution
@@ -397,7 +393,7 @@ def fit(init, data, opts=None):
         sy = np.dot(s, y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > opts.memory:
+            if len(pairs) > LBFGS_MEMORY:
                 pairs.pop(0)
         x, f_x, g = x_new, f_new, g_new
         if f_x < best_f:

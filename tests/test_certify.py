@@ -47,7 +47,7 @@ def test_certificate_structure():
 def test_h2_ct_zero_residuals_on_self():
     fom = make_random_stable(6, 2, 2, seed=40)
     pr = lti_pr(fom)
-    cert = h2_ct_residuals(fom.evaluator(), pr)
+    cert = h2_ct_residuals(fom, pr)
     assert cert.max_residual <= 1e-10
     assert cert.passed
 
@@ -58,7 +58,7 @@ def test_h2_ct_detects_perturbation():
     pr_bad = PoleResidue(
         poles=pr.poles, left_factors=1.05 * pr.left_factors, right_factors=pr.right_factors
     )
-    cert = h2_ct_residuals(fom.evaluator(), pr_bad)
+    cert = h2_ct_residuals(fom, pr_bad)
     assert cert.max_residual > 1e-3
     assert not cert.passed
 
@@ -67,12 +67,12 @@ def test_h2_ct_rejects_unstable_poles():
     fom = make_random_stable(4, seed=42)
     pr = real_pr([0.5, -1.0], np.ones((2, 1)), np.ones((2, 1)))
     with pytest.raises(ValueError):
-        h2_ct_residuals(fom.evaluator(), pr)
+        h2_ct_residuals(fom, pr)
 
 
 def test_h2_dt_zero_residuals_on_self():
     fom = make_random_stable(6, seed=43, time_domain="dt")
-    cert = h2_dt_residuals(fom.evaluator(), lti_pr(fom))
+    cert = h2_dt_residuals(fom, lti_pr(fom))
     assert cert.max_residual <= 1e-10
 
 
@@ -80,7 +80,7 @@ def test_h2_dt_rejects_poles_outside_disk():
     fom = make_random_stable(4, seed=44, time_domain="dt")
     pr = real_pr([1.5, 0.2], np.ones((2, 1)), np.ones((2, 1)))
     with pytest.raises(ValueError):
-        h2_dt_residuals(fom.evaluator(), pr)
+        h2_dt_residuals(fom, pr)
 
 
 def test_h2l2_zero_residuals_on_self():
@@ -91,7 +91,7 @@ def test_h2l2_zero_residuals_on_self():
         left_factors=fom.left_factors,
         right_factors=fom.right_factors,
     )
-    cert = h2l2_residuals(fom.evaluator(), rom2d)
+    cert = h2l2_residuals(fom, rom2d)
     assert cert.max_residual <= 1e-10
     names = {name for row in cert.rows for name, _ in row.residuals}
     assert names == {"right", "left", "hermite-s", "hermite-xi"}
@@ -105,7 +105,7 @@ def test_h2l2_detects_perturbation():
         left_factors=1.1 * fom.left_factors,
         right_factors=fom.right_factors,
     )
-    cert = h2l2_residuals(fom.evaluator(), rom2d)
+    cert = h2l2_residuals(fom, rom2d)
     assert cert.max_residual > 1e-3
 
 
@@ -144,6 +144,23 @@ def test_ls_residuals_detect_mismatch():
     data = sample_frequency_response(fom, np.logspace(-1, 1, 8))
     cert = ls_residuals(data, lti_pr(other))
     assert cert.max_residual > 1e-3
+
+
+def test_ls_residuals_evaluate_rom_once_per_node(monkeypatch):
+    import l2rom.certify
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return pole_residue_eval(*args, **kwargs)
+
+    monkeypatch.setattr(l2rom.certify, "pole_residue_eval", counting)
+    fom = make_random_stable(6, seed=49)
+    data = sample_frequency_response(fom, np.logspace(-1, 1, 8))
+    pr = lti_pr(make_random_stable(3, seed=50))
+    ls_residuals(data, pr)
+    assert len(pr.poles) == 3 and len(calls) == len(data)
 
 
 def test_f_sigma_basic_values():
@@ -306,18 +323,6 @@ def test_residuals_invariant_under_factor_rescaling():
     pr_scaled = PoleResidue(
         poles=pr.poles, left_factors=g * pr.left_factors, right_factors=pr.right_factors / g
     )
-    c1 = h2_ct_residuals(fom.evaluator(), pr)
-    c2 = h2_ct_residuals(fom.evaluator(), pr_scaled)
+    c1 = h2_ct_residuals(fom, pr)
+    c2 = h2_ct_residuals(fom, pr_scaled)
     assert np.isclose(c1.max_residual, c2.max_residual, rtol=1e-6, atol=1e-12)
-
-
-def test_fom_partial_fd_fallback():
-    # an evaluator without analytic partials uses finite differences
-    from l2rom.core import FomEvaluator
-
-    fom = make_random_stable(5, seed=52)
-    ev = FomEvaluator(
-        n_i=1, n_o=1, n_p=1, evaluate=lambda p: fom.transfer(complex(p[0]))
-    )
-    cert = h2_ct_residuals(ev, lti_pr(fom))
-    assert cert.max_residual <= 1e-7

@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# kron_parametric.py is left out: it takes ~13 s, and test_h2l2_conditions
+# runs the same pipeline.
+@pytest.mark.parametrize("demo", ["h2_irka.py", "penzl_ls_fit.py", "poisson_stationary.py"])
+def test_demo_runs_and_certifies(demo):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    certificates = [line for line in proc.stdout.splitlines() if "max residual" in line]
+    assert certificates, proc.stdout
+    assert all(line.endswith("PASS") for line in certificates), proc.stdout

@@ -157,6 +157,9 @@ def test_cli_bad_usage(tmp_path):
     # nonpositive order -> usage error, not a crash
     assert cli.main(["fit", samples, "--structure", "lti", "-r", "0",
                      "-o", str(tmp_path / "r.json")]) == 2
+    # negative iteration cap -> usage error, not the initial model
+    assert cli.main(["fit", samples, "--structure", "lti", "--max-iters", "-5",
+                     "-o", str(tmp_path / "r.json")]) == 2
     # unknown scheme
     assert cli.main(["sample", model, "--scheme", "chebyshev 5",
                      "-o", str(tmp_path / "x.json")]) == 2

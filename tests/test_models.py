@@ -39,14 +39,36 @@ def test_penzl_structure():
 def test_penzl_transfer_conjugate_symmetry():
     fom = make_penzl()
     s = 1j * 37.0
-    assert np.allclose(fom.transfer(-s), np.conj(fom.transfer(s)))
+    assert np.allclose(fom.evaluate([-s]), np.conj(fom.evaluate([s])))
 
 
-def test_lti_transfer_deriv_matches_fd():
-    fom = make_random_stable(8, 2, 2, seed=1)
-    s, h = 0.2 + 1.1j, 1e-6
-    fd = (fom.transfer(s + h) - fom.transfer(s - h)) / (2 * h)
-    assert np.max(np.abs(fom.transfer_deriv(s) - fd)) <= 1e-7
+@pytest.mark.parametrize(
+    "make, points, bound",
+    [
+        # bound(fd): the largest allowed |partial - central difference|
+        (lambda: make_random_stable(8, 2, 2, seed=1), [0.2 + 1.1j, 0.5j, 1.0 - 0.3j], lambda fd: 1e-7),
+        (lambda: make_poisson(cells_per_side=8), [1.3, 0.4, 7.0], lambda fd: 1e-6 * np.max(np.abs(fd))),
+        (
+            lambda: make_kron_parametric(3, 3, seed=2),
+            [[0.5j, np.exp(0.3j)], [0.2 + 1.0j, np.exp(2.0j)], [1.5j, 0.4]],
+            lambda fd: 1e-6 * max(np.max(np.abs(fd)), 1.0),
+        ),
+    ],
+    ids=["lti", "poisson", "kron"],
+)
+def test_partials_match_central_difference(make, points, bound):
+    fom = make()
+    points = np.asarray(points)  # 1-D for the one-parameter models
+    h = 1e-6
+    for wrt in range(fom.n_p):
+        step = h * np.eye(fom.n_p)[wrt]
+        batch = points.reshape(3, fom.n_p)
+        fd = (fom.evaluate(batch + step) - fom.evaluate(batch - step)) / (2 * h)
+        part = fom.partial(points, wrt)
+        assert part.shape == fd.shape == (3, fom.n_o, fom.n_i)
+        assert np.max(np.abs(part - fd)) <= bound(fd)
+    with pytest.raises(ValueError):
+        fom.partial(points, wrt=fom.n_p)
 
 
 def test_poisson_dimensions_and_rank():
@@ -63,15 +85,8 @@ def test_poisson_dimensions_and_rank():
 def test_poisson_output_monotone_in_diffusion():
     # larger diffusion parameter -> stiffer problem -> smaller compliance
     fom = make_poisson(cells_per_side=8)
-    vals = [fom.output(p)[0, 0].real for p in (0.2, 1.0, 5.0)]
+    vals = fom.evaluate([0.2, 1.0, 5.0])[:, 0, 0].real
     assert vals[0] > vals[1] > vals[2] > 0
-
-
-def test_poisson_output_deriv_matches_fd():
-    fom = make_poisson(cells_per_side=8)
-    p, h = 1.3, 1e-6
-    fd = (fom.output(p + h) - fom.output(p - h)) / (2 * h)
-    assert np.max(np.abs(fom.output_deriv(p) - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 def test_random_stable_properties():
@@ -89,20 +104,7 @@ def test_kron_parametric_admissible_and_symmetric():
     assert np.all(np.abs(fom.xi_poles) >= 1.1 - 1e-12)
     # conjugating both variables conjugates the value
     s, xi = 0.4j, np.exp(0.7j)
-    assert np.allclose(fom.value(np.conj(s), np.conj(xi)), np.conj(fom.value(s, xi)))
-
-
-def test_kron_parametric_partials_match_fd():
-    fom = make_kron_parametric(3, 3, seed=2)
-    ev = fom.evaluator()
-    p = np.array([0.5j, np.exp(0.3j)])
-    h = 1e-6
-    parts = ev.partials(p)
-    for wrt in range(2):
-        step = np.zeros(2, dtype=complex)
-        step[wrt] = h
-        fd = (ev.evaluate(p + step) - ev.evaluate(p - step)) / (2 * h)
-        assert np.max(np.abs(parts[wrt] - fd)) <= 1e-6 * max(np.max(np.abs(fd)), 1.0)
+    assert np.allclose(fom.evaluate([[np.conj(s), np.conj(xi)]]), np.conj(fom.evaluate([[s, xi]])))
 
 
 def test_sample_frequency_response_closure():
@@ -206,29 +208,36 @@ def _dense(op):
 @pytest.mark.parametrize("name", ["penzl", "poisson", "random"])
 def test_factored_solves_match_dense_oracle(name):
     # penzl: complex factor (adjoint at a complex shift); poisson and the
-    # dense random model (full band): real factors with complex right-hand sides
+    # dense random model (full band): real factors with complex right-hand sides.
+    # evaluate/partial run on a batch of the first point and a second one of
+    # the other kind (real or complex).
     if name == "poisson":
-        fom, p, band = make_poisson(cells_per_side=8), 1.7, (10, 10)
-        K = fom.A1.toarray() + p * fom.A2.toarray()
+        fom, points, band = make_poisson(cells_per_side=8), [1.7, 0.9 + 0.2j], (10, 10)
+        operator = lambda p: fom.A1.toarray() + p * fom.A2.toarray()
         dK = fom.A2.toarray()
-        value, deriv = fom.output, fom.output_deriv
     else:
         if name == "penzl":
-            fom, p, band = make_penzl(), 0.3 + 150.0j, (1, 1)
+            fom, points, band = make_penzl(), [0.3 + 150.0j, 2.0], (1, 1)
         else:
-            fom, p, band = make_random_stable(12, 2, 3, seed=5), 0.7, (11, 11)
-        K = p * _dense(fom.E) - _dense(fom.A)
+            fom, points, band = make_random_stable(12, 2, 3, seed=5), [0.7, 0.4 - 0.9j], (11, 11)
+        operator = lambda p: p * _dense(fom.E) - _dense(fom.A)
         dK = _dense(fom.E)
-        value, deriv = fom.transfer, fom.transfer_deriv
     assert fom.bands[:2] == band
     g = np.random.default_rng(4)
     real_rhs = g.standard_normal((fom.n, 2))
     complex_rhs = real_rhs + 1j * g.standard_normal((fom.n, 2))
+    cases = []
+    for p, value, deriv in zip(points, fom.evaluate(points), fom.partial(points)):
+        K = operator(p)
+        cases.append((value, fom.C @ np.linalg.solve(K, fom.B)))
+        cases.append((deriv, -fom.C @ np.linalg.solve(K, dK @ np.linalg.solve(K, fom.B))))
+    # a real point is factored real: the same bits as the real factor's solve
+    real = np.array([p for p in points if np.isreal(p)], dtype=float)
+    assert not np.iscomplexobj(fom.evaluate(real))
+    assert np.array_equal(fom.evaluate(real)[0], fom.C @ fom.factor(real[0]).solve(fom.B))
+    p = points[0]
+    K = operator(p)
     lu = fom.factor(p)
-    cases = [
-        (value(p), fom.C @ np.linalg.solve(K, fom.B)),
-        (deriv(p), -fom.C @ np.linalg.solve(K, dK @ np.linalg.solve(K, fom.B))),
-    ]
     for rhs in (real_rhs, complex_rhs, complex_rhs[:, 0]):
         cases.append((lu.solve(rhs), np.linalg.solve(K, rhs)))
         cases.append((lu.solve(rhs, trans="H"), np.linalg.solve(K.conj().T, rhs)))
@@ -244,7 +253,7 @@ def test_singular_full_order_operator_raises():
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         fom.factor(1.5)
     with pytest.raises(np.linalg.LinAlgError):
-        fom.output(3.0)
+        fom.evaluate([3.0])
 
 
 def _run_python(args, code):
@@ -260,8 +269,8 @@ import numpy as np
 from l2rom.models import AffineLtiFom, make_random_stable, sample_frequency_response
 
 class NanFom:
-    def transfer(self, s):
-        return np.full((1, 1), np.nan + 0j)
+    def evaluate(self, points):
+        return np.full((len(points), 1, 1), np.nan + 0j)
 
 fom = make_random_stable(4)
 for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
