@@ -13,8 +13,6 @@ from .core import (
     SingularOperatorError,
     StructuredRom,
     check_conjugation_closure,
-    evaluate_dual,
-    evaluate_output,
     kron_rom,
     lti_rom,
     stationary_rom,
@@ -63,8 +61,6 @@ __all__ = [
     "SingularOperatorError",
     "StructuredRom",
     "check_conjugation_closure",
-    "evaluate_dual",
-    "evaluate_output",
     "kron_rom",
     "lti_rom",
     "stationary_rom",

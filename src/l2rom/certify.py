@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import PoleResidue, PoleResidue2D, pole_residue_eval
+from .spectral import _points
 
 __all__ = [
     "Certificate",
@@ -88,23 +88,24 @@ def _rel(diff, ref):
     return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), NORM_FLOOR))
 
 
-def _tangential_rows(fom, rom_pr, sig):
-    """Per-pole residuals at the interpolation points sig[k] (one per pole)."""
-    h = fom.evaluate(sig)
-    hd = fom.partial(sig)
+def _hermite_rows(left, right, h, h_hat, hd, hd_hat):
+    """Right, left and bitangential Hermite residuals, one row per pole k.
+
+    ``left[k]``, ``right[k]`` are c_k, b_k; ``h``, ``hd`` (reference side) and
+    ``h_hat``, ``hd_hat`` (reduced side) are the values and first derivatives
+    at the k-th interpolation point, each (r, n_o, n_i).
+    """
     rows = []
-    for k in range(len(rom_pr.poles)):
-        b = rom_pr.right_factors[k]
-        c = rom_pr.left_factors[k]
-        h_hat = pole_residue_eval(rom_pr, sig[k])
-        hd_hat = pole_residue_eval(rom_pr, sig[k], order=1)
+    for k in range(len(left)):
+        b, c = right[k], left[k].conj()
+        diff = h[k] - h_hat[k]
         rows.append(
             CertificateRow(
                 label=f"k={k}",
                 residuals=(
-                    ("right", _rel((h[k] - h_hat) @ b, h[k] @ b)),
-                    ("left", _rel(c.conj() @ (h[k] - h_hat), c.conj() @ h[k])),
-                    ("hermite", _rel(c.conj() @ (hd[k] - hd_hat) @ b, c.conj() @ hd[k] @ b)),
+                    ("right", _rel(diff @ b, h[k] @ b)),
+                    ("left", _rel(c @ diff, c @ h[k])),
+                    ("hermite", _rel(c @ (hd[k] - hd_hat[k]) @ b, c @ hd[k] @ b)),
                 ),
             )
         )
@@ -118,22 +119,30 @@ def h2_ct_residuals(fom, rom_pr, tolerance=1e-6):
     and bitangential Hermite c_k^* H'(sigma) b_k, each relative to the
     full-order-side magnitude.  ``fom`` is any object with the full-order
     protocol of ``l2rom.models``: ``evaluate(points)`` and
-    ``partial(points)``, each (N, n_o, n_i) at N points.
+    ``partial(points)``, each (N, n_o, n_i) at N points; ``rom_pr`` is a
+    ``PoleResidue`` and is evaluated through the same two methods.
     """
     if np.any(rom_pr.poles.real >= 0):
         raise ValueError("continuous-time certificate requires poles in the open left half-plane")
-    rows = _tangential_rows(fom, rom_pr, -np.conj(rom_pr.poles))
+    sig = -np.conj(rom_pr.poles)
+    h, h_hat = fom.evaluate(sig), rom_pr.evaluate(sig)
+    hd, hd_hat = fom.partial(sig), rom_pr.partial(sig)
+    rows = _hermite_rows(rom_pr.left_factors, rom_pr.right_factors, h, h_hat, hd, hd_hat)
     return Certificate(family="H2_CT", rows=rows, tolerance=tolerance)
 
 
 def h2_dt_residuals(fom, rom_pr, tolerance=1e-4):
     """Interpolation residuals at 1/conj(lambda_k) for discrete-time h2.
 
-    ``fom`` is any object with ``evaluate``/``partial``, as for h2_ct_residuals.
+    ``fom`` and ``rom_pr`` are evaluated through ``evaluate``/``partial``, as
+    for h2_ct_residuals.
     """
     if np.any(np.abs(rom_pr.poles) >= 1):
         raise ValueError("discrete-time certificate requires poles inside the open unit disk")
-    rows = _tangential_rows(fom, rom_pr, 1.0 / np.conj(rom_pr.poles))
+    sig = 1.0 / np.conj(rom_pr.poles)
+    h, h_hat = fom.evaluate(sig), rom_pr.evaluate(sig)
+    hd, hd_hat = fom.partial(sig), rom_pr.partial(sig)
+    rows = _hermite_rows(rom_pr.left_factors, rom_pr.right_factors, h, h_hat, hd, hd_hat)
     return Certificate(family="H2_DT", rows=rows, tolerance=tolerance)
 
 
@@ -143,7 +152,8 @@ def h2l2_residuals(fom, rom2d, tolerance=1e-4):
     Per pole pair: right and left tangential conditions; per s-pole the
     pi-weighted sum of c_kj^* dH/ds b_kj over j; per xi-pole the sum of
     c_il^* dH/dxi b_il over i.  ``fom`` is any object with ``evaluate`` and
-    ``partial(points, wrt)`` at (N, 2) points (s, xi), as for h2_ct_residuals.
+    ``partial(points, wrt)`` at (N, 2) points (s, xi), as for h2_ct_residuals;
+    the ``PoleResidue2D`` ``rom2d`` is evaluated through the same methods.
     """
     lam = rom2d.s_poles
     pi = rom2d.xi_poles
@@ -160,12 +170,9 @@ def h2l2_residuals(fom, rom2d, tolerance=1e-4):
     def grid(vals):
         return vals.reshape(r_s, r_xi, *vals.shape[1:])
 
-    def rom_grid(order, wrt):
-        return grid(np.stack([pole_residue_eval(rom2d, pt, order=order, wrt=wrt) for pt in pts]))
-
-    h, h_hat = grid(fom.evaluate(pts)), rom_grid(0, 0)
-    hs, hs_hat = grid(fom.partial(pts, wrt=0)), rom_grid(1, 0)
-    hxi, hxi_hat = grid(fom.partial(pts, wrt=1)), rom_grid(1, 1)
+    h, h_hat = grid(fom.evaluate(pts)), grid(rom2d.evaluate(pts))
+    hs, hs_hat = grid(fom.partial(pts, wrt=0)), grid(rom2d.partial(pts, wrt=0))
+    hxi, hxi_hat = grid(fom.partial(pts, wrt=1)), grid(rom2d.partial(pts, wrt=1))
     b = rom2d.right_factors
     c = rom2d.left_factors.conj()
 
@@ -198,78 +205,46 @@ def h2l2_residuals(fom, rom2d, tolerance=1e-4):
     return Certificate(family="H2xL2", rows=tuple(rows), tolerance=tolerance)
 
 
-def _ls_sum(data, vals, s, order):
-    """sum_i rho_i vals_i / (s - iw_i) over the data nodes iw_i, or its derivative in s."""
+def _ls_sum(data, vals, points, order):
+    """sum_i rho_i vals_i / (s - iw_i) over the data nodes iw_i, or its derivative in s.
+
+    Evaluated at each of the M points s; returns (M, n_o, n_i).
+    """
     nodes = data.points[:, 0]
-    diffs = s - nodes
+    diffs = points[:, None] - nodes  # (M, N)
     scale = max(np.max(np.abs(nodes)), 1.0)
-    if np.min(np.abs(diffs)) < 1e-12 * scale:
-        raise ValueError(f"evaluation point {s} coincides with a data node")
+    near = np.min(np.abs(diffs), axis=1) < 1e-12 * scale
+    if np.any(near):
+        raise ValueError(f"evaluation point {points[np.argmax(near)]} coincides with a data node")
     coeff = data.weights / diffs if order == 0 else -data.weights / diffs**2
-    return np.einsum("n,noi->oi", coeff, vals)
+    return np.einsum("mn,noi->moi", coeff, vals)
 
 
-def _rom_at_nodes(data, rom_pr):
-    return np.stack([pole_residue_eval(rom_pr, z) for z in data.points[:, 0]])
-
-
-def modified_ls_tf_eval(data, rom_pr, s, order=0):
-    """Evaluate G (rom_pr None) or Ghat at s for least-squares sampling data.
+def modified_ls_tf_eval(data, rom_pr, points, order=0):
+    """Evaluate G (rom_pr None) or Ghat at M points s, shape (M, n_o, n_i).
 
     G(s) = sum_i rho_i H_i / (s - iw_i); Ghat replaces H_i by the rom
-    transfer function evaluated at the data nodes.  Order 1 gives the
-    termwise derivative.
+    transfer function evaluated at the data nodes, once per call.  Order 1
+    gives the termwise derivative.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    vals = data.values if rom_pr is None else _rom_at_nodes(data, rom_pr)
-    return _ls_sum(data, vals, complex(s), order)
+    vals = data.values if rom_pr is None else rom_pr.evaluate(data.points)
+    return _ls_sum(data, vals, _points(points, 1)[:, 0], order)
 
 
 def ls_residuals(data, rom_pr, tolerance=1e-6):
     """Hermite interpolation residuals of Ghat against G at -conj(lambda_k).
 
-    Cross-checks the G/Ghat route against the direct weighted sums over the
-    data (the two are algebraically identical and must agree to 1e-12).
-    The reduced model is evaluated at the data nodes once, for both.
+    The reduced model is evaluated at the data nodes once, and G, Ghat and
+    their derivatives are summed at all r mirrored poles in one call each.
     """
-    nodes = data.points[:, 0]
-    rom_at_nodes = _rom_at_nodes(data, rom_pr)
-    rows = []
-    for k in range(len(rom_pr.poles)):
-        sig = complex(-np.conj(rom_pr.poles[k]))
-        b = rom_pr.right_factors[k]
-        c = rom_pr.left_factors[k]
-        g, gd = (_ls_sum(data, data.values, sig, order) for order in (0, 1))
-        g_hat, gd_hat = (_ls_sum(data, rom_at_nodes, sig, order) for order in (0, 1))
-
-        # direct sums over the data, with denominators -iw_i - conj(lambda_k)
-        den = -nodes - np.conj(rom_pr.poles[k])
-        direct = [
-            np.einsum("n,noi->oi", data.weights / den, data.values)
-            - np.einsum("n,noi->oi", data.weights / den, rom_at_nodes),
-            np.einsum("n,noi->oi", data.weights / den**2, data.values)
-            - np.einsum("n,noi->oi", data.weights / den**2, rom_at_nodes),
-        ]
-        gg = [g - g_hat, -(gd - gd_hat)]  # G' carries the opposite sign of the squared sum
-        scale = max(np.max(np.abs(g)), np.max(np.abs(gd)), NORM_FLOOR)
-        for d, other in zip(direct, gg):
-            if np.max(np.abs(d - other)) > 1e-12 * max(np.max(np.abs(d)), scale):
-                raise RuntimeError(
-                    "least-squares condition sums disagree between the direct and "
-                    "modified-transfer-function forms"
-                )
-        rows.append(
-            CertificateRow(
-                label=f"k={k}",
-                residuals=(
-                    ("right", _rel((g - g_hat) @ b, g @ b)),
-                    ("left", _rel(c.conj() @ (g - g_hat), c.conj() @ g)),
-                    ("hermite", _rel(c.conj() @ (gd - gd_hat) @ b, c.conj() @ gd @ b)),
-                ),
-            )
-        )
-    return Certificate(family="DISCRETE_LS", rows=tuple(rows), tolerance=tolerance)
+    sig = -np.conj(rom_pr.poles)
+    rom_at_nodes = rom_pr.evaluate(data.points)
+    g, gd = (_ls_sum(data, data.values, sig, order) for order in (0, 1))
+    g_hat, gd_hat = (_ls_sum(data, rom_at_nodes, sig, order) for order in (0, 1))
+    rows = _hermite_rows(rom_pr.left_factors, rom_pr.right_factors, g, g_hat, gd, gd_hat)
+    return Certificate(family="DISCRETE_LS", rows=rows, tolerance=tolerance)
 
 
 def f_sigma_eval(a, b, sigma, p, order=0):
@@ -385,22 +360,11 @@ def stationary_residuals(fom_pr, rom_pr, interval, tolerance=1e-6):
     rom_terms = _stationary_terms(rom_pr, interval, "reduced", with_constant=False)
     fom_terms = _stationary_terms(fom_pr, interval, "full-order", with_constant=True)
     lam = rom_terms[0]
-    rows = []
-    for k in range(len(lam)):
-        b = np.real(rom_pr.right_factors[k])
-        c = np.real(rom_pr.left_factors[k])
-        y = _modified_output(fom_terms, interval, lam[k], 0)
-        y_hat = _modified_output(rom_terms, interval, lam[k], 0)
-        yd = _modified_output(fom_terms, interval, lam[k], 1)
-        yd_hat = _modified_output(rom_terms, interval, lam[k], 1)
-        rows.append(
-            CertificateRow(
-                label=f"k={k}",
-                residuals=(
-                    ("right", _rel((y - y_hat) @ b, y @ b)),
-                    ("left", _rel(c @ (y - y_hat), c @ y)),
-                    ("hermite", _rel(c @ (yd - yd_hat) @ b, c @ yd @ b)),
-                ),
-            )
-        )
-    return Certificate(family="STATIONARY", rows=tuple(rows), tolerance=tolerance)
+
+    def at_poles(terms, order):
+        return np.stack([_modified_output(terms, interval, p, order) for p in lam])
+
+    y, y_hat = at_poles(fom_terms, 0), at_poles(rom_terms, 0)
+    yd, yd_hat = at_poles(fom_terms, 1), at_poles(rom_terms, 1)
+    rows = _hermite_rows(np.real(rom_pr.left_factors), np.real(rom_pr.right_factors), y, y_hat, yd, yd_hat)
+    return Certificate(family="STATIONARY", rows=rows, tolerance=tolerance)

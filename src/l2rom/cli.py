@@ -225,11 +225,7 @@ def cmd_certify(args):
         if not args.samples:
             raise UsageError("discrete-ls certification requires --samples")
         data = io.samples_from_payload(_load(args.samples, "samples"))
-        try:
-            cert = ls_residuals(data, pr, tolerance=tol)
-        except RuntimeError as exc:  # the two forms of the condition sums disagree
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CERT_FAIL
+        cert = ls_residuals(data, pr, tolerance=tol)
     else:
         if not args.model:
             raise UsageError(f"{args.family} certification requires --model")
@@ -264,10 +260,10 @@ def cmd_report(args):
         for m in mirrors:
             lines.append(f"# mirrored-pole {m:.17g}")
         grid = np.logspace(np.log10(max(mirrors.min() / 10, 1e-3)), np.log10(mirrors.max() * 10), args.points)
-        for s in grid:
-            g = modified_ls_tf_eval(data, None, s)[0, 0]
-            gh = modified_ls_tf_eval(data, pr, s)[0, 0]
-            lines.append(f"{s:.17g} {g.real:.17g} {gh.real:.17g} {(g - gh).real:.17g}")
+        g = modified_ls_tf_eval(data, None, grid)[:, 0, 0]
+        gh = modified_ls_tf_eval(data, pr, grid)[:, 0, 0]
+        for s, g_s, gh_s in zip(grid, g, gh):
+            lines.append(f"{s:.17g} {g_s.real:.17g} {gh_s.real:.17g} {(g_s - gh_s).real:.17g}")
     elif family == "STATIONARY":
         if not args.model:
             raise UsageError("stationary report requires --model")

@@ -23,30 +23,23 @@ __all__ = [
     "SampleSet",
     "SingularOperatorError",
     "eval_family",
-    "assemble_operator",
-    "evaluate_output",
-    "evaluate_dual",
+    "batch_states",
     "check_conjugation_closure",
     "lti_rom",
     "stationary_rom",
     "kron_rom",
 ]
 
-RCOND_FLOOR = 1e-14
-
 
 class SingularOperatorError(ValueError):
-    """A(p) is numerically singular at the requested parameter point.
+    """A(p) is numerically singular at one of a batch of parameter points.
 
-    Carries the reciprocal condition estimate of the assembled operator.
+    ``p`` is the (N, n_p) batch that was being solved.
     """
 
-    def __init__(self, p, rcond):
+    def __init__(self, p):
         self.p = p
-        self.rcond = rcond
-        super().__init__(
-            f"operator singular at p={p} (reciprocal condition estimate {rcond:.2e})"
-        )
+        super().__init__(f"operator singular at one of {len(p)} parameter points")
 
 
 @dataclass(frozen=True)
@@ -81,12 +74,8 @@ class ScalarFamily:
 def eval_family(family, p):
     """Evaluate a ScalarFamily at one point (shape (n_p,)) or a batch (N, n_p)."""
     p = np.asarray(p, dtype=complex)
-    if p.ndim == 0:
-        p = p[None]
-    if p.shape[-1] != family.n_p:
-        raise ValueError(
-            f"parameter point has {p.shape[-1]} coordinates, family expects {family.n_p}"
-        )
+    if p.shape[-1:] != (family.n_p,):
+        raise ValueError(f"parameter points have shape {p.shape}, family expects {family.n_p} coordinates")
     out = np.zeros(p.shape[:-1], dtype=complex)
     for coeff, exps in family.terms:
         term = np.full(p.shape[:-1], complex(coeff))
@@ -166,51 +155,6 @@ def _terms_batch(terms, pts):
     return vals
 
 
-def assemble_operator(rom, p, block):
-    """Evaluate the A, B or C operator of a STROM at one parameter point."""
-    terms = {"A": rom.A_terms, "B": rom.B_terms, "C": rom.C_terms}.get(block)
-    if terms is None:
-        raise ValueError(f"unknown block {block!r}, expected 'A', 'B' or 'C'")
-    pts = np.atleast_1d(np.asarray(p, dtype=complex)).reshape(1, -1)
-    return _terms_batch(terms, pts)[0]
-
-
-def _solve_checked(op, rhs, p):
-    rcond = _rcond_estimate(op)
-    if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
-        raise SingularOperatorError(p, rcond)
-    return np.linalg.solve(op, rhs)
-
-
-def _rcond_estimate(op):
-    norm = np.linalg.norm(op, 1)
-    if norm == 0:
-        return 0.0
-    try:
-        inv_norm = np.linalg.norm(np.linalg.inv(op), 1)
-    except np.linalg.LinAlgError:
-        return 0.0
-    return 1.0 / (norm * inv_norm)
-
-
-def evaluate_output(rom, p, return_state=False):
-    """y(p) = C(p) A(p)^{-1} B(p); optionally also the primal state x(p)."""
-    op = assemble_operator(rom, p, "A")
-    rhs = assemble_operator(rom, p, "B")
-    x = _solve_checked(op, rhs, p)
-    y = assemble_operator(rom, p, "C") @ x
-    if return_state:
-        return y, x
-    return y
-
-
-def evaluate_dual(rom, p):
-    """Dual state x_d(p) solving A(p)^* x_d = C(p)^*; shape (r, n_o)."""
-    op = assemble_operator(rom, p, "A")
-    cop = assemble_operator(rom, p, "C")
-    return _solve_checked(op.conj().T, cop.conj().T, p)
-
-
 def batch_states(rom, pts):
     """Primal and dual states plus outputs for a batch of points.
 
@@ -225,10 +169,10 @@ def batch_states(rom, pts):
         x = np.linalg.solve(ops, rhs)
         x_d = np.linalg.solve(np.conj(np.swapaxes(ops, -1, -2)), np.conj(np.swapaxes(cops, -1, -2)))
     except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError(pts, 0.0) from exc
+        raise SingularOperatorError(pts) from exc
     y = cops @ x
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x_d))):
-        raise SingularOperatorError(pts, 0.0)
+        raise SingularOperatorError(pts)
     return x, x_d, y
 
 

@@ -9,7 +9,8 @@ Every full-order model (FOM) has one batched protocol: ``n_p`` parameter
 coordinates, ``evaluate(points)`` for the value H(p) and
 ``partial(points, wrt=0)`` for the first partial in coordinate ``wrt``.
 ``points`` is an (N, n_p) array (a 1-D array is N points when n_p = 1);
-both return (N, n_o, n_i).
+both return (N, n_o, n_i).  The pole-residue forms of ``l2rom.spectral``
+answer the same protocol.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import SampleSet, check_conjugation_closure
+from .spectral import PoleResidue2D, _check_wrt, _points
 
 __all__ = [
     "AffineLtiFom",
@@ -117,21 +119,6 @@ class BandedLU:
         else:
             x, _ = self._gbtrs(self.lu, self.kl, self.ku, b, self.ipiv, trans=code)
         return x.reshape(rhs.shape)
-
-
-def _points(points, n_p):
-    """Parameter points as an (N, n_p) array; a 1-D array is N points when n_p = 1."""
-    points = np.asarray(points)
-    if n_p == 1 and points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2 or points.shape[1] != n_p:
-        raise ValueError(f"points must have shape (N, {n_p}), got {points.shape}")
-    return points
-
-
-def _check_wrt(wrt, n_p):
-    if wrt not in range(n_p):
-        raise ValueError(f"wrt must be a coordinate index below {n_p}, got {wrt!r}")
 
 
 class _AffineFom:
@@ -252,50 +239,13 @@ class AffineStationaryFom(_AffineFom):
         return BandedLU(ab_1 + p * ab_2, kl, ku)
 
 
-@dataclass(frozen=True)
-class KronParametricFom:
+class KronParametricFom(PoleResidue2D):
     """Two-variable rational map sum_ij c_ij b_ij^* / ((s - nu_i)(xi - pi_j)).
 
     Frequency poles nu_i lie in the open left half-plane and parameter poles
     pi_j outside the closed unit disk, so the map is admissible for joint
     frequency/parameter approximation.
     """
-
-    s_poles: np.ndarray  # (q_s,)
-    xi_poles: np.ndarray  # (q_xi,)
-    left_factors: np.ndarray  # (q_s, q_xi, n_o)
-    right_factors: np.ndarray  # (q_s, q_xi, n_i)
-
-    n_p = 2
-
-    @property
-    def n_i(self):
-        return self.right_factors.shape[2]
-
-    @property
-    def n_o(self):
-        return self.left_factors.shape[2]
-
-    def _offsets(self, points):
-        """(s - nu_i) as (N, q_s, 1) and (xi - pi_j) as (N, 1, q_xi)."""
-        points = _points(points, 2)
-        ds = points[:, 0, None] - self.s_poles
-        dxi = points[:, 1, None] - self.xi_poles
-        return ds[:, :, None], dxi[:, None, :]
-
-    def _contract(self, coeff):
-        return np.einsum("nkl,klo,klm->nom", coeff, self.left_factors, np.conj(self.right_factors))
-
-    def evaluate(self, points):
-        """The map at each of the N (s, xi) points, shape (N, n_o, n_i)."""
-        ds, dxi = self._offsets(points)
-        return self._contract(1.0 / (ds * dxi))
-
-    def partial(self, points, wrt=0):
-        """d/ds (wrt=0) or d/dxi (wrt=1) at each of the N points, shape (N, n_o, n_i)."""
-        _check_wrt(wrt, 2)
-        ds, dxi = self._offsets(points)
-        return self._contract(-1.0 / (ds**2 * dxi) if wrt == 0 else -1.0 / (ds * dxi**2))
 
     def evaluator(self):
         # kept only because perfbench/workload.py (KronH2L2.run) calls it; the model has the protocol itself

@@ -193,15 +193,13 @@ def l2_gradients(rom, data, closed=None):
     return GradientBundle(dA=real[:k], dB=real[k : k + m], dC=real[k + m :])
 
 
-def kron_factor_gradient(grad_f, side, factor, split=None):
+def kron_factor_gradient(grad_f, side, factor):
     """Gradient with respect to one Kronecker factor of X = L kron R.
 
     Given the gradient ``grad_f`` of a scalar function at X, returns the
     gradient with respect to L (side="left", ``factor`` = R held fixed) or
-    with respect to R (side="right", ``factor`` = L held fixed).  The left
-    case is sum_j (I kron e_j^T B_L^*) grad_f (I kron B_R^* e_j) for any
-    factorization factor = B_L B_R; the result is split-independent, and the
-    default contracts against the factor directly.
+    with respect to R (side="right", ``factor`` = L held fixed), by
+    contracting ``grad_f`` against the conjugate of the fixed factor.
     """
     factor = np.atleast_2d(np.asarray(factor))
     grad_f = np.asarray(grad_f)
@@ -215,19 +213,9 @@ def kron_factor_gradient(grad_f, side, factor, split=None):
     if side == "left":
         n = grad_f.shape[0] // m
         g4 = grad_f.reshape(n, m, grad_f.shape[1] // factor.shape[1], factor.shape[1])
-    else:
-        n = grad_f.shape[0] // factor.shape[0]
-        g4 = grad_f.reshape(factor.shape[0], n, factor.shape[1], grad_f.shape[1] // factor.shape[1])
-    if split is not None:
-        b_left, b_right = (np.atleast_2d(np.asarray(b)) for b in split)
-        if np.max(np.abs(b_left @ b_right - factor)) > 1e-12 * max(np.max(np.abs(factor)), 1.0):
-            raise ValueError("split factors do not multiply to the fixed factor")
-        # explicit sum over the inner index j of the factorization
-        if side == "left":
-            return np.einsum("ja,kalb,bj->kl", b_left.conj().T, g4, b_right.conj().T)
-        return np.einsum("jk,kalb,lj->ab", b_left.conj().T, g4, b_right.conj().T)
-    if side == "left":
         return np.einsum("ab,kalb->kl", np.conj(factor), g4)
+    n = grad_f.shape[0] // factor.shape[0]
+    g4 = grad_f.reshape(factor.shape[0], n, factor.shape[1], grad_f.shape[1] // factor.shape[1])
     return np.einsum("kl,kalb->ab", np.conj(factor), g4)
 
 
@@ -351,7 +339,7 @@ def fit(init, data, opts=None):
     x = _pack_rom(init)
     f_x = objective(x)
     if not np.isfinite(f_x):
-        raise SingularOperatorError(data.points, 0.0)
+        raise SingularOperatorError(data.points)
     g = gradient(x)
     g_ref = np.linalg.norm(g)
     trace.objectives.append(f_x)

@@ -4,6 +4,8 @@ Covers the conversion from state-space data to partial-fraction (pole-residue)
 form, including the singular-coefficient case that produces a constant term,
 and the two-variable Kronecker-structured case; ``pole_residue(rom)`` picks
 the conversion from a structured reduced model's operator structure.
+``PoleResidue`` and ``PoleResidue2D`` answer the batched ``evaluate``/``partial``
+protocol of the full-order models in ``l2rom.models``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ class PoleResidue:
     right_factors: np.ndarray  # (r, n_i)
     constant: np.ndarray | None = None  # (n_o, n_i), zero if None
 
+    n_p = 1
+
     def __post_init__(self):
         object.__setattr__(self, "poles", np.asarray(self.poles, dtype=complex))
         object.__setattr__(self, "left_factors", np.atleast_2d(np.asarray(self.left_factors, dtype=complex)))
@@ -71,6 +75,14 @@ class PoleResidue:
             return np.zeros((self.n_o, self.n_i), dtype=complex)
         return np.asarray(self.constant, dtype=complex)
 
+    def evaluate(self, points):
+        """The form at each of the N points, shape (N, n_o, n_i)."""
+        return pole_residue_eval(self, points)
+
+    def partial(self, points, wrt=0):
+        """The first derivative at each of the N points, shape (N, n_o, n_i)."""
+        return pole_residue_eval(self, points, order=1, wrt=wrt)
+
 
 @dataclass(frozen=True)
 class PoleResidue2D:
@@ -80,6 +92,8 @@ class PoleResidue2D:
     xi_poles: np.ndarray  # (r_xi,)
     left_factors: np.ndarray  # (r_s, r_xi, n_o)
     right_factors: np.ndarray  # (r_s, r_xi, n_i)
+
+    n_p = 2
 
     def __post_init__(self):
         object.__setattr__(self, "s_poles", np.asarray(self.s_poles, dtype=complex))
@@ -96,6 +110,29 @@ class PoleResidue2D:
     @property
     def n_i(self):
         return self.right_factors.shape[2]
+
+    def evaluate(self, points):
+        """The form at each of the N (s, xi) points, shape (N, n_o, n_i)."""
+        return pole_residue_eval(self, points)
+
+    def partial(self, points, wrt=0):
+        """d/ds (wrt=0) or d/dxi (wrt=1) at each of the N points, shape (N, n_o, n_i)."""
+        return pole_residue_eval(self, points, order=1, wrt=wrt)
+
+
+def _points(points, n_p):
+    """Parameter points as an (N, n_p) array; a 1-D array is N points when n_p = 1."""
+    points = np.asarray(points)
+    if n_p == 1 and points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2 or points.shape[1] != n_p:
+        raise ValueError(f"points must have shape (N, {n_p}), got {points.shape}")
+    return points
+
+
+def _check_wrt(wrt, n_p):
+    if wrt not in range(n_p):
+        raise ValueError(f"wrt must be a coordinate index below {n_p}, got {wrt!r}")
 
 
 def _check_distinct(poles):
@@ -356,38 +393,42 @@ def pole_residue(rom):
     raise ValueError("rom has an unrecognized operator structure")
 
 
-def _guard_pole_distance(diffs, poles, p):
+def _guard_pole_distance(diffs, poles, points):
+    """Raise if a row of diffs (one point's offsets from the poles) nearly vanishes."""
     scale = max(np.max(np.abs(poles)), 1.0)
-    if np.min(np.abs(diffs)) < POLE_EVAL_SEPARATION * scale:
-        raise ValueError(f"evaluation point {p} coincides with a pole")
+    near = np.min(np.abs(diffs), axis=1) < POLE_EVAL_SEPARATION * scale
+    if np.any(near):
+        raise ValueError(f"evaluation point {points[np.argmax(near)]} coincides with a pole")
 
 
-def pole_residue_eval(pr, p, order=0, wrt=0):
-    """Evaluate a pole-residue form (order 0) or a first partial (order 1).
+def pole_residue_eval(pr, points, order=0, wrt=0):
+    """A pole-residue form (order 0) or its first partial (order 1) at N points.
 
-    For 2-D forms ``wrt`` selects the variable (0 for s, 1 for xi).
+    ``points`` and ``wrt`` are as for the ``evaluate``/``partial`` methods,
+    which call this; for 2-D forms ``wrt`` selects the variable (0 for s, 1
+    for xi).  Returns (N, n_o, n_i).
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    if isinstance(pr, PoleResidue2D):
-        s, xi = p
-        ds = s - pr.s_poles  # (r_s,)
-        dxi = xi - pr.xi_poles  # (r_xi,)
-        _guard_pole_distance(ds, pr.s_poles, s)
-        _guard_pole_distance(dxi, pr.xi_poles, xi)
+    _check_wrt(wrt, pr.n_p)
+    points = _points(points, pr.n_p)
+    if pr.n_p == 2:
+        ds = points[:, 0, None] - pr.s_poles  # (N, r_s)
+        dxi = points[:, 1, None] - pr.xi_poles  # (N, r_xi)
+        _guard_pole_distance(ds, pr.s_poles, points)
+        _guard_pole_distance(dxi, pr.xi_poles, points)
+        ds, dxi = ds[:, :, None], dxi[:, None, :]
         if order == 0:
-            coeff = 1.0 / (ds[:, None] * dxi[None, :])
+            coeff = 1.0 / (ds * dxi)
         elif wrt == 0:
-            coeff = -1.0 / (ds[:, None] ** 2 * dxi[None, :])
+            coeff = -1.0 / (ds**2 * dxi)
         else:
-            coeff = -1.0 / (ds[:, None] * dxi[None, :] ** 2)
-        return np.einsum("kl,klo,klm->om", coeff, pr.left_factors, np.conj(pr.right_factors))
-    s = p[0]
-    ds = s - pr.poles
-    _guard_pole_distance(ds, pr.poles, s)
+            coeff = -1.0 / (ds * dxi**2)
+        return np.einsum("nkl,klo,klm->nom", coeff, pr.left_factors, np.conj(pr.right_factors))
+    ds = points[:, 0, None] - pr.poles  # (N, r)
+    _guard_pole_distance(ds, pr.poles, points)
     coeff = 1.0 / ds if order == 0 else -1.0 / ds**2
-    out = np.einsum("k,ko,km->om", coeff, pr.left_factors, np.conj(pr.right_factors))
+    out = np.einsum("nk,ko,km->nom", coeff, pr.left_factors, np.conj(pr.right_factors))
     if order == 0 and pr.constant is not None:
         out = out + pr.constant_term()
     return out

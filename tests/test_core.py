@@ -9,8 +9,6 @@ from l2rom.core import (
     batch_states,
     check_conjugation_closure,
     eval_family,
-    evaluate_dual,
-    evaluate_output,
     kron_rom,
     lti_rom,
     stationary_rom,
@@ -57,13 +55,13 @@ def test_rom_rejects_nonsquare_a_terms():
         )
 
 
-def test_evaluate_output_scalar_lti():
+def test_batch_states_scalar_lti():
     # y(s) = c b / (s e - a) with scalars
     e, a, b, c = 2.0, -3.0, 4.0, 5.0
     rom = lti_rom(np.array([[e]]), np.array([[a]]), np.array([[b]]), np.array([[c]]))
-    for s in (0.0, 1.0j, 2.0 - 0.5j):
-        y = evaluate_output(rom, np.array([s]))
-        assert np.allclose(y, c * b / (s * e - a))
+    s = np.array([0.0, 1.0j, 2.0 - 0.5j])
+    _, _, y = batch_states(rom, s[:, None])
+    assert np.allclose(y[:, 0, 0], c * b / (s * e - a))
 
 
 def test_dual_state_solves_adjoint():
@@ -72,27 +70,31 @@ def test_dual_state_solves_adjoint():
     rom = lti_rom(np.eye(n), a, rng.standard_normal((n, 2)), rng.standard_normal((2, n)))
     s = 0.7 + 1.3j
     op = s * np.eye(n) - a
-    x_d = evaluate_dual(rom, np.array([s]))
-    assert np.allclose(op.conj().T @ x_d, rom.C_terms[0][1].conj().T)
+    _, x_d, _ = batch_states(rom, np.array([[s]]))
+    assert np.allclose(op.conj().T @ x_d[0], rom.C_terms[0][1].conj().T)
 
 
 def test_batch_states_matches_pointwise():
     n = 3
     a = rng.standard_normal((n, n)) - 2 * np.eye(n)
-    rom = lti_rom(np.eye(n), a, rng.standard_normal((n, 1)), rng.standard_normal((1, n)))
+    b, c = rng.standard_normal((n, 1)), rng.standard_normal((1, n))
+    rom = lti_rom(np.eye(n), a, b, c)
     pts = (rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1)))
     x, x_d, y = batch_states(rom, pts)
-    for i, p in enumerate(pts):
-        y_i, x_i = evaluate_output(rom, p, return_state=True)
-        assert np.allclose(y[i], y_i)
+    for i, (s,) in enumerate(pts):
+        op = s * np.eye(n) - a
+        x_i = np.linalg.solve(op, b)
+        assert np.allclose(y[i], c @ x_i)
         assert np.allclose(x[i], x_i)
-        assert np.allclose(x_d[i], evaluate_dual(rom, p))
+        assert np.allclose(x_d[i], np.linalg.solve(op.conj().T, c.T))
 
 
 def test_singular_operator_raises():
     rom = lti_rom(np.eye(2), np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)))
-    with pytest.raises(SingularOperatorError):
-        evaluate_output(rom, np.array([-1.0]))  # evaluation at a pole
+    pts = np.array([[0.5j], [-1.0]])  # the second point is a pole
+    with pytest.raises(SingularOperatorError) as info:
+        batch_states(rom, pts)
+    assert np.array_equal(info.value.p, pts)
 
 
 def test_sample_set_validation():
@@ -124,10 +126,11 @@ def test_output_invariant_under_state_transformation():
     w = np.eye(r) + 0.2 * rng.standard_normal((r, r))
     v = np.eye(r) + 0.2 * rng.standard_normal((r, r))
     rom_t = stationary_rom(w @ a1 @ v, w @ a2 @ v, w @ b, c @ v)
-    for p in (0.3, 1.0, 7.5):
-        y = evaluate_output(rom, np.array([p]))
-        y_t = evaluate_output(rom_t, np.array([p]))
-        assert np.max(np.abs(y - y_t)) <= 1e-12 * np.max(np.abs(y))
+    pts = np.array([[0.3], [1.0], [7.5]])
+    _, _, y = batch_states(rom, pts)
+    _, _, y_t = batch_states(rom_t, pts)
+    for i in range(len(pts)):
+        assert np.max(np.abs(y[i] - y_t[i])) <= 1e-12 * np.max(np.abs(y[i]))
 
 
 def test_kron_rom_operator_assembly():
@@ -136,9 +139,11 @@ def test_kron_rom_operator_assembly():
     a = rng.standard_normal((rs, rs))
     e_xi = np.eye(rx)
     a_xi = rng.standard_normal((rx, rx))
-    rom = kron_rom(e, a, e_xi, a_xi, np.ones((rs * rx, 1)), np.ones((1, rs * rx)))
+    b = rng.standard_normal((rs * rx, 1))
+    c = rng.standard_normal((1, rs * rx))
+    rom = kron_rom(e, a, e_xi, a_xi, b, c)
     s, xi = 0.5 + 1j, np.exp(0.3j)
-    from l2rom.core import assemble_operator
-
-    op = assemble_operator(rom, np.array([s, xi]), "A")
-    assert np.allclose(op, np.kron(s * e - a, xi * e_xi - a_xi))
+    op = np.kron(s * e - a, xi * e_xi - a_xi)
+    x, _, y = batch_states(rom, np.array([[s, xi]]))
+    assert np.allclose(x[0], np.linalg.solve(op, b))
+    assert np.allclose(y[0], c @ np.linalg.solve(op, b))

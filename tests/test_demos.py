@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +25,17 @@ def test_demo_runs_and_certifies(demo):
     certificates = [line for line in proc.stdout.splitlines() if "max residual" in line]
     assert certificates, proc.stdout
     assert all(line.endswith("PASS") for line in certificates), proc.stdout
+
+
+def test_benchmark_traced_functions_exist():
+    # A traced benchmark run wraps these by name and stops at a missing one.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"l2rom.{layer}.{name}"
+        for layer, names in tracing.WRAPPED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"l2rom.{layer}"), name, None))
+    ]
+    assert not missing, missing

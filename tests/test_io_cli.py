@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from l2rom import cli, io
+from l2rom import cli, io, spectral
 from l2rom.certify import Certificate, CertificateRow
 from l2rom.core import SampleSet, kron_rom, lti_rom, stationary_rom
 from l2rom.models import make_random_stable, sample_frequency_response
@@ -188,18 +188,23 @@ def test_cli_generate_records_state_dimension(tmp_path):
         assert io.read_payload(path, expect_kind="model").get("meta", {}).get("n") == n
 
 
-def test_cli_certify_cross_check_failure_exits_1(tmp_path, monkeypatch, capsys):
+def test_cli_report_evaluates_rom_once(tmp_path, monkeypatch):
     model = str(tmp_path / "m.json")
     samples = str(tmp_path / "s.json")
     rom = str(tmp_path / "r.json")
+    report = str(tmp_path / "report.txt")
     cli.main(["generate", "random-lti", "--n", "6", "-o", model])
     cli.main(["sample", model, "--scheme", "logspace 0.1 1 4", "-o", samples])
     cli.main(["fit", samples, "--structure", "lti", "-r", "2", "--max-iters", "5", "-o", rom])
+    calls = []
+    evaluate = spectral.pole_residue_eval
 
-    def disagree(*args, **kwargs):
-        raise RuntimeError("least-squares condition sums disagree")
+    def counting(pr, points, *args, **kwargs):
+        calls.append(len(points))
+        return evaluate(pr, points, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "ls_residuals", disagree)
-    capsys.readouterr()
-    assert cli.main(["certify", rom, "--family", "discrete-ls", "--samples", samples]) == 1
-    assert capsys.readouterr().err.startswith("error: least-squares condition sums disagree")
+    monkeypatch.setattr(spectral, "pole_residue_eval", counting)
+    argv = ["report", rom, "--family", "discrete-ls", "--samples", samples, "--points", "50", "-o", report]
+    assert cli.main(argv) == 0
+    assert calls == [8]  # the rom at the 8 conjugation-closed sample points, once
+    assert sum(not line.startswith("#") for line in open(report)) == 50

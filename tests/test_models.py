@@ -18,8 +18,35 @@ from l2rom.models import (
     sample_stationary,
     sample_unit_circle,
 )
+from l2rom.spectral import kron_pole_residue, pole_residue_affine_singular, pole_residue_lti
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _pole_residue_lti():
+    g = np.random.default_rng(7)
+    e = np.eye(4) + 0.1 * g.standard_normal((4, 4))
+    a = g.standard_normal((4, 4)) - 2.0 * np.eye(4)
+    return pole_residue_lti(e, a, g.standard_normal((4, 2)), g.standard_normal((2, 4)))
+
+
+def _pole_residue_affine_singular():
+    # rank-deficient second coefficient: the form carries a constant term
+    g = np.random.default_rng(8)
+    a1 = g.standard_normal((6, 6)) + 4.0 * np.eye(6)
+    low = g.standard_normal((6, 2))
+    a2 = low @ low.T @ g.standard_normal((6, 6))
+    pr = pole_residue_affine_singular(a1, a2, g.standard_normal((6, 1)), g.standard_normal((2, 6)))
+    assert np.max(np.abs(pr.constant_term())) > 0
+    return pr
+
+
+def _kron_pole_residue():
+    g = np.random.default_rng(9)
+    e, e_xi = np.eye(3) + 0.1 * g.standard_normal((3, 3)), np.eye(2) + 0.1 * g.standard_normal((2, 2))
+    a = g.standard_normal((3, 3)) - 2.0 * np.eye(3)
+    a_xi = g.standard_normal((2, 2)) + 1.5 * np.eye(2)
+    return kron_pole_residue(e, a, e_xi, a_xi, g.standard_normal((6, 2)), g.standard_normal((1, 6)))
 
 
 def test_penzl_structure():
@@ -53,8 +80,16 @@ def test_penzl_transfer_conjugate_symmetry():
             [[0.5j, np.exp(0.3j)], [0.2 + 1.0j, np.exp(2.0j)], [1.5j, 0.4]],
             lambda fd: 1e-6 * max(np.max(np.abs(fd)), 1.0),
         ),
+        # the reduced pole-residue forms answer the same protocol
+        (_pole_residue_lti, [0.3 + 1.7j, 0.5j, 1.0 - 0.3j], lambda fd: 1e-7 * max(np.max(np.abs(fd)), 1.0)),
+        (_pole_residue_affine_singular, [0.5, 1.3, 7.0], lambda fd: 1e-6 * np.max(np.abs(fd))),
+        (
+            _kron_pole_residue,
+            [[0.7 + 0.9j, np.exp(0.4j)], [0.2 + 1.0j, np.exp(2.0j)], [1.5j, 0.4]],
+            lambda fd: 1e-6 * max(np.max(np.abs(fd)), 1.0),
+        ),
     ],
-    ids=["lti", "poisson", "kron"],
+    ids=["lti", "poisson", "kron", "pole-residue-lti", "pole-residue-affine", "pole-residue-kron"],
 )
 def test_partials_match_central_difference(make, points, bound):
     fom = make()

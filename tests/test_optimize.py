@@ -132,18 +132,6 @@ def test_kron_factor_gradient_identities():
             assert np.isclose(gR[k, l], np.sum(G * np.kron(L, e)))
 
 
-def test_kron_factor_gradient_split_independent():
-    L = rng.standard_normal((3, 3))
-    R = rng.standard_normal((2, 2))
-    G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    base = kron_factor_gradient(G, "left", R)
-    for split in ((R, np.eye(2)), (np.eye(2), R), (2.0 * R, 0.5 * np.eye(2))):
-        alt = kron_factor_gradient(G, "left", R, split=split)
-        assert np.max(np.abs(alt - base)) <= 1e-12 * max(np.max(np.abs(base)), 1.0)
-    with pytest.raises(ValueError):
-        kron_factor_gradient(G, "left", R, split=(R, 2.0 * np.eye(2)))
-
-
 def test_kron_gradients_match_fd():
     rs, rx = 2, 2
     g = np.random.default_rng(13)

@@ -11,7 +11,6 @@ from l2rom.spectral import (
     kron_pole_residue,
     pole_residue,
     pole_residue_affine_singular,
-    pole_residue_eval,
     pole_residue_lti,
     rom_structure,
 )
@@ -44,24 +43,20 @@ def test_pole_residue_lti_round_trip():
     b = rng.standard_normal((n, n_i))
     c = rng.standard_normal((n_o, n))
     pr = pole_residue_lti(e, a, b, c)
-    for s in (1.0j, 0.5 + 2.0j, 3.0):
+    ss = np.array([1.0j, 0.5 + 2.0j, 3.0])
+    for s, val in zip(ss, pr.evaluate(ss)):
         direct = c @ np.linalg.solve(s * e - a, b)
-        assert np.max(np.abs(pole_residue_eval(pr, s) - direct)) <= 1e-10 * np.max(np.abs(direct))
-
-
-def test_pole_residue_eval_derivative_fd():
-    e, a = random_pencil(4)
-    pr = pole_residue_lti(e, a, rng.standard_normal((4, 1)), rng.standard_normal((1, 4)))
-    s, h = 0.3 + 1.7j, 1e-6
-    fd = (pole_residue_eval(pr, s + h) - pole_residue_eval(pr, s - h)) / (2 * h)
-    der = pole_residue_eval(pr, s, order=1)
-    assert np.max(np.abs(der - fd)) <= 1e-7 * max(np.max(np.abs(der)), 1.0)
+        assert np.max(np.abs(val - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
 def test_pole_residue_eval_guards_pole_collision():
     pr = pole_residue_lti(np.eye(2), np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)))
-    with pytest.raises(ValueError):
-        pole_residue_eval(pr, -1.0)
+    with pytest.raises(ValueError, match="coincides with a pole"):
+        pr.evaluate([0.5j, -1.0])  # the whole batch is checked
+    kr = kron_pole_residue(np.eye(2), np.diag([-1.0, -2.0]), np.eye(1), np.diag([2.0]), np.ones((2, 1)),
+                           np.ones((1, 2)))
+    with pytest.raises(ValueError, match="coincides with a pole"):
+        kr.partial([[0.5j, 0.0], [1j, 2.0]], wrt=1)
 
 
 def test_distinct_pole_check_matches_pairwise_scan():
@@ -91,9 +86,10 @@ def test_affine_singular_matches_direct_solves():
     c = rng.standard_normal((1, n))
     pr = pole_residue_affine_singular(a1, a2, b, c)
     assert len(pr.poles) == 3
-    for p in (0.5, 1.3, 7.0):
+    ps = np.array([0.5, 1.3, 7.0])
+    for p, val in zip(ps, pr.evaluate(ps)):
         direct = c @ np.linalg.solve(a1 + p * a2, b)
-        assert np.max(np.abs(pole_residue_eval(pr, p) - direct)) <= 1e-8 * np.max(np.abs(direct))
+        assert np.max(np.abs(val - direct)) <= 1e-8 * np.max(np.abs(direct))
 
 
 def test_affine_singular_constant_is_large_p_limit():
@@ -123,9 +119,10 @@ def test_affine_singular_symmetric_path():
     b = rng.standard_normal((n, 1))
     c = rng.standard_normal((1, n))
     pr = pole_residue_affine_singular(a1, a2, b, c)
-    for p in (0.4, 2.0, 9.0):
+    ps = np.array([0.4, 2.0, 9.0])
+    for p, val in zip(ps, pr.evaluate(ps)):
         direct = c @ np.linalg.solve(a1 + p * a2, b)
-        assert np.max(np.abs(pole_residue_eval(pr, p) - direct)) <= 1e-8 * np.max(np.abs(direct))
+        assert np.max(np.abs(val - direct)) <= 1e-8 * np.max(np.abs(direct))
 
 
 def test_affine_singular_no_constant_when_a2_invertible():
@@ -137,7 +134,7 @@ def test_affine_singular_no_constant_when_a2_invertible():
     assert len(pr.poles) == n
 
 
-def test_kron_pole_residue_round_trip_and_partials():
+def test_kron_pole_residue_round_trip():
     rs, rx = 3, 2
     e, a = random_pencil(rs)
     e_xi, a_xi = random_pencil(rx, shift=1.5)
@@ -146,15 +143,8 @@ def test_kron_pole_residue_round_trip_and_partials():
     pr = kron_pole_residue(e, a, e_xi, a_xi, b, c)
     s, xi = 0.7 + 0.9j, np.exp(0.4j)
     direct = c @ np.linalg.solve(np.kron(s * e - a, xi * e_xi - a_xi), b)
-    val = pole_residue_eval(pr, (s, xi))
+    val = pr.evaluate([[s, xi]])[0]
     assert np.max(np.abs(val - direct)) <= 1e-10 * np.max(np.abs(direct))
-    h = 1e-6
-    for wrt in (0, 1):
-        step = np.array([h, 0.0]) if wrt == 0 else np.array([0.0, h])
-        pt = np.array([s, xi])
-        fd = (pole_residue_eval(pr, pt + step) - pole_residue_eval(pr, pt - step)) / (2 * h)
-        der = pole_residue_eval(pr, pt, order=1, wrt=wrt)
-        assert np.max(np.abs(der - fd)) <= 1e-6 * max(np.max(np.abs(der)), 1.0)
 
 
 def test_rom_structure_and_pole_residue_dispatch():
@@ -219,6 +209,7 @@ def test_affine_singular_indefinite_a1_takes_general_path():
     _, a2, b, c = _dense_symmetric_pencil(n, n)
     assert spectral._symmetric_eig_projections(a2.copy(order="F"), a1.copy(order="F"), b, c) is None
     pr = pole_residue_affine_singular(a1, a2, b, c)
-    for p in (0.3, 1.7, 6.0):
+    ps = np.array([0.3, 1.7, 6.0])
+    for p, val in zip(ps, pr.evaluate(ps)):
         direct = c @ np.linalg.solve(a1 + p * a2, b)
-        assert np.max(np.abs(pole_residue_eval(pr, p) - direct)) <= 1e-8 * np.max(np.abs(direct))
+        assert np.max(np.abs(val - direct)) <= 1e-8 * np.max(np.abs(direct))
