@@ -4,6 +4,9 @@ The full model solves (A1 + p A2) x = B on a 1089-node finite element mesh
 for p in [0.1, 10].  A greedy reduced-basis initializer seeds an order-2
 structured model, the fit minimizes the Gauss-quadrature L2 misfit, and the
 stationary interpolation conditions certify optimality at the reduced poles.
+The certificate integrates the full model's output over [0.1, 10] with a
+quadrature in ln p, through the same banded solves as the samples; it needs
+no eigendecomposition of the full model.
 
 Run:  python3 demos/poisson_stationary.py
 """
@@ -16,7 +19,6 @@ from l2rom import (
     fit,
     greedy_rb_init,
     pole_residue,
-    pole_residue_affine_singular,
     stationary_residuals,
 )
 from l2rom.models import make_poisson, sample_stationary
@@ -32,7 +34,6 @@ print(f"fit: {trace.iterations} iterations, objective {trace.objectives[-1]:.3e}
 rom_pr = pole_residue(trace.rom)
 print(f"reduced poles: {np.sort(rom_pr.poles.real)}")
 
-fom_pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
-cert = stationary_residuals(fom_pr, rom_pr, Interval(*fom.interval), tolerance=1e-6)
+cert = stationary_residuals(fom, rom_pr, Interval(*fom.interval), tolerance=1e-6)
 print(f"stationary certificate: max residual {cert.max_residual:.3e} "
       f"-> {'PASS' if cert.passed else 'FAIL'}")

@@ -44,7 +44,6 @@ from .certify import (
     Certificate,
     CertificateRow,
     Interval,
-    f_sigma_eval,
     h2_ct_residuals,
     h2_dt_residuals,
     h2l2_residuals,
@@ -86,7 +85,6 @@ __all__ = [
     "Certificate",
     "CertificateRow",
     "Interval",
-    "f_sigma_eval",
     "h2_ct_residuals",
     "h2_dt_residuals",
     "h2l2_residuals",

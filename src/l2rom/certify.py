@@ -9,9 +9,9 @@ those conditions as relative residuals and collect them in a Certificate:
 - H2xL2: two-variable conditions at mirrored pole pairs, including the
   weighted derivative-sum conditions.
 - DISCRETE_LS: Hermite interpolation between the modified transfer
-  functions G and Ghat built from the sampling data.
-- STATIONARY: Hermite interpolation of modified outputs Y and Yhat at the
-  reduced poles themselves (not mirrored).
+  functions G and Ghat, weighted Cauchy sums over the sample nodes.
+- STATIONARY: Hermite interpolation of modified outputs Y and Yhat, the same
+  sums over a Gauss rule of [a, b], at the reduced poles (not mirrored).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "h2l2_residuals",
     "modified_ls_tf_eval",
     "ls_residuals",
-    "f_sigma_eval",
     "modified_output_eval",
     "stationary_residuals",
 ]
@@ -40,6 +39,10 @@ FAMILIES = ("H2_CT", "H2_DT", "H2xL2", "DISCRETE_LS", "STATIONARY")
 NORM_FLOOR = 1e-300
 # stationary poles must sit strictly outside [a, b] by this margin
 STATIONARY_POLE_MARGIN = 1e-10
+# interval quadrature rules tried in turn for the stationary modified outputs,
+# and the relative agreement of two successive rules that accepts the later one
+STATIONARY_RULE_NODES = (16, 32, 64, 128, 256, 512)
+STATIONARY_RULE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -205,18 +208,19 @@ def h2l2_residuals(fom, rom2d, tolerance=1e-4):
     return Certificate(family="H2xL2", rows=tuple(rows), tolerance=tolerance)
 
 
-def _ls_sum(data, vals, points, order):
-    """sum_i rho_i vals_i / (s - iw_i) over the data nodes iw_i, or its derivative in s.
+def _cauchy_sum(nodes, weights, vals, points, order):
+    """sum_i w_i vals_i / (t_i - s)^(1 + order) over the nodes t_i, at each of the M points s.
 
-    Evaluated at each of the M points s; returns (M, n_o, n_i).
+    The Cauchy transform of the point measure sum_i w_i delta(t - t_i) on
+    the values (order 0), or its first derivative in s (order 1); returns
+    (M, n_o, n_i).
     """
-    nodes = data.points[:, 0]
-    diffs = points[:, None] - nodes  # (M, N)
+    diffs = nodes - points[:, None]  # (M, N)
     scale = max(np.max(np.abs(nodes)), 1.0)
     near = np.min(np.abs(diffs), axis=1) < 1e-12 * scale
     if np.any(near):
         raise ValueError(f"evaluation point {points[np.argmax(near)]} coincides with a data node")
-    coeff = data.weights / diffs if order == 0 else -data.weights / diffs**2
+    coeff = weights / diffs if order == 0 else weights / diffs**2
     return np.einsum("mn,noi->moi", coeff, vals)
 
 
@@ -230,7 +234,7 @@ def modified_ls_tf_eval(data, rom_pr, points, order=0):
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     vals = data.values if rom_pr is None else rom_pr.evaluate(data.points)
-    return _ls_sum(data, vals, _points(points, 1)[:, 0], order)
+    return -_cauchy_sum(data.points[:, 0], data.weights, vals, _points(points, 1)[:, 0], order)
 
 
 def ls_residuals(data, rom_pr, tolerance=1e-6):
@@ -240,131 +244,93 @@ def ls_residuals(data, rom_pr, tolerance=1e-6):
     their derivatives are summed at all r mirrored poles in one call each.
     """
     sig = -np.conj(rom_pr.poles)
+    nodes = data.points[:, 0]
     rom_at_nodes = rom_pr.evaluate(data.points)
-    g, gd = (_ls_sum(data, data.values, sig, order) for order in (0, 1))
-    g_hat, gd_hat = (_ls_sum(data, rom_at_nodes, sig, order) for order in (0, 1))
+    g, gd = (-_cauchy_sum(nodes, data.weights, data.values, sig, order) for order in (0, 1))
+    g_hat, gd_hat = (-_cauchy_sum(nodes, data.weights, rom_at_nodes, sig, order) for order in (0, 1))
     rows = _hermite_rows(rom_pr.left_factors, rom_pr.right_factors, g, g_hat, gd, gd_hat)
     return Certificate(family="DISCRETE_LS", rows=rows, tolerance=tolerance)
 
 
-def f_sigma_eval(a, b, sigma, p, order=0):
-    """The interval kernel function f_sigma(p) and its derivative.
+def _interval_rule(interval, n):
+    """n-node Gauss-Legendre nodes and weights for the Lebesgue measure on [a, b].
 
-    f_sigma(p) = (ln|(p-b)/(p-a)| - ln|(sigma-b)/(sigma-a)|) / (p - sigma)
-    with the removable singularity filled in at p = sigma; continuously
-    differentiable on R minus {a, b}.
+    When 0 < a the rule is Gauss-Legendre in u = ln t (weights dt = t du):
+    poles on the negative axis then lie at Im u = pi, far from
+    [ln a, ln b], and the rule converges geometrically.
     """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    a, b, sigma, p = float(a), float(b), float(sigma), float(p)
-    if not a < b:
-        raise ValueError("interval requires a < b")
-    guard = 1e-14 * (b - a)
-    for name, val in (("sigma", sigma), ("p", p)):
-        if min(abs(val - a), abs(val - b)) <= guard:
-            raise ValueError(f"{name} must differ from the interval endpoints")
-
-    log_p = np.log(abs((p - b) / (p - a)))
-    log_s = np.log(abs((sigma - b) / (sigma - a)))
-    near = abs(p - sigma) <= 1e-12 * (1.0 + abs(sigma))
-    if order == 0:
-        if near:
-            return (b - a) / ((sigma - a) * (sigma - b))
-        return (log_p - log_s) / (p - sigma)
-    if near:
-        return (b - a) * (a + b - 2 * sigma) / (2 * (sigma - a) ** 2 * (sigma - b) ** 2)
-    return ((b - a) * (p - sigma) / ((p - a) * (p - b)) - log_p + log_s) / (p - sigma) ** 2
+    x, w = np.polynomial.legendre.leggauss(n)
+    a, b = interval.a, interval.b
+    if a <= 0:
+        return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    lo, hi = np.log(a), np.log(b)
+    t = np.exp(0.5 * (hi - lo) * x + 0.5 * (lo + hi))
+    return t, 0.5 * (hi - lo) * w * t
 
 
-def _f_sigma_many(a, b, sigma, p, order):
-    """f_sigma(p) or its derivative for an array of sigma at one point p.
+def _real_outside(values, interval, what):
+    """The values as a real array; ValueError unless real and outside [a, b] widened by the margin."""
+    values = np.asarray(values)
+    if np.max(np.abs(np.imag(values))) > 1e-8 * max(np.max(np.abs(values)), 1.0):
+        raise ValueError(f"{what} must be real for the stationary certificate")
+    values = np.real(values)
+    margin = STATIONARY_POLE_MARGIN * (interval.b - interval.a)
+    if np.any((values > interval.a - margin) & (values < interval.b + margin)):
+        raise ValueError(f"{what} must lie strictly outside the interval [a, b]")
+    return values
 
-    The formulas of f_sigma_eval, elementwise, including the removable
-    singularity where p is within 1e-12 (1 + |sigma|) of sigma; the callers
-    keep sigma and p off the interval endpoints.
+
+def _modified_outputs(models, interval, points):
+    """Y and Y' of each model at the M real points, shape (len(models), 2, M, n_o, n_i).
+
+    Y(s) = int_a^b H(t) / (t - s) dt and Y'(s) = int_a^b H(t) / (t - s)^2 dt,
+    with H from ``model.evaluate`` at the nodes of the rules of
+    STATIONARY_RULE_NODES in turn; each rule is built once and shared by the
+    models.  The sums of the first rule that agrees with its predecessor to
+    STATIONARY_RULE_RTOL at every point are returned; ValueError if none does.
     """
-    near = np.abs(p - sigma) <= 1e-12 * (1.0 + np.abs(sigma))
-    dp = np.where(near, 1.0, p - sigma)  # placeholder where the limit is used
-    log_p = np.log(abs((p - b) / (p - a)))
-    log_s = np.log(np.abs((sigma - b) / (sigma - a)))
-    if order == 0:
-        return np.where(near, (b - a) / ((sigma - a) * (sigma - b)), (log_p - log_s) / dp)
-    return np.where(
-        near,
-        (b - a) * (a + b - 2 * sigma) / (2 * (sigma - a) ** 2 * (sigma - b) ** 2),
-        ((b - a) * dp / ((p - a) * (p - b)) - log_p + log_s) / dp**2,
+    previous = None
+    for n in STATIONARY_RULE_NODES:
+        nodes, weights = _interval_rule(interval, n)
+        sums = np.array([
+            [_cauchy_sum(nodes, weights, vals, points, order) for order in (0, 1)]
+            for vals in (model.evaluate(nodes) for model in models)
+        ])
+        if previous is not None:
+            change = np.linalg.norm(sums - previous, axis=(-2, -1))
+            if np.all(change <= STATIONARY_RULE_RTOL * np.linalg.norm(sums, axis=(-2, -1))):
+                return sums
+        previous = sums
+    raise ValueError(
+        f"the interval quadrature did not converge within {STATIONARY_RULE_NODES[-1]} nodes "
+        "(an evaluation point or pole lies too close to [a, b])"
     )
 
 
-def _stationary_terms(pr, interval, what, with_constant):
-    """Real poles, residues and constant term (or None) of a stationary form.
+def modified_output_eval(model, interval, points, order=0):
+    """Modified stationary output Y (order 0) or Y' (order 1) at M real points.
 
-    Raises ValueError when poles or residues are not real or a pole lies in
-    [a, b] (widened by STATIONARY_POLE_MARGIN).
+    Y(s) = int_a^b H(t) / (t - s) dt for the model's H, evaluated through
+    ``model.evaluate``: a full-order model, or a ``PoleResidue`` form of the
+    full-order or the reduced model.  The points must lie outside [a, b];
+    returns (M, n_o, n_i).
     """
-    poles = pr.poles
-    scale = max(np.max(np.abs(poles)), 1.0)
-    if np.max(np.abs(poles.imag)) > 1e-8 * scale:
-        raise ValueError(f"{what} poles must be real for the stationary certificate")
-    residues = np.einsum("ko,ki->koi", pr.left_factors, np.conj(pr.right_factors))
-    res_scale = max(np.max(np.abs(residues)), NORM_FLOOR)
-    if np.max(np.abs(residues.imag)) > 1e-8 * res_scale:
-        raise ValueError(f"{what} residues must be real for the stationary certificate")
-    poles = poles.real
-    margin = STATIONARY_POLE_MARGIN * (interval.b - interval.a)
-    if np.any((poles > interval.a - margin) & (poles < interval.b + margin)):
-        raise ValueError("stationary poles must lie strictly outside the interval [a, b]")
-    phi0 = np.real(pr.constant_term()) if with_constant and pr.constant is not None else None
-    return poles, residues.real, phi0
-
-
-def _modified_output(terms, interval, p, order):
-    """sum_i f_{nu_i}(p) Phi_i (or its derivative) plus the log-weighted constant."""
-    poles, residues, phi0 = terms
-    a, b = interval.a, interval.b
-    out = np.einsum("k,koi->oi", _f_sigma_many(a, b, poles, p, order), residues)
-    if phi0 is not None:
-        if order == 0:
-            out = out + np.log(abs((p - b) / (p - a))) * phi0
-        else:
-            out = out + (b - a) / ((p - a) * (p - b)) * phi0
-    return out
-
-
-def modified_output_eval(fom_pr, rom_pr, interval, p, order=0, which="Y"):
-    """Modified stationary outputs Y(p) or Yhat(p) (and first derivatives).
-
-    Y(p) = ln|(p-b)/(p-a)| Phi0 + sum_i f_{nu_i}(p) Phi_i over the fom
-    poles/residues; Yhat(p) = sum_j f_{lambda_j}(p) c_j b_j^T over the rom.
-    """
-    if which not in ("Y", "Yhat"):
-        raise ValueError("which must be 'Y' or 'Yhat'")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    p = float(p)
-    if min(abs(p - interval.a), abs(p - interval.b)) <= 1e-14 * (interval.b - interval.a):
-        raise ValueError("p must differ from the interval endpoints")
-    if which == "Y":
-        terms = _stationary_terms(fom_pr, interval, "full-order", with_constant=True)
-    else:
-        terms = _stationary_terms(rom_pr, interval, "reduced", with_constant=False)
-    return _modified_output(terms, interval, p, order)
+    points = _real_outside(_points(points, 1)[:, 0], interval, "evaluation points")
+    return _modified_outputs((model,), interval, points)[0, order]
 
 
-def stationary_residuals(fom_pr, rom_pr, interval, tolerance=1e-6):
+def stationary_residuals(fom, rom_pr, interval, tolerance=1e-6):
     """Hermite residuals of Yhat against Y at the reduced poles lambda_k.
 
     Interpolation for the stationary family happens at the poles themselves,
-    not their mirror images.
+    not their mirror images.  ``fom`` is anything with ``evaluate``: the
+    full-order model or its pole-residue form; the ``PoleResidue``
+    ``rom_pr`` must have real poles outside [a, b].  Both sides are
+    integrated with the same quadrature rules (see modified_output_eval).
     """
-    rom_terms = _stationary_terms(rom_pr, interval, "reduced", with_constant=False)
-    fom_terms = _stationary_terms(fom_pr, interval, "full-order", with_constant=True)
-    lam = rom_terms[0]
-
-    def at_poles(terms, order):
-        return np.stack([_modified_output(terms, interval, p, order) for p in lam])
-
-    y, y_hat = at_poles(fom_terms, 0), at_poles(rom_terms, 0)
-    yd, yd_hat = at_poles(fom_terms, 1), at_poles(rom_terms, 1)
+    lam = _real_outside(rom_pr.poles, interval, "reduced poles")
+    (y, yd), (y_hat, yd_hat) = _modified_outputs((fom, rom_pr), interval, lam)
     rows = _hermite_rows(np.real(rom_pr.left_factors), np.real(rom_pr.right_factors), y, y_hat, yd, yd_hat)
     return Certificate(family="STATIONARY", rows=rows, tolerance=tolerance)

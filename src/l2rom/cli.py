@@ -30,7 +30,7 @@ from .certify import (
 )
 from .core import kron_rom, lti_rom, stationary_rom
 from .optimize import FitOptions, fit, greedy_rb_init, irka_init
-from .spectral import pole_residue, pole_residue_affine_singular, rom_structure
+from .spectral import pole_residue, rom_structure
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -54,12 +54,13 @@ class UsageError(Exception):
 rom_pole_residue = pole_residue
 
 
-def _load(path, kind):
+def _load(path, kind, decode):
+    """Read a ``kind`` file and decode its payload; a malformed file is a usage error."""
     try:
-        return io.read_payload(path, expect_kind=kind)
+        return decode(io.read_payload(path, expect_kind=kind))
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise UsageError(f"invalid {kind} file {path}: {exc}") from exc
 
 
@@ -94,8 +95,7 @@ def cmd_generate(args):
 
 
 def cmd_sample(args):
-    payload = _load(args.model, "model")
-    fom = io.model_from_payload(payload)
+    fom = _load(args.model, "model", io.model_from_payload)
     parts = args.scheme.split()
     try:
         if parts[0] == "logspace":
@@ -151,20 +151,20 @@ def cmd_fit(args):
     if args.structure == "kron" and (args.order_s <= 0 or args.order_xi <= 0):
         raise UsageError("reduced orders must be positive")
     opts = FitOptions(max_iters=args.max_iters, grad_tol=args.tol)
-    data = io.samples_from_payload(_load(args.samples, "samples"))
+    data = _load(args.samples, "samples", io.samples_from_payload)
 
     rng = np.random.default_rng(args.seed)
     inits = []
     if args.init == "file":
         if not args.init_file:
             raise UsageError("--init file requires --init-file")
-        inits = [io.rom_from_payload(_load(args.init_file, "rom"))]
+        inits = [_load(args.init_file, "rom", io.rom_from_payload)]
     elif args.init == "random":
         inits = [_random_rom(args.structure, args, rng) for _ in range(max(args.restarts, 1))]
     else:
         if not args.model:
             raise UsageError(f"--init {args.init} requires --model")
-        fom = io.model_from_payload(_load(args.model, "model"))
+        fom = _load(args.model, "model", io.model_from_payload)
         if args.init == "irka":
             if args.structure not in ("lti", "lti-dt"):
                 raise UsageError("irka initialization applies to lti structures")
@@ -211,7 +211,7 @@ _FAMILY_STRUCTURE = {
 
 def cmd_certify(args):
     family = FAMILY_FLAGS[args.family]
-    rom = io.rom_from_payload(_load(args.rom, "rom"))
+    rom = _load(args.rom, "rom", io.rom_from_payload)
     structure = rom_structure(rom)
     if structure != _FAMILY_STRUCTURE[family]:
         raise UsageError(
@@ -219,26 +219,24 @@ def cmd_certify(args):
             f"found {structure}"
         )
     pr = pole_residue(rom)
-    tol = args.tol if args.tol is not None else {"H2_CT": 1e-6, "H2_DT": 1e-4, "H2xL2": 1e-4,
-                                                "DISCRETE_LS": 1e-6, "STATIONARY": 1e-6}[family]
+    tol = {} if args.tol is None else {"tolerance": args.tol}  # else each family's own default
     if family == "DISCRETE_LS":
         if not args.samples:
             raise UsageError("discrete-ls certification requires --samples")
-        data = io.samples_from_payload(_load(args.samples, "samples"))
-        cert = ls_residuals(data, pr, tolerance=tol)
+        data = _load(args.samples, "samples", io.samples_from_payload)
+        cert = ls_residuals(data, pr, **tol)
     else:
         if not args.model:
             raise UsageError(f"{args.family} certification requires --model")
-        fom = io.model_from_payload(_load(args.model, "model"))
+        fom = _load(args.model, "model", io.model_from_payload)
         if family == "H2_CT":
-            cert = h2_ct_residuals(fom, pr, tolerance=tol)
+            cert = h2_ct_residuals(fom, pr, **tol)
         elif family == "H2_DT":
-            cert = h2_dt_residuals(fom, pr, tolerance=tol)
+            cert = h2_dt_residuals(fom, pr, **tol)
         elif family == "H2xL2":
-            cert = h2l2_residuals(fom, pr, tolerance=tol)
+            cert = h2l2_residuals(fom, pr, **tol)
         else:
-            fom_pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
-            cert = stationary_residuals(fom_pr, pr, Interval(*fom.interval), tolerance=tol)
+            cert = stationary_residuals(fom, pr, Interval(*fom.interval), **tol)
     if args.out:
         io.write_payload(args.out, io.certificate_to_payload(cert))
     print(f"{family}: max residual {cert.max_residual:.3e} "
@@ -247,14 +245,14 @@ def cmd_certify(args):
 
 
 def cmd_report(args):
-    rom = io.rom_from_payload(_load(args.rom, "rom"))
+    rom = _load(args.rom, "rom", io.rom_from_payload)
     pr = pole_residue(rom)
     family = FAMILY_FLAGS[args.family]
     lines = []
     if family == "DISCRETE_LS":
         if not args.samples:
             raise UsageError("discrete-ls report requires --samples")
-        data = io.samples_from_payload(_load(args.samples, "samples"))
+        data = _load(args.samples, "samples", io.samples_from_payload)
         mirrors = np.sort(-np.conj(pr.poles).real)
         lines.append("# columns: s  G(s)  Ghat(s)  G(s)-Ghat(s)")
         for m in mirrors:
@@ -267,8 +265,7 @@ def cmd_report(args):
     elif family == "STATIONARY":
         if not args.model:
             raise UsageError("stationary report requires --model")
-        fom = io.model_from_payload(_load(args.model, "model"))
-        fom_pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
+        fom = _load(args.model, "model", io.model_from_payload)
         interval = Interval(*fom.interval)
         poles = np.sort(pr.poles.real)
         lines.append("# columns: p  Y(p)  Yhat(p)  Y(p)-Yhat(p)")
@@ -277,10 +274,10 @@ def cmd_report(args):
         lo = poles.min() * 1.5
         hi = min(poles.max() * 0.5, -1e-3 * (interval.b - interval.a))
         grid = np.linspace(lo, hi, args.points)
-        for p in grid:
-            y = modified_output_eval(fom_pr, pr, interval, p, which="Y")[0, 0]
-            yh = modified_output_eval(fom_pr, pr, interval, p, which="Yhat")[0, 0]
-            lines.append(f"{p:.17g} {y:.17g} {yh:.17g} {y - yh:.17g}")
+        y = modified_output_eval(fom, interval, grid)[:, 0, 0].real
+        yh = modified_output_eval(pr, interval, grid)[:, 0, 0].real
+        for p, y_p, yh_p in zip(grid, y, yh):
+            lines.append(f"{p:.17g} {y_p:.17g} {yh_p:.17g} {y_p - yh_p:.17g}")
     else:
         raise UsageError("reports exist for the discrete-ls and stationary families")
     text = "\n".join(lines) + "\n"

@@ -193,6 +193,8 @@ class SampleSet:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if len(self.points) != len(self.values) or len(self.points) != len(self.weights):
             raise ValueError("points, values and weights must have equal length")
+        if not all(np.all(np.isfinite(arr)) for arr in (self.points, self.values, self.weights)):
+            raise ValueError("points, values and weights must be finite")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
 

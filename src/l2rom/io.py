@@ -72,6 +72,8 @@ def write_payload(path, payload):
 def read_payload(path, expect_kind=None):
     with open(path) as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError("file does not hold a JSON object")
     if payload.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported file version {payload.get('version')!r}")
     if payload.get("kind") not in KINDS:

@@ -6,7 +6,6 @@ from l2rom.certify import (
     Certificate,
     CertificateRow,
     Interval,
-    f_sigma_eval,
     h2_ct_residuals,
     h2_dt_residuals,
     h2l2_residuals,
@@ -16,9 +15,22 @@ from l2rom.certify import (
     stationary_residuals,
 )
 from l2rom.core import SampleSet
-from l2rom.models import make_kron_parametric, make_random_stable, sample_frequency_response
+from l2rom.models import (
+    make_kron_parametric,
+    make_poisson,
+    make_random_stable,
+    sample_frequency_response,
+    sample_stationary,
+)
 from l2rom import spectral
-from l2rom.spectral import PoleResidue, PoleResidue2D, pole_residue_lti
+from l2rom.optimize import FitOptions, fit, greedy_rb_init
+from l2rom.spectral import (
+    PoleResidue,
+    PoleResidue2D,
+    pole_residue,
+    pole_residue_affine_singular,
+    pole_residue_lti,
+)
 
 rng = np.random.default_rng(17)
 
@@ -163,35 +175,59 @@ def test_ls_residuals_evaluate_rom_once_per_node(monkeypatch):
     assert np.array_equal(calls[0], data.points)
 
 
+def f_sigma(a, b, sigma, p, order=0):
+    # closed form of int_a^b dt / ((t - sigma)(t - p)) (order 0) and its p-derivative
+    # (order 1), with the removable singularity filled in at p = sigma
+    log_p = np.log(abs((p - b) / (p - a)))
+    log_s = np.log(abs((sigma - b) / (sigma - a)))
+    if abs(p - sigma) <= 1e-12 * (1.0 + abs(sigma)):
+        if order == 0:
+            return (b - a) / ((sigma - a) * (sigma - b))
+        return (b - a) * (a + b - 2 * sigma) / (2 * (sigma - a) ** 2 * (sigma - b) ** 2)
+    if order == 0:
+        return (log_p - log_s) / (p - sigma)
+    return ((b - a) * (p - sigma) / ((p - a) * (p - b)) - log_p + log_s) / (p - sigma) ** 2
+
+
+def _modified_output_loop(pr, interval, p, order):
+    # closed form of the modified output of a pole-residue form, one pole at a time:
+    # Y(p) = ln|(p-b)/(p-a)| Phi0 + sum_nu f_nu(p) Phi_nu, or its derivative
+    a, b = interval.a, interval.b
+    residues = np.einsum("ko,ki->koi", pr.left_factors, np.conj(pr.right_factors)).real
+    out = np.zeros(residues.shape[1:])
+    for nu, phi in zip(pr.poles.real, residues):
+        out = out + f_sigma(a, b, nu, p, order=order) * phi
+    weight = np.log(abs((p - b) / (p - a))) if order == 0 else (b - a) / ((p - a) * (p - b))
+    return out + weight * np.real(pr.constant_term())
+
+
 def test_f_sigma_basic_values():
     a, b, sigma = 0.0, 1.0, 2.0
     # f_sigma(sigma) = (b - a)/((sigma - a)(sigma - b)) = 1/2
-    assert np.isclose(f_sigma_eval(a, b, sigma, sigma), 0.5)
+    assert np.isclose(f_sigma(a, b, sigma, sigma), 0.5)
     # continuity across the removable singularity
-    assert np.isclose(f_sigma_eval(a, b, sigma, sigma + 1e-9), 0.5, atol=1e-6)
+    assert np.isclose(f_sigma(a, b, sigma, sigma + 1e-9), 0.5, atol=1e-6)
     # generic point matches the defining quotient
     p = 3.0
     expected = (np.log(abs((p - b) / (p - a))) - np.log(abs((sigma - b) / (sigma - a)))) / (
         p - sigma
     )
-    assert np.isclose(f_sigma_eval(a, b, sigma, p), expected)
-    with pytest.raises(ValueError):
-        f_sigma_eval(a, b, sigma, a)
+    assert np.isclose(f_sigma(a, b, sigma, p), expected)
 
 
 def test_f_sigma_derivative_fd():
     a, b, sigma = 0.1, 10.0, -0.5
     for p, h, rtol in ((-2.0, 1e-6, 1e-5), (11.0, 1e-6, 1e-5), (sigma, 1e-4, 1e-4)):
         # near p = sigma the quotient form of f cancels, so the step is larger
-        fd = (f_sigma_eval(a, b, sigma, p + h) - f_sigma_eval(a, b, sigma, p - h)) / (2 * h)
-        assert np.isclose(f_sigma_eval(a, b, sigma, p, order=1), fd, rtol=rtol, atol=1e-10)
+        fd = (f_sigma(a, b, sigma, p + h) - f_sigma(a, b, sigma, p - h)) / (2 * h)
+        assert np.isclose(f_sigma(a, b, sigma, p, order=1), fd, rtol=rtol, atol=1e-10)
 
 
 def test_f_sigma_is_interval_integral():
     # f_sigma(p) equals int_a^b dq / ((q - p)(q - sigma)) for p, sigma outside [a, b]
     a, b, sigma, p = 0.1, 10.0, -0.3, -2.0
     quad, _ = scipy.integrate.quad(lambda q: 1.0 / ((q - p) * (q - sigma)), a, b)
-    assert np.isclose(f_sigma_eval(a, b, sigma, p), quad, rtol=1e-8)
+    assert np.isclose(f_sigma(a, b, sigma, p), quad, rtol=1e-8)
 
 
 def test_modified_output_is_interval_integral():
@@ -211,11 +247,8 @@ def test_modified_output_is_interval_integral():
     quad, _ = scipy.integrate.quad(
         lambda q: y_scalar(q) / (q - p), interval.a, interval.b, limit=200
     )
-    val = modified_output_eval(pr, pr, interval, p, which="Y")[0, 0]
+    val = modified_output_eval(pr, interval, [p])[0, 0, 0]
     assert np.isclose(val, quad, rtol=1e-8)
-    # and the same route through the rom-side evaluation
-    val_hat = modified_output_eval(pr, pr, interval, p, which="Yhat")[0, 0]
-    assert np.isclose(val_hat, quad, rtol=1e-8)
 
 
 def test_modified_output_constant_term_is_interval_integral():
@@ -232,63 +265,56 @@ def test_modified_output_constant_term_is_interval_integral():
     quad, _ = scipy.integrate.quad(
         lambda q: (3.0 + 2.0 / (q + 1.0)) / (q - p), interval.a, interval.b, limit=200
     )
-    val = modified_output_eval(pr, pr, interval, p, which="Y")[0, 0]
+    val = modified_output_eval(pr, interval, [p])[0, 0, 0]
     assert np.isclose(val, quad, rtol=1e-8)
     # derivative against finite differences
     h = 1e-6
-    fd = (
-        modified_output_eval(pr, pr, interval, p + h, which="Y")
-        - modified_output_eval(pr, pr, interval, p - h, which="Y")
-    ) / (2 * h)
-    der = modified_output_eval(pr, pr, interval, p, order=1, which="Y")
+    y = modified_output_eval(pr, interval, [p + h, p - h])
+    fd = (y[0] - y[1]) / (2 * h)
+    der = modified_output_eval(pr, interval, [p], order=1)[0]
     assert np.max(np.abs(der - fd)) <= 1e-6 * max(np.max(np.abs(der)), 1.0)
 
 
-def _modified_output_loop(pr, interval, p, order, with_constant):
-    # reference: one scalar f_sigma_eval per pole, summed in a loop
-    residues = np.einsum("ko,ki->koi", pr.left_factors, np.conj(pr.right_factors)).real
-    out = np.zeros(residues.shape[1:])
-    for nu, phi in zip(pr.poles.real, residues):
-        out = out + f_sigma_eval(interval.a, interval.b, nu, p, order=order) * phi
-    if with_constant and pr.constant is not None:
-        a, b = interval.a, interval.b
-        weight = np.log(abs((p - b) / (p - a))) if order == 0 else (b - a) / ((p - a) * (p - b))
-        out = out + weight * np.real(pr.constant_term())
-    return out
+def _max_rel(got, want):
+    # largest relative error over the points, each point measured in its own norm
+    return np.max(np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2)))
 
 
 def test_modified_output_sum_matches_scalar_loop():
-    from l2rom.models import make_poisson
-    from l2rom.spectral import pole_residue_affine_singular
-
+    # the batched interval quadrature against the closed form, on the Poisson
+    # eigen-form, on a random form with constant term and poles on both sides of
+    # [a, b], and on the Poisson model object itself (against its eigen-form)
     fom = make_poisson(8)
     interval = Interval(*fom.interval)
-    forms = (
-        pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C),
-        PoleResidue(
-            poles=np.array([-0.4, -2.0, 12.0, -30.0], dtype=complex),
-            left_factors=rng.standard_normal((4, 2)).astype(complex),
-            right_factors=rng.standard_normal((4, 3)).astype(complex),
-            constant=rng.standard_normal((2, 3)).astype(complex),
-        ),
+    eigen_form = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
+    random_form = PoleResidue(
+        poles=np.array([-0.4, -2.0, 12.0, -30.0], dtype=complex),
+        left_factors=rng.standard_normal((4, 2)).astype(complex),
+        right_factors=rng.standard_normal((4, 3)).astype(complex),
+        constant=rng.standard_normal((2, 3)).astype(complex),
     )
-    for pr in forms:
-        poles = np.sort(pr.poles.real)
-        # p == sigma exercises the removable singularity; the others are generic
-        points = (poles[0], poles[len(poles) // 2], poles[-1] + 1e-14, -0.05, 25.0)
-        for p in points:
-            for order in (0, 1):
-                for which, with_constant in (("Y", True), ("Yhat", False)):
-                    got = modified_output_eval(pr, pr, interval, p, order=order, which=which)
-                    want = _modified_output_loop(pr, interval, p, order, with_constant)
-                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (p, order, which)
+    cases = ((eigen_form, eigen_form, 1e-12), (random_form, random_form, 1e-12), (fom, eigen_form, 1e-10))
+    for model, form, rtol in cases:
+        poles = np.sort(form.poles.real)
+        # points at poles of the form, between them and beyond b
+        points = np.array([poles[0], poles[len(poles) // 2], poles[-1], -0.05, 25.0])
+        for order in (0, 1):
+            got = modified_output_eval(model, interval, points, order=order)
+            want = np.stack([_modified_output_loop(form, interval, p, order) for p in points])
+            assert _max_rel(got, want) <= rtol, (type(model).__name__, order)
 
 
 def test_modified_output_rejects_pole_in_interval():
     interval = Interval(0.1, 10.0)
+    # a pole inside [a, b]: the integral diverges and the rules never agree
     pr = real_pr([1.0], np.ones((1, 1)), np.ones((1, 1)))
-    with pytest.raises(ValueError):
-        modified_output_eval(pr, pr, interval, -1.0, which="Y")
+    with pytest.raises(ValueError, match="did not converge"):
+        modified_output_eval(pr, interval, [-1.0])
+    # evaluation points on [a, b], endpoints included, are rejected up front
+    pr = real_pr([-1.0], np.ones((1, 1)), np.ones((1, 1)))
+    for p in (interval.a, 1.0, interval.b):
+        with pytest.raises(ValueError, match="outside the interval"):
+            modified_output_eval(pr, interval, [-2.0, p])
 
 
 def test_stationary_residuals_zero_on_self():
@@ -313,6 +339,31 @@ def test_stationary_rejects_complex_poles():
     fom_pr = real_pr([-1.0], np.ones((1, 1)), np.ones((1, 1)))
     with pytest.raises(ValueError):
         stationary_residuals(fom_pr, rom_pr, interval)
+
+
+@pytest.mark.parametrize("pole", [0.0999, 10.01])
+def test_stationary_rejects_reduced_pole_near_endpoint(pole):
+    # just outside [a, b] the kernel is nearly singular; no pair of rules agrees
+    interval = Interval(0.1, 10.0)
+    fom_pr = real_pr([-0.5, -3.0], [[1.0], [0.4]], [[1.0], [1.0]])
+    rom_pr = real_pr([pole, -2.0], [[1.0], [0.5]], [[1.0], [1.0]])
+    with pytest.raises(ValueError, match="did not converge"):
+        stationary_residuals(fom_pr, rom_pr, interval)
+
+
+def test_stationary_fom_object_and_eigen_form_agree():
+    # the certificate of a Poisson fit, from the model object and from its eigen-form
+    fom = make_poisson(8)
+    data = sample_stationary(fom, 60)
+    trace = fit(greedy_rb_init(fom, 2, np.logspace(-1, 1, 20)), data, FitOptions(max_iters=500))
+    rom_pr = pole_residue(trace.rom)
+    interval = Interval(*fom.interval)
+    by_object = stationary_residuals(fom, rom_pr, interval)
+    eigen_form = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
+    by_form = stationary_residuals(eigen_form, rom_pr, interval)
+    assert by_object.passed and by_form.passed
+    assert [row.label for row in by_object.rows] == [row.label for row in by_form.rows]
+    assert abs(by_object.max_residual - by_form.max_residual) <= 1e-9
 
 
 def test_residuals_invariant_under_factor_rescaling():

@@ -106,6 +106,17 @@ def test_sample_set_validation():
         SampleSet(pts, vals, np.ones(2))
 
 
+@pytest.mark.parametrize("field", ["points", "values", "weights"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_set_rejects_non_finite(field, bad):
+    # a NaN weight would pass the sign test; every array must be finite
+    arrays = {"points": np.ones((3, 1), dtype=complex), "values": np.ones((3, 1, 1), dtype=complex),
+              "weights": np.ones(3)}
+    arrays[field][1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        SampleSet(**arrays)
+
+
 def test_conjugation_closure_check():
     pts = np.array([[1j], [-1j], [2j]])
     vals = np.array([[[1 + 1j]], [[1 - 1j]], [[3j]]])

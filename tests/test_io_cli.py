@@ -208,3 +208,101 @@ def test_cli_report_evaluates_rom_once(tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     assert calls == [8]  # the rom at the 8 conjugation-closed sample points, once
     assert sum(not line.startswith("#") for line in open(report)) == 50
+
+
+_SAMPLES = {"kind": "samples", "version": 1, "points": [[[1.0, 0.0]], [[2.0, 0.0]]],
+            "values": [[[[1.0, 0.0]]], [[[0.5, 0.0]]]], "weights": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        ("samples", [1, 2], "JSON object"),
+        ("samples", {key: val for key, val in _SAMPLES.items() if key != "values"}, "values"),
+        ("samples", dict(_SAMPLES, weights=[1.0, float("nan")]), "must be finite"),
+        ("rom", {"kind": "rom", "version": 1, "n_p": 1, "A_terms": [], "C_terms": []}, "B_terms"),
+    ],
+    ids=["not-an-object", "no-values", "nan-weight", "rom-no-B_terms"],
+)
+def test_cli_malformed_file_is_usage_error(tmp_path, capsys, kind, payload, message):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    if kind == "samples":
+        argv = ["fit", str(path), "--structure", "lti", "-o", str(tmp_path / "rom.json")]
+    else:
+        argv = ["certify", str(path), "--family", "h2-ct", "--model", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 2  # not 1, which means "certificate fail"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid {kind} file") and message in err
+
+
+def test_cli_certificate_carries_family_default_tolerance(tmp_path):
+    from inspect import signature
+
+    from l2rom import certify
+
+    def write(name, payload):
+        path = str(tmp_path / name)
+        io.write_payload(path, payload)
+        return path
+
+    ones = np.ones((2, 1))
+    lti = write("lti.json", io.rom_to_payload(lti_rom(np.eye(2), np.diag([-1.0, -2.0]), ones, ones.T)))
+    lti_dt = write("lti_dt.json", io.rom_to_payload(lti_rom(np.eye(2), np.diag([0.3, -0.5]), ones, ones.T)))
+    four = np.ones((4, 1))
+    kron = write("kron.json", io.rom_to_payload(
+        kron_rom(np.eye(2), np.diag([-1.0, -2.0]), np.eye(2), np.diag([2.0, 3.0]), four, four.T)
+    ))
+    stat = write("stat.json", io.rom_to_payload(stationary_rom(np.eye(2), np.diag([1.0, 2.0]), ones, ones.T)))
+    model = {}
+    for name, argv in (("ct", ["random-lti", "--n", "6"]), ("dt", ["random-lti", "--n", "6", "--dt"]),
+                       ("kron", ["kron-parametric", "--s-terms", "3", "--xi-terms", "2"]),
+                       ("poisson", ["poisson", "--cells", "8"])):
+        model[name] = str(tmp_path / f"model_{name}.json")
+        assert cli.main(["generate", *argv, "-o", model[name]]) == 0
+    samples = str(tmp_path / "samples.json")
+    assert cli.main(["sample", model["ct"], "--scheme", "logspace 0.1 10 6", "-o", samples]) == 0
+    cases = (
+        ("h2-ct", lti, ["--model", model["ct"]], certify.h2_ct_residuals),
+        ("h2-dt", lti_dt, ["--model", model["dt"]], certify.h2_dt_residuals),
+        ("h2xl2", kron, ["--model", model["kron"]], certify.h2l2_residuals),
+        ("discrete-ls", lti, ["--samples", samples], certify.ls_residuals),
+        ("stationary", stat, ["--model", model["poisson"]], certify.stationary_residuals),
+    )
+    for family, rom, extra, function in cases:
+        out = str(tmp_path / f"{family}.cert.json")
+        assert cli.main(["certify", rom, "--family", family, *extra, "-o", out]) in (0, 1)
+        tolerance = io.read_payload(out, expect_kind="certificate")["tolerance"]
+        assert tolerance == signature(function).parameters["tolerance"].default, family
+    out = str(tmp_path / "explicit.cert.json")
+    cli.main(["certify", lti, "--family", "h2-ct", "--model", model["ct"], "--tol", "0.25", "-o", out])
+    assert io.read_payload(out)["tolerance"] == 0.25
+
+
+def test_cli_stationary_certificate_factors_only_the_rom(tmp_path, monkeypatch):
+    model = str(tmp_path / "m.json")
+    samples = str(tmp_path / "s.json")
+    rom = str(tmp_path / "r.json")
+    report = str(tmp_path / "report.txt")
+    assert cli.main(["generate", "poisson", "--cells", "8", "-o", model]) == 0
+    assert cli.main(["sample", model, "--scheme", "gauss 60", "-o", samples]) == 0
+    assert cli.main(["fit", samples, "--structure", "stationary", "--init", "rb", "--model", model,
+                     "-r", "2", "-o", rom]) == 0
+    shapes = []
+    affine = spectral.pole_residue_affine_singular
+
+    def recording(A1, *args, **kwargs):
+        shapes.append(np.shape(A1))
+        return affine(A1, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "pole_residue_affine_singular", recording)
+    monkeypatch.setattr(cli, "pole_residue_affine_singular", recording, raising=False)
+    assert cli.main(["certify", rom, "--family", "stationary", "--model", model]) == 0
+    assert shapes == [(2, 2)]  # the reduced model's form; the full model only through evaluate
+    shapes.clear()
+    assert cli.main(["report", rom, "--family", "stationary", "--model", model, "--points", "30",
+                     "-o", report]) == 0
+    assert shapes == [(2, 2)]
+    rows = np.loadtxt(report)  # columns p, Y, Yhat, Y - Yhat
+    assert rows.shape == (30, 4)
+    assert np.max(np.abs(rows[:, 3])) <= 1e-3 * np.max(np.abs(rows[:, 1]))
