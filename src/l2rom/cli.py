@@ -37,6 +37,10 @@ EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# The stationary report draws no point this close to [a, b] (see
+# _stationary_grid): the interval rules resolve Y only about 1 % away.
+STATIONARY_REPORT_GAP = 0.02
+
 FAMILY_FLAGS = {
     "h2-ct": "H2_CT",
     "h2-dt": "H2_DT",
@@ -244,6 +248,26 @@ def cmd_certify(args):
     return EXIT_OK if cert.passed else EXIT_CERT_FAIL
 
 
+def _stationary_grid(poles, interval, points):
+    """The points of a linear grid around the reduced poles that lie clear of [a, b].
+
+    The grid reaches half a pole's distance from 0 beyond the outermost
+    poles.  Points within STATIONARY_REPORT_GAP of the interval, in the
+    variable of the interval rule (ln t when 0 < a, t / (b - a) otherwise),
+    are dropped: the quadrature cannot resolve Y there.
+    """
+    grid = np.linspace(poles.min() - 0.5 * abs(poles.min()), poles.max() + 0.5 * abs(poles.max()), points)
+    a, b, gap = interval.a, interval.b, STATIONARY_REPORT_GAP
+    if a > 0:
+        lo, hi = a * np.exp(-gap), b * np.exp(gap)
+    else:
+        lo, hi = a - gap * (b - a), b + gap * (b - a)
+    grid = grid[(grid < lo) | (grid > hi)]
+    if len(grid) == 0:
+        raise UsageError(f"no report point around the reduced poles lies clear of the interval [{a:g}, {b:g}]")
+    return grid
+
+
 def cmd_report(args):
     rom = _load(args.rom, "rom", io.rom_from_payload)
     pr = pole_residue(rom)
@@ -271,9 +295,7 @@ def cmd_report(args):
         lines.append("# columns: p  Y(p)  Yhat(p)  Y(p)-Yhat(p)")
         for lam in poles:
             lines.append(f"# rom-pole {lam:.17g}")
-        lo = poles.min() * 1.5
-        hi = min(poles.max() * 0.5, -1e-3 * (interval.b - interval.a))
-        grid = np.linspace(lo, hi, args.points)
+        grid = _stationary_grid(poles, interval, args.points)
         y = modified_output_eval(fom, interval, grid)[:, 0, 0].real
         yh = modified_output_eval(pr, interval, grid)[:, 0, 0].real
         for p, y_p, yh_p in zip(grid, y, yh):

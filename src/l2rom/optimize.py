@@ -45,13 +45,22 @@ __all__ = [
 IMAG_CANCEL_RTOL = 1e-10
 
 # Line search and curvature memory of fit: the first trial step, its
-# backtracking factor, the Armijo sufficient-decrease constant, the step
-# below which the line search fails, and the (s, y) pairs kept.
+# backtracking factor, the Armijo sufficient-decrease constant, the
+# strong-Wolfe curvature constant that settles a trial tying the current
+# objective, the step below which the line search fails, and the (s, y)
+# pairs kept.
 STEP_INIT = 1.0
 BACKTRACK = 0.5
 SUFFICIENT_DECREASE = 1e-4
+CURVATURE = 0.9
 MIN_STEP = 1e-16
 LBFGS_MEMORY = 10
+
+# Gate of irka_init's Aitken extrapolation: the most the two latest
+# contraction-rate estimates may differ, relative to the latest, and the
+# least cosine between the last two fixed-point residuals.
+AITKEN_RATE_RTOL = 0.1
+AITKEN_ALIGNMENT = 0.99
 
 
 @dataclass(frozen=True)
@@ -313,10 +322,13 @@ def fit(init, data, opts=None):
 
     Limited-memory quasi-Newton with Armijo backtracking; the objective
     trace is monotone non-increasing.  A trial step that makes the operator
-    singular at some sample point is rejected by the line search.  The fit
-    stops, without taking the step, when the
-    accepted step does not strictly decrease the objective ("objective
-    stagnated", not converged).  Returns a FitTrace carrying the final rom.
+    singular at some sample point is rejected by the line search.  A step
+    whose objective ties the current one (a decrease below the objective's
+    resolution) is taken only if the slope along it flattens,
+    |g(x + t d).d| <= CURVATURE |g(x).d| (the strong-Wolfe curvature test);
+    otherwise the fit stops without taking it ("objective stagnated", not
+    converged).  The objective never rises.  Returns a FitTrace carrying
+    the final rom.
     """
     if opts is None:
         opts = FitOptions()
@@ -371,12 +383,13 @@ def fit(init, data, opts=None):
         if t < MIN_STEP:
             trace.message = "line search failed; returning best iterate"
             break
-        if not f_new < f_x:  # Armijo accepted a step below the objective's resolution
-            trace.message = "objective stagnated"
-            break
 
         x_new = x + t * d
         g_new = gradient(x_new)
+        if not f_new < f_x and abs(np.dot(g_new, d)) > CURVATURE * abs(slope):
+            # a tie below the objective's resolution that does not flatten the slope either
+            trace.message = "objective stagnated"
+            break
         s, y = x_new - x, g_new - g
         sy = np.dot(s, y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
@@ -409,39 +422,34 @@ def _mirror(poles, time_domain):
     return sig
 
 
-def _realify_basis(shifts, cols):
-    """Real basis spanning the columns at a conjugation-closed shift set.
+def _conjugate_leads(shifts):
+    """The shifts whose solves span a real basis at a conjugation-closed shift set.
 
-    Real shifts keep their (real) column; each conjugate pair contributes the
-    real and imaginary parts of the member with positive imaginary part.
+    Returns (k, paired) for each real shift (paired False: the real part of
+    its column) and for the first member k of each conjugate pair (paired
+    True: the real and imaginary parts of the column of the member with
+    positive imaginary part span both columns of the pair, so the partner
+    is never solved).
     """
-    n, r = cols.shape
-    out = np.zeros((n, r))
+    r = len(shifts)
     used = np.zeros(r, dtype=bool)
     scale = max(np.max(np.abs(shifts)), 1.0)
-    j = 0
+    leads = []
     for k in range(r):
         if used[k]:
             continue
-        if abs(shifts[k].imag) <= 1e-10 * scale:
-            out[:, j] = cols[:, k].real
-            used[k] = True
-            j += 1
-            continue
-        partner = None
-        for l in range(k + 1, r):
-            if not used[l] and abs(shifts[l] - np.conj(shifts[k])) <= 1e-8 * scale:
-                partner = l
-                break
-        lead = cols[:, k] if shifts[k].imag > 0 else np.conj(cols[:, k])
-        out[:, j] = lead.real
         used[k] = True
-        j += 1
-        if partner is not None and j < r:
-            out[:, j] = lead.imag
+        if abs(shifts[k].imag) <= 1e-10 * scale:
+            leads.append((k, False))
+            continue
+        partner = next(
+            (l for l in range(k + 1, r) if not used[l] and abs(shifts[l] - np.conj(shifts[k])) <= 1e-8 * scale),
+            None,
+        )
+        if partner is not None:
             used[partner] = True
-            j += 1
-    return out[:, :j]
+        leads.append((k, partner is not None))
+    return leads
 
 
 def _orth(mat):
@@ -470,6 +478,96 @@ def _krylov_start(fom, r):
     return basis
 
 
+def _nearest_order(new, old):
+    """Permutation that puts each entry of ``new`` in the slot of its greedily nearest ``old`` entry."""
+    order = np.empty(len(new), dtype=int)
+    remaining = list(range(len(old)))
+    for k, z in enumerate(new):
+        order[remaining.pop(int(np.argmin(np.abs(z - old[remaining]))))] = k
+    return order
+
+
+def _unit_aligned(new, old):
+    """The rows of ``new`` at unit norm, each in the phase that makes its inner product with the row of ``old`` real.
+
+    A tangential direction matters only up to a complex factor; fixing norm
+    and phase against the previous iterate makes successive directions
+    comparable, so that they can be differenced and extrapolated.
+    """
+    inner = np.sum(np.conj(old) * new, axis=1)
+    phase = np.ones_like(inner)
+    turned = np.abs(inner) > 0
+    phase[turned] = np.conj(inner[turned]) / np.abs(inner[turned])
+    return new * (phase / np.linalg.norm(new, axis=1))[:, None]
+
+
+def _split(state, n_i, n_o):
+    """Shifts (r,), right (r, n_i) and left (r, n_o) tangential directions of a flat IRKA iterate."""
+    r = len(state) // (1 + n_i + n_o)
+    return state[:r], state[r : r * (1 + n_i)].reshape(r, n_i), state[r * (1 + n_i) :].reshape(r, n_o)
+
+
+def _irka_map(fom, B, C, state, time_domain):
+    """One evaluation of the IRKA fixed-point map.
+
+    Petrov-Galerkin projection onto the real bases of the primal and
+    adjoint solves at the shifts of ``state``, in its tangential
+    directions; each real shift or conjugate pair costs one factorization.
+    Returns the reduced (E, A, B, C), its poles and the image iterate: the
+    mirrored poles, matched to the shifts (``_nearest_order``), with their
+    right and left residue factors (``_unit_aligned``).
+    """
+    shifts, b_dirs, c_dirs = _split(state, B.shape[1], C.shape[0])
+    v_cols, w_cols = [], []
+    for k, paired in _conjugate_leads(shifts):
+        lu = fom.factor(shifts[k])
+        for cols, x in (
+            (v_cols, lu.solve(B @ b_dirs[k])),
+            (w_cols, lu.solve(C.conj().T @ c_dirs[k], trans="H")),
+        ):
+            x = np.conj(x) if shifts[k].imag < 0 else x
+            cols.append(x.real)
+            if paired:
+                cols.append(x.imag)
+    v, w = _orth(np.column_stack(v_cols)), _orth(np.column_stack(w_cols))
+    reduced = w.T @ (fom.E @ v), w.T @ (fom.A @ v), w.T @ B, C @ v
+    pr = pole_residue_lti(*reduced)
+    mirrored = _mirror(pr.poles, time_domain)
+    order = _nearest_order(mirrored, shifts)
+    image = np.concatenate([
+        mirrored[order],
+        _unit_aligned(pr.right_factors[order], b_dirs).ravel(),
+        _unit_aligned(pr.left_factors[order], c_dirs).ravel(),
+    ])
+    return reduced, pr.poles, image
+
+
+def _aitken(image, residuals, r, time_domain):
+    """The Aitken extrapolation of a steadily contracting IRKA iteration, or None.
+
+    ``residuals`` holds F(z) - z of consecutive plain steps, latest last.
+    From the last three, rho_0 = Re<f1, f0>/|f1|^2 and
+    rho_1 = Re<f2, f1>/|f2|^2 estimate the contraction rate; when
+    |rho_0| < 1, the two agree to AITKEN_RATE_RTOL and f1, f0 are aligned
+    to AITKEN_ALIGNMENT, the limit of the linear iteration is
+    F(z) + rho_0/(1 - rho_0) f0.  A real rho_0 keeps the shifts closed
+    under conjugation.  None when the gate is shut or an extrapolated shift
+    (the first r entries) leaves the admissible region.
+    """
+    if len(residuals) < 3:
+        return None
+    f2, f1, f0 = residuals[-3:]
+    inner = np.vdot(f1, f0)
+    rho0 = inner.real / np.vdot(f1, f1).real
+    rho1 = np.vdot(f2, f1).real / np.vdot(f2, f2).real
+    steady = abs(rho0) < 1.0 and abs(rho0 - rho1) <= AITKEN_RATE_RTOL * abs(rho0)
+    if not (steady and abs(inner) >= AITKEN_ALIGNMENT * np.linalg.norm(f1) * np.linalg.norm(f0)):
+        return None
+    state = image + rho0 / (1.0 - rho0) * f0
+    admissible = np.abs(state[:r]) > 1.0 if time_domain == "dt" else state[:r].real > 0.0
+    return state if np.all(admissible) else None
+
+
 def irka_init(fom, r, tol=1e-10, max_iters=200, time_domain="ct"):
     """Tangential rational Krylov fixed-point iteration for LTI systems.
 
@@ -477,56 +575,64 @@ def irka_init(fom, r, tol=1e-10, max_iters=200, time_domain="ct"):
     (``models.AffineLtiFom``).  The first shifts are the mirror images of
     the poles of the Galerkin projection onto the Krylov space of
     (-A)^{-1} E at s = 0 (``_krylov_start``), so the result is
-    deterministic.  Iterates Petrov-Galerkin projection at the mirror images
-    of the current reduced poles, with tangential directions from the
-    residue factors, until the relative pole movement drops below ``tol``;
-    each shift costs one factorization, a primal and an adjoint solve.
-    Returns an order-r LTI StructuredRom.  Stopping at ``max_iters`` emits a
-    RuntimeWarning; an unstable final iterate (a pole in the closed right
-    half-plane, or on or outside the unit circle for "dt") raises
-    ValueError.
+    deterministic.  Each step projects (Petrov-Galerkin) at the current
+    shifts sigma, in tangential directions from the residue factors, and
+    maps the iterate z (shifts and unit directions) to F(z): the mirror
+    images g of the reduced poles, matched to sigma, and their residue
+    factors (``_irka_map``).  Each real shift or conjugate pair costs one
+    factorization, a primal and an adjoint solve.  The iteration stops when
+    max|g - sigma| <= tol max|g| and returns the order-r LTI StructuredRom
+    projected at sigma.
+
+    A plain step takes z <- F(z).  When three plain steps contract at a
+    steady rate, one step extrapolates instead (``_aitken``).  The next
+    evaluation keeps it only if |F(z) - z| fell below its value before the
+    extrapolation; otherwise the iteration resumes from the plain iterate
+    and extrapolates no more in this call.
+
+    Stopping at ``max_iters`` emits a RuntimeWarning; an unstable final
+    iterate (a pole in the closed right half-plane, or on or outside the
+    unit circle for "dt") raises ValueError.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     E, A = fom.E, fom.A
     B = np.atleast_2d(np.asarray(fom.B, dtype=float))
     C = np.atleast_2d(np.asarray(fom.C, dtype=float))
-    n = fom.n
-    if r >= n:
+    if r >= fom.n:
         return lti_rom(_dense(E), _dense(A), B, C)
 
     v0 = _krylov_start(fom, r)
     lam0 = np.linalg.eigvals(np.linalg.solve(v0.T @ (E @ v0), v0.T @ (A @ v0)))
-    shifts = _mirror(lam0.astype(complex), time_domain)  # complex shifts factor complex operators
-    b_dirs = np.ones((r, B.shape[1]), dtype=complex)
-    c_dirs = np.ones((r, C.shape[0]), dtype=complex)
+    n_i, n_o = B.shape[1], C.shape[0]
+    state = np.concatenate([
+        _mirror(lam0.astype(complex), time_domain),  # complex shifts factor complex operators
+        np.full(r * n_i, 1.0 / np.sqrt(n_i)),
+        np.full(r * n_o, 1.0 / np.sqrt(n_o)),
+    ])
 
+    residuals = []  # F(z) - z of consecutive plain steps
+    extrapolate = True
+    fallback = None  # the plain iterate and |F(z) - z| before an extrapolation
     for _ in range(max_iters):
-        v_cols = np.zeros((n, r), dtype=complex)
-        w_cols = np.zeros((n, r), dtype=complex)
-        for k in range(r):
-            lu = fom.factor(shifts[k])
-            v_cols[:, k] = lu.solve(B @ b_dirs[k])
-            w_cols[:, k] = lu.solve(C.conj().T @ c_dirs[k], trans="H")
-        v = _orth(_realify_basis(shifts, v_cols))
-        w = _orth(_realify_basis(shifts, w_cols))
-        e_r, a_r, b_r, c_r = w.T @ (E @ v), w.T @ (A @ v), w.T @ B, C @ v
-        rom = lti_rom(e_r, a_r, b_r, c_r)
-        pr = pole_residue_lti(e_r, a_r, b_r, c_r)
-        new_shifts = _mirror(pr.poles, time_domain)
-        # match old and new shifts greedily for the movement measure
-        move = 0.0
-        remaining = list(range(r))
-        for k in range(r):
-            dists = [abs(new_shifts[k] - shifts[l]) for l in remaining]
-            l = remaining.pop(int(np.argmin(dists)))
-            move = max(move, abs(new_shifts[k] - shifts[l]))
-        scale = max(np.max(np.abs(new_shifts)), 1e-300)
-        shifts = new_shifts
-        b_dirs = pr.right_factors
-        c_dirs = pr.left_factors
+        reduced, poles, image = _irka_map(fom, B, C, state, time_domain)
+        residual = image - state
+        if fallback is not None:
+            (plain, before), fallback = fallback, None
+            if not np.linalg.norm(residual) < before:  # the extrapolation did not help: undo it
+                state, extrapolate = plain, False
+                continue
+            residuals = []
+        move = np.max(np.abs(residual[:r]))
+        scale = max(np.max(np.abs(image[:r])), 1e-300)
         if move <= tol * scale:
             break
+        residuals = [*residuals[-2:], residual]
+        state = image
+        jump = _aitken(image, residuals, r, time_domain) if extrapolate else None
+        if jump is not None:
+            fallback = (image, np.linalg.norm(residual))
+            state = jump
     else:
         warnings.warn(
             f"irka_init stopped at max_iters={max_iters} with relative shift "
@@ -534,10 +640,10 @@ def irka_init(fom, r, tol=1e-10, max_iters=200, time_domain="ct"):
             RuntimeWarning,
             stacklevel=2,
         )
-    unstable = np.abs(pr.poles) >= 1.0 if time_domain == "dt" else pr.poles.real >= 0.0
+    unstable = np.abs(poles) >= 1.0 if time_domain == "dt" else poles.real >= 0.0
     if np.any(unstable):
-        raise ValueError(f"irka_init produced an unstable reduced model (poles {pr.poles})")
-    return rom
+        raise ValueError(f"irka_init produced an unstable reduced model (poles {poles})")
+    return lti_rom(*reduced)
 
 
 def greedy_rb_init(fom, r, candidates):

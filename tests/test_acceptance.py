@@ -160,7 +160,10 @@ def test_penzl_reproduction():
     assert np.max(np.abs(pr.poles.imag)) <= 1e-6 * np.max(np.abs(pr.poles))
     assert abs(poles[0] - (-431.00)) <= 0.01 * 431.00
     assert abs(poles[1] - (-4.7984)) <= 0.01 * 4.7984
-    cert = ls_residuals(data, pr, tolerance=1e-6)
+    # ties below the objective's resolution are settled by the curvature test,
+    # so the fit reaches its gradient tolerance
+    assert trace.converged, trace.message
+    cert = ls_residuals(data, pr, tolerance=1e-10)
     assert cert.passed, f"least-squares certificate residual {cert.max_residual:.2e}"
     assert time.monotonic() - start < 300.0
 

@@ -306,3 +306,25 @@ def test_cli_stationary_certificate_factors_only_the_rom(tmp_path, monkeypatch):
     rows = np.loadtxt(report)  # columns p, Y, Yhat, Y - Yhat
     assert rows.shape == (30, 4)
     assert np.max(np.abs(rows[:, 3])) <= 1e-3 * np.max(np.abs(rows[:, 1]))
+
+
+def test_cli_stationary_report_grid_stays_outside_the_interval(tmp_path):
+    # poles 12 and 15 lie beyond b = 10: the grid around them crosses [a, b]
+    model = str(tmp_path / "m.json")
+    rom = str(tmp_path / "r.json")
+    report = str(tmp_path / "report.txt")
+    assert cli.main(["generate", "poisson", "--cells", "8", "-o", model]) == 0
+    io.write_payload(rom, io.rom_to_payload(
+        stationary_rom(np.eye(2), np.diag([-1 / 12, -1 / 15]), np.ones((2, 1)), np.ones((1, 2)))
+    ))
+    assert cli.main(["certify", rom, "--family", "stationary", "--model", model]) == 1
+    assert cli.main(["report", rom, "--family", "stationary", "--model", model, "-o", report]) == 0
+    grid = np.loadtxt(report)[:, 0]
+    a, b = io.model_from_payload(io.read_payload(model, expect_kind="model")).interval
+    assert len(grid) > 0 and np.all((grid < a) | (grid > b))
+    assert grid.min() <= 12.0 and grid.max() >= 15.0
+    # poles 1 and 5 inside [a, b]: the whole grid would lie on the interval
+    io.write_payload(rom, io.rom_to_payload(
+        stationary_rom(np.eye(2), np.diag([-1.0, -1 / 5]), np.ones((2, 1)), np.ones((1, 2)))
+    ))
+    assert cli.main(["report", rom, "--family", "stationary", "--model", model, "-o", report]) == 2

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from l2rom import optimize
+from l2rom.certify import h2_ct_residuals
 from l2rom.core import SampleSet, batch_states, kron_rom, lti_rom, stationary_rom
 from l2rom.models import (
     AffineLtiFom,
@@ -189,6 +191,19 @@ def test_fit_monotone_and_converges():
         assert trace.grad_norms[-1] <= 1e-8 * trace.grad_norms[0]
 
 
+def test_fit_stops_on_a_tie_that_fails_the_curvature_test(monkeypatch):
+    # an objective that cannot resolve any decrease: Armijo accepts a tiny
+    # step that ties, where the slope is as steep as before
+    target = small_lti(r=2, n_i=1, n_o=1, seed=20)
+    data = axis_samples(target)
+    init = small_lti(r=2, n_i=1, n_o=1, seed=21)
+    monkeypatch.setattr(optimize, "l2_objective", lambda rom, data: 1.0)
+    trace = fit(init, data)
+    assert trace.message == "objective stagnated"
+    assert not trace.converged and trace.iterations == 0
+    assert trace.objectives == [1.0]
+
+
 def test_fit_zero_iterations_at_optimum():
     rom = small_lti(seed=22)
     data = axis_samples(rom)
@@ -323,6 +338,93 @@ def test_irka_penzl_same_poles_under_perturbed_solves():
     for seed in range(12):
         poles = _irka_poles(_PerturbedSolves(fom, 1e-14, seed))
         assert np.allclose(poles, reference, rtol=1e-6, atol=0.0), f"seed {seed}: poles {poles}"
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends its arguments to the returned list."""
+    calls, wrapped = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_irka_penzl_in_few_map_evaluations(monkeypatch):
+    # the plain fixed-point iteration contracts at a steady 0.716 per step
+    # (56 evaluations); gated Aitken extrapolation cuts that to about a third
+    evaluations = _count_calls(monkeypatch, optimize, "pole_residue_lti")
+    poles = _irka_poles(make_penzl())
+    assert len(evaluations) <= 20
+    assert np.allclose(poles, [-310.37496096, -0.93481001], rtol=1e-6, atol=0.0)
+
+
+class _CountedFactors:
+    """A FOM that counts its factorizations."""
+
+    def __init__(self, fom):
+        self.fom, self.factors = fom, 0
+
+    def __getattr__(self, name):
+        return getattr(self.fom, name)
+
+    def factor(self, s):
+        self.factors += 1
+        return self.fom.factor(s)
+
+
+def test_irka_factors_one_member_per_conjugate_pair(monkeypatch):
+    fom = _CountedFactors(make_random_stable(30, seed=31))
+    evaluations = _count_calls(monkeypatch, optimize, "pole_residue_lti")
+    poles = pole_residue(irka_init(fom, 4)).poles
+    assert np.sum(np.abs(poles.imag) > 1e-8) == 2  # one conjugate pair, two real poles
+    # one factorization for the Krylov start, then three per evaluation
+    assert fom.factors == 1 + 3 * len(evaluations)
+
+
+def _guard_rejections(maps):
+    """Evaluations that resumed from the plain iterate saved before an extrapolation.
+
+    ``maps`` holds (iterate, image) per evaluation; a plain step evaluates
+    the previous image, a rejected extrapolation the one before it.
+    """
+    return sum(
+        np.array_equal(maps[k][0], maps[k - 2][1]) and not np.array_equal(maps[k][0], maps[k - 1][1])
+        for k in range(2, len(maps))
+    )
+
+
+def test_irka_fixed_points_satisfy_h2_conditions(monkeypatch):
+    # the extrapolated iteration must still end at a fixed point: the
+    # interpolation conditions of continuous-time H2 are the oracle
+    maps = []
+    plain_map = optimize._irka_map
+
+    def recording(fom, B, C, state, time_domain):
+        out = plain_map(fom, B, C, state, time_domain)
+        maps.append((state.copy(), out[2].copy()))
+        return out
+
+    monkeypatch.setattr(optimize, "_irka_map", recording)
+    cases = [(20 + seed, io, io, r, seed) for io in (1, 2) for r in (2, 4) for seed in range(2, 8)]
+    cases.append((39, 3, 2, 4, 19))  # its guard rejects an extrapolation
+    certified = rejected = 0
+    for n, n_i, n_o, r, seed in cases:
+        fom = make_random_stable(n, n_i, n_o, seed=seed)
+        maps.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rom = irka_init(fom, r)
+        rejected += _guard_rejections(maps)
+        if caught:
+            continue
+        cert = h2_ct_residuals(fom, pole_residue(rom), tolerance=1e-6)
+        assert cert.passed, f"n={n} {n_i}x{n_o} r={r} seed={seed}: residual {cert.max_residual:.2e}"
+        certified += 1
+    assert certified >= len(cases) - 2
+    assert rejected >= 1
 
 
 def test_irka_rejects_unstable_model():
