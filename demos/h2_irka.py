@@ -31,7 +31,7 @@ print(f"continuous H2, n=30 -> r=4: max residual {cert.max_residual:.3e} "
 # discrete time, n = 20 with 2 inputs / 2 outputs
 fom = make_random_stable(20, 2, 2, seed=73, time_domain="dt")
 data = sample_unit_circle(fom, 512)
-init = irka_init(fom, 4, time_domain="dt")
+init = irka_init(fom, 4)
 trace = fit(init, data, FitOptions(max_iters=300))
 cert = h2_dt_residuals(fom, pole_residue(trace.rom), tolerance=1e-4)
 print(f"discrete H2, n=20 2x2 -> r=4: max residual {cert.max_residual:.3e} "

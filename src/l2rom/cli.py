@@ -162,7 +162,13 @@ def cmd_fit(args):
     if args.init == "file":
         if not args.init_file:
             raise UsageError("--init file requires --init-file")
-        inits = [_load(args.init_file, "rom", io.rom_from_payload)]
+        init = _load(args.init_file, "rom", io.rom_from_payload)
+        wanted, found = "lti" if args.structure == "lti-dt" else args.structure, rom_structure(init)
+        if found != wanted:
+            raise UsageError(
+                f"--structure {args.structure} requires a {wanted} rom, {args.init_file} holds a {found} rom"
+            )
+        inits = [init]
     elif args.init == "random":
         inits = [_random_rom(args.structure, args, rng) for _ in range(max(args.restarts, 1))]
     else:
@@ -172,8 +178,7 @@ def cmd_fit(args):
         if args.init == "irka":
             if args.structure not in ("lti", "lti-dt"):
                 raise UsageError("irka initialization applies to lti structures")
-            td = "dt" if args.structure == "lti-dt" else "ct"
-            inits = [irka_init(fom, args.order, time_domain=td)]
+            inits = [irka_init(fom, args.order)]
         elif args.init == "rb":
             if args.structure != "stationary":
                 raise UsageError("rb initialization applies to the stationary structure")
@@ -402,13 +407,12 @@ def main(argv=None):
 
     parser, sub_map = build_parser()
     args = parser.parse_args(argv)
-    subparser = sub_map[args.command]
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr):
-            # command-line flags win; config only fills parser defaults
-            if subparser.get_default(attr) == getattr(args, attr):
-                setattr(args, attr, value)
+    if config:
+        # the config replaces the defaults of the subcommand's flags, so explicit flags win
+        defaults = {key.replace("-", "_"): value for key, value in config.items()}
+        flags = {k: v for k, v in defaults.items() if hasattr(args, k) and k != "func"}
+        sub_map[args.command].set_defaults(**flags)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 
+# Relative tolerance of check_conjugation_closure on points, values and weights.
+CLOSURE_TOL = 1e-12
+
+
 class SingularOperatorError(ValueError):
     """A(p) is numerically singular at one of a batch of parameter points.
 
@@ -214,12 +218,13 @@ class SampleSet:
         return self.values.shape[2]
 
 
-def check_conjugation_closure(samples, tol=1e-12):
+def check_conjugation_closure(samples):
     """Check that for every sample there is a conjugate partner.
 
-    Sample j partners sample i when its point is within tol * max(1, max|p|)
-    of conj(p_i) in every coordinate, its value within tol * max(1, max|y|)
-    of conj(y_i) entrywise, and its weight within tol * max(1, w_i) of w_i.
+    With tol = CLOSURE_TOL, sample j partners sample i when its point is
+    within tol * max(1, max|p|) of conj(p_i) in every coordinate, its value
+    within tol * max(1, max|y|) of conj(y_i) entrywise, and its weight
+    within tol * max(1, w_i) of w_i.
     Returns (ok, violations) where violations lists the offending indices.
 
     Candidates come from a sort: the points are ordered by a fixed generic
@@ -228,7 +233,7 @@ def check_conjugation_closure(samples, tol=1e-12):
     tolerance allows around the projection of conj(p_i), found by binary
     search.  Only those candidates are tested.
     """
-    pts, vals, wts = samples.points, samples.values, samples.weights
+    pts, vals, wts, tol = samples.points, samples.values, samples.weights, CLOSURE_TOL
     n_p = pts.shape[1]
     scale_p = max(1.0, float(np.max(np.abs(pts))))
     scale_v = max(1.0, float(np.max(np.abs(vals))))

@@ -16,7 +16,7 @@ import tempfile
 import numpy as np
 
 from .certify import Certificate, CertificateRow
-from .core import KronStructure, SampleSet, ScalarFamily, StructuredRom
+from .core import SampleSet, ScalarFamily, StructuredRom, kron_rom
 
 __all__ = [
     "FORMAT_VERSION",
@@ -34,6 +34,9 @@ __all__ = [
 FORMAT_VERSION = 1
 KINDS = ("model", "samples", "rom", "certificate", "trace")
 MODEL_NAMES = ("penzl", "poisson", "random-lti", "kron-parametric")
+# Largest difference between the stored A-terms of a kron rom file and the
+# Kronecker products of its factors, relative to the largest stored entry.
+KRON_TERMS_RTOL = 1e-12
 
 
 def _encode_complex_array(arr):
@@ -138,19 +141,39 @@ def rom_to_payload(rom):
     return payload
 
 
+def _families(rom):
+    return [fam for fam, _ in rom.A_terms + rom.B_terms + rom.C_terms]
+
+
 def rom_from_payload(payload):
+    """Decode a rom file.
+
+    A kron rom is rebuilt from its factors (``kron_rom``); its stored terms
+    must carry the scalar families of the Kronecker operator and its stored
+    A-terms must equal the Kronecker products of the factors to within
+    KRON_TERMS_RTOL, relative to the largest stored entry, or ValueError
+    is raised.
+    """
     n_p = int(payload["n_p"])
-    kron = None
-    if payload.get("kron") is not None:
-        kron = KronStructure(
-            **{name: np.asarray(mat, dtype=float) for name, mat in payload["kron"].items()}
-        )
-    return StructuredRom(
+    stored = StructuredRom(
         A_terms=_terms_from_list(payload["A_terms"], n_p),
         B_terms=_terms_from_list(payload["B_terms"], n_p),
         C_terms=_terms_from_list(payload["C_terms"], n_p),
-        kron=kron,
     )
+    if payload.get("kron") is None:
+        return stored
+    factors = (np.asarray(payload["kron"][name], dtype=float) for name in ("E", "A", "E_xi", "A_xi"))
+    rom = kron_rom(*factors, stored.B_terms[0][1], stored.C_terms[0][1])
+    if rom.r != stored.r or _families(rom) != _families(stored):
+        raise ValueError("kron rom terms do not match the structure of its factors")
+    pairs = [(mat, built) for (_, mat), (_, built) in zip(stored.A_terms, rom.A_terms)]
+    scale = max(max(np.max(np.abs(mat)) for mat, _ in pairs), 1e-300)
+    gap = max(np.max(np.abs(mat - built)) for mat, built in pairs) / scale
+    if gap > KRON_TERMS_RTOL:
+        raise ValueError(
+            f"kron rom A-terms differ from the Kronecker products of its factors ({gap:.2e} relative)"
+        )
+    return rom
 
 
 def certificate_to_payload(cert):

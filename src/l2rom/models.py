@@ -468,18 +468,18 @@ def sample_stationary(fom, num_nodes):
     return SampleSet(points=nodes.astype(complex)[:, None], values=values, weights=weights)
 
 
-def sample_h2l2(fom, n_s=96, n_xi=64, omega_scale=1.0):
+def sample_h2l2(fom, n_s=96, n_xi=64):
     """Quadrature of the product measure (imaginary axis) x (unit circle).
 
-    The infinite frequency integral is mapped through omega = scale * tan(t)
-    and discretized with Gauss-Legendre; the circle uses the uniform
-    trapezoid rule.  Weights absorb the 1/(4 pi^2) normalization.
+    The infinite frequency integral is mapped through omega = tan(t) and
+    discretized with Gauss-Legendre; the circle uses the uniform trapezoid
+    rule.  Weights absorb the 1/(4 pi^2) normalization.
     """
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_s)
     t_nodes = 0.5 * np.pi * t_nodes
     t_weights = 0.5 * np.pi * t_weights
-    omega = omega_scale * np.tan(t_nodes)
-    w_s = omega_scale * t_weights / np.cos(t_nodes) ** 2 / (2.0 * np.pi)
+    omega = np.tan(t_nodes)
+    w_s = t_weights / np.cos(t_nodes) ** 2 / (2.0 * np.pi)
 
     if n_xi < 2 or n_xi % 2:
         raise ValueError("circle node count must be even and at least 2")

@@ -18,7 +18,6 @@ from .core import (
     SingularOperatorError,
     StructuredRom,
     batch_states,
-    check_conjugation_closure,
     eval_family,
     kron_rom,
     lti_rom,
@@ -38,11 +37,6 @@ __all__ = [
     "irka_init",
     "greedy_rb_init",
 ]
-
-# Imaginary parts of the gradient sums must cancel when the sample set is
-# closed under conjugation; anything above this (relative) indicates a bug
-# or a non-closed measure.
-IMAG_CANCEL_RTOL = 1e-10
 
 # Line search and curvature memory of fit: the first trial step, its
 # backtracking factor, the Armijo sufficient-decrease constant, the
@@ -128,78 +122,41 @@ def l2_objective(rom, data):
     return float(np.sum(data.weights * np.sum(np.abs(err) ** 2, axis=(1, 2))))
 
 
-def _realify(grads, closed, what, gross):
-    """Drop the imaginary parts after checking that they cancel.
-
-    ``gross`` is the magnitude of the summands before cancellation; the
-    leftover imaginary parts are round-off relative to that scale, not to
-    the (possibly tiny) gradient itself.
-    """
-    scale = max(max(np.max(np.abs(g)) for g in grads), gross, 1e-300)
-    imag = max(np.max(np.abs(g.imag)) for g in grads)
-    if imag > IMAG_CANCEL_RTOL * scale:
-        if closed:
-            raise ValueError(
-                f"{what} gradients have non-cancelling imaginary parts "
-                f"({imag:.2e} vs scale {scale:.2e}) despite conjugation-closed data"
-            )
-        warnings.warn(
-            f"{what} gradients have imaginary parts {imag:.2e} (scale {scale:.2e}); "
-            "the sample set is not closed under conjugation, taking real parts",
-            stacklevel=3,
-        )
-    return [np.ascontiguousarray(g.real) for g in grads]
-
-
 def _complex_gradients(rom, data):
-    """Per-term complex gradient sums before realification.
+    """Per-term complex gradient sums, whose real parts are the gradients.
 
-    Also returns the magnitude of the largest summand stack (the scale
-    against which imaginary-part cancellation is judged).
+    The objective is a real function of the real rom matrices, so its
+    gradient is the real part of these sums for any sample set; closure
+    under conjugation only makes the imaginary parts cancel.
     """
     x, x_d, y_hat = batch_states(rom, data.points)
     err = y_hat - data.values  # (N, n_o, n_i)
     w = 2.0 * data.weights
-
-    e_mag = np.max(np.abs(err), axis=(1, 2))
-    x_mag = np.max(np.abs(x), axis=(1, 2))
-    d_mag = np.max(np.abs(x_d), axis=(1, 2))
-    gross = 0.0
 
     dA = []
     for fam, _ in rom.A_terms:
         coeff = w * np.conj(eval_family(fam, data.points))
         # x_d (p) [y - yhat] x(p)^*
         dA.append(np.einsum("n,nro,noi,nsi->rs", coeff, x_d, -err, np.conj(x)))
-        gross = max(gross, float(np.sum(np.abs(coeff) * d_mag * e_mag * x_mag)))
     dB = []
     for fam, _ in rom.B_terms:
         coeff = w * np.conj(eval_family(fam, data.points))
         dB.append(np.einsum("n,nro,noi->ri", coeff, x_d, err))
-        gross = max(gross, float(np.sum(np.abs(coeff) * d_mag * e_mag)))
     dC = []
     for fam, _ in rom.C_terms:
         coeff = w * np.conj(eval_family(fam, data.points))
         dC.append(np.einsum("n,noi,nri->or", coeff, err, np.conj(x)))
-        gross = max(gross, float(np.sum(np.abs(coeff) * e_mag * x_mag)))
-    return dA, dB, dC, gross
+    return dA, dB, dC
 
 
-def l2_gradients(rom, data, closed=None):
-    """Gradients of l2_objective with respect to every rom matrix.
+def _real(grads):
+    return [np.ascontiguousarray(g.real) for g in grads]
 
-    ``closed`` states whether the sample set is conjugation-closed (checked
-    here when None).  Closure makes the imaginary parts of the gradient sums
-    cancel; they are verified small and dropped.  Non-closed data only earns
-    a warning.
-    """
-    if closed is None:
-        closed, _ = check_conjugation_closure(data)
-    dA, dB, dC, gross = _complex_gradients(rom, data)
-    k = len(dA)
-    m = len(dB)
-    real = _realify(dA + dB + dC, closed, "matrix", gross)
-    return GradientBundle(dA=real[:k], dB=real[k : k + m], dC=real[k + m :])
+
+def l2_gradients(rom, data):
+    """Gradients of l2_objective with respect to every rom matrix."""
+    dA, dB, dC = _complex_gradients(rom, data)
+    return GradientBundle(dA=_real(dA), dB=_real(dB), dC=_real(dC))
 
 
 def kron_factor_gradient(grad_f, side, factor):
@@ -228,31 +185,24 @@ def kron_factor_gradient(grad_f, side, factor):
     return np.einsum("kl,kalb->ab", np.conj(factor), g4)
 
 
-def l2_gradients_kron(rom, data, closed=None):
+def l2_gradients_kron(rom, data):
     """Gradients with respect to the Kronecker factors E, A, E_xi, A_xi.
 
     Chains the four operator-term gradients of the structured operator
-    (sE - A) kron (xi E_xi - A_xi) through kron_factor_gradient.
+    (sE - A) kron (xi E_xi - A_xi) through kron_factor_gradient and takes
+    the real parts after the chain.
     """
     ks = rom.kron
     if ks is None:
         raise ValueError("rom has no Kronecker structure")
-    if closed is None:
-        closed, _ = check_conjugation_closure(data)
-    dA_big, dB, dC, gross = _complex_gradients(rom, data)
+    dA_big, dB, dC = _complex_gradients(rom, data)
     g_ee, g_ea, g_ae, g_aa = dA_big  # terms s*xi, -s, -xi, 1
     dE = kron_factor_gradient(g_ee, "left", ks.E_xi) + kron_factor_gradient(g_ea, "left", ks.A_xi)
     dA = kron_factor_gradient(g_ae, "left", ks.E_xi) + kron_factor_gradient(g_aa, "left", ks.A_xi)
     dE_xi = kron_factor_gradient(g_ee, "right", ks.E) + kron_factor_gradient(g_ae, "right", ks.A)
     dA_xi = kron_factor_gradient(g_ea, "right", ks.E) + kron_factor_gradient(g_aa, "right", ks.A)
-    m = len(dB)
-    factor_mag = max(np.max(np.abs(f)) for f in (ks.E, ks.A, ks.E_xi, ks.A_xi))
-    real = _realify(
-        [dE, dA, dE_xi, dA_xi] + dB + dC, closed, "Kronecker-factor", gross * max(1.0, factor_mag)
-    )
-    return KronGradientBundle(
-        dE=real[0], dA=real[1], dE_xi=real[2], dA_xi=real[3], dB=real[4 : 4 + m], dC=real[4 + m :]
-    )
+    dE, dA, dE_xi, dA_xi = _real([dE, dA, dE_xi, dA_xi])
+    return KronGradientBundle(dE=dE, dA=dA, dE_xi=dE_xi, dA_xi=dA_xi, dB=_real(dB), dC=_real(dC))
 
 
 def _pack_rom(rom):
@@ -332,7 +282,6 @@ def fit(init, data, opts=None):
     """
     if opts is None:
         opts = FitOptions()
-    closed, _ = check_conjugation_closure(data)
 
     def objective(vec):
         try:
@@ -344,8 +293,8 @@ def fit(init, data, opts=None):
     def gradient(vec):
         rom = _unpack_rom(init, vec)
         if rom.kron is not None:
-            return _pack_grads(l2_gradients_kron(rom, data, closed=closed))
-        return _pack_grads(l2_gradients(rom, data, closed=closed))
+            return _pack_grads(l2_gradients_kron(rom, data))
+        return _pack_grads(l2_gradients(rom, data))
 
     trace = FitTrace()
     x = _pack_rom(init)
@@ -568,12 +517,13 @@ def _aitken(image, residuals, r, time_domain):
     return state if np.all(admissible) else None
 
 
-def irka_init(fom, r, tol=1e-10, max_iters=200, time_domain="ct"):
+def irka_init(fom, r, tol=1e-10, max_iters=200):
     """Tangential rational Krylov fixed-point iteration for LTI systems.
 
-    ``fom`` exposes E, A, B, C and ``factor(s)``, the factored s E - A
-    (``models.AffineLtiFom``).  The first shifts are the mirror images of
-    the poles of the Galerkin projection onto the Krylov space of
+    ``fom`` exposes E, A, B, C, ``factor(s)``, the factored s E - A, and
+    ``time_domain``, "ct" or "dt" (``models.AffineLtiFom``), which sets the
+    mirror images and the stability test.  The first shifts are the mirror
+    images of the poles of the Galerkin projection onto the Krylov space of
     (-A)^{-1} E at s = 0 (``_krylov_start``), so the result is
     deterministic.  Each step projects (Petrov-Galerkin) at the current
     shifts sigma, in tangential directions from the residue factors, and
@@ -596,7 +546,7 @@ def irka_init(fom, r, tol=1e-10, max_iters=200, time_domain="ct"):
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    E, A = fom.E, fom.A
+    E, A, time_domain = fom.E, fom.A, fom.time_domain
     B = np.atleast_2d(np.asarray(fom.B, dtype=float))
     C = np.atleast_2d(np.asarray(fom.C, dtype=float))
     if r >= fom.n:

@@ -277,17 +277,17 @@ def _is_symmetric(op, tol):
     return abs(op - op.T).max() <= tol
 
 
-def pole_residue_affine_singular(A1, A2, B, C, rank_rtol=None):
+def pole_residue_affine_singular(A1, A2, B, C):
     """Pole-residue form (with constant term) of C (A1 + p A2)^{-1} B.
 
     A2 may be rank-deficient; its numerical rank is determined from the
-    singular values at threshold max(n) * eps * sigma_max unless a relative
-    threshold is supplied.  Uses a low-rank update identity on A1; symmetric
-    pencils with A1 positive definite take a symmetric eigensolver path that
-    tolerates repeated eigenvalues and projects B and C without forming the
-    eigenvectors (an A1 whose Cholesky factorization fails falls back to the
-    general path).  A1 and A2 may be
-    dense arrays or scipy sparse matrices.  Indices i whose row and column
+    singular values (eigenvalues on the symmetric path) at threshold
+    max(n) * eps times the largest.  Uses a low-rank update identity on A1;
+    symmetric pencils with A1 positive definite take a symmetric eigensolver
+    path that tolerates repeated eigenvalues and projects B and C without
+    forming the eigenvectors (an A1 whose Cholesky factorization fails falls
+    back to the general path).  A1 and A2 may be dense arrays or scipy
+    sparse matrices.  Indices i whose row and column
     are zero in A2 and zero off the diagonal in A1 (a nonzero a1_ii) are
     decoupled: they add C[:, i] B[i, :] / a1_ii to the constant term and are
     left out of the eigenproblem.  The rest is densified once.
@@ -295,10 +295,7 @@ def pole_residue_affine_singular(A1, A2, B, C, rank_rtol=None):
     A1, A2 = (op if hasattr(op, "tocoo") else np.asarray(op, dtype=float) for op in (A1, A2))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    if rank_rtol is None:
-        rank_rtol_eff = max(A2.shape) * np.finfo(float).eps
-    else:
-        rank_rtol_eff = rank_rtol
+    rank_rtol = max(A2.shape) * np.finfo(float).eps
 
     diag = np.asarray(A1.diagonal(), dtype=float)
     coupled = diag == 0.0
@@ -317,11 +314,11 @@ def pole_residue_affine_singular(A1, A2, B, C, rank_rtol=None):
     if _is_symmetric(A1, sym_tol) and _is_symmetric(A2, sym_tol):
         projected = _symmetric_eig_projections(_dense_block(A2, keep), _dense_block(A1, keep), B, C)
         if projected is not None:
-            return _pole_residue_affine_symmetric(*projected, constant, rank_rtol_eff)
+            return _pole_residue_affine_symmetric(*projected, constant, rank_rtol)
 
     A1, A2 = _dense_block(A1, keep), _dense_block(A2, keep)
     W, sigma, Zt = np.linalg.svd(A2)
-    n2 = int(np.sum(sigma > rank_rtol_eff * sigma[0]))
+    n2 = int(np.sum(sigma > rank_rtol * sigma[0]))
     if n2 == 0:
         raise ValueError("A2 is numerically zero; the map has no finite poles")
     U = W[:, :n2] * sigma[:n2]

@@ -102,6 +102,50 @@ def test_trace_payload():
     assert payload["converged"] is True
 
 
+def test_kron_rom_file_must_match_its_factors(tmp_path, capsys):
+    rom = kron_rom(np.eye(2), -np.eye(2) + 0.1 * rng.standard_normal((2, 2)), np.eye(2), 2 * np.eye(2),
+                   rng.standard_normal((4, 1)), rng.standard_normal((1, 4)))
+    payload = io.rom_to_payload(rom)
+    assert roms_equal(io.rom_from_payload(json.loads(json.dumps(payload))), rom)
+    payload["A_terms"][1]["matrix"] = (5.0 * np.asarray(payload["A_terms"][1]["matrix"])).tolist()
+    with pytest.raises(ValueError, match="Kronecker products"):
+        io.rom_from_payload(payload)
+    path = tmp_path / "rom.json"
+    io.write_payload(path, payload)
+    argv = ["certify", str(path), "--family", "h2xl2", "--model", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: invalid rom file")
+
+
+def test_cli_fit_init_file_must_match_structure(tmp_path):
+    model = str(tmp_path / "m.json")
+    samples = str(tmp_path / "s.json")
+    init = str(tmp_path / "init.json")
+    cli.main(["generate", "random-lti", "--n", "6", "-o", model])
+    cli.main(["sample", model, "--scheme", "logspace 0.1 1 4", "-o", samples])
+    rom = lti_rom(np.eye(2), -np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+    io.write_payload(init, io.rom_to_payload(rom))
+    argv = ["fit", samples, "--init", "file", "--init-file", init, "--max-iters", "2",
+            "-o", str(tmp_path / "r.json")]
+    assert cli.main([*argv, "--structure", "stationary"]) == 2
+    assert cli.main([*argv, "--structure", "lti"]) == 0
+    assert cli.main([*argv, "--structure", "lti-dt"]) == 0  # lti-dt only shapes the random start
+
+
+def test_cli_irka_takes_the_time_domain_from_the_model(tmp_path):
+    model = str(tmp_path / "m.json")
+    samples = str(tmp_path / "s.json")
+    cli.main(["generate", "random-lti", "--dt", "--n", "20", "-o", model])
+    cli.main(["sample", model, "--scheme", "circle 64", "-o", samples])
+    roms = []
+    for structure in ("lti", "lti-dt"):
+        out = str(tmp_path / f"{structure}.json")
+        argv = ["fit", samples, "--structure", structure, "--init", "irka", "--model", model, "-r", "2", "-o", out]
+        assert cli.main(argv) == 0
+        roms.append(io.rom_from_payload(io.read_payload(out, expect_kind="rom")))
+    assert roms_equal(*roms)
+
+
 def test_cli_pipeline_lti(tmp_path, capsys):
     model = str(tmp_path / "model.json")
     samples = str(tmp_path / "samples.json")
@@ -177,6 +221,14 @@ def test_cli_config_fills_defaults(tmp_path):
     assert cli.main(["--config", str(cfg), "generate", "random-lti", "--n", "9",
                      "-o", model]) == 0
     assert io.read_payload(model)["params"]["n"] == 9
+    # also when the flag repeats the parser default
+    assert cli.main(["--config", str(cfg), "generate", "random-lti", "--n", "30",
+                     "-o", model]) == 0
+    assert io.read_payload(model)["params"]["n"] == 30
+    # a key that names no flag is ignored
+    cfg.write_text(json.dumps({"func": "x", "n": 8}))
+    assert cli.main(["--config", str(cfg), "generate", "random-lti", "-o", model]) == 0
+    assert io.read_payload(model)["params"]["n"] == 8
 
 
 def test_cli_generate_records_state_dimension(tmp_path):

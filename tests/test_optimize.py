@@ -102,15 +102,6 @@ def test_gradient_matches_fd_lti():
         assert abs(g.dA[1][i, j] - fd) <= 1e-6 * max(abs(fd), 1.0)
 
 
-def test_gradient_warns_on_non_closed_data():
-    rom = small_lti(seed=9)
-    pts = np.array([[0.3 + 1j]])
-    _, _, vals = batch_states(rom, pts)
-    data = SampleSet(pts, vals + 0.1, np.ones(1))
-    with pytest.warns(UserWarning, match="not closed"):
-        l2_gradients(rom, data)
-
-
 def test_kron_factor_gradient_identities():
     # grad wrt L of f(L kron R): check against the definition via FD on a
     # quadratic test function f(X) = Re tr(G^* X)
