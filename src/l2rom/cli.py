@@ -410,8 +410,12 @@ def main(argv=None):
     if config:
         # the config replaces the defaults of the subcommand's flags, so explicit flags win
         defaults = {key.replace("-", "_"): value for key, value in config.items()}
-        flags = {k: v for k, v in defaults.items() if hasattr(args, k) and k != "func"}
-        sub_map[args.command].set_defaults(**flags)
+        flags = set(vars(args)) - {"func", "command"}
+        unknown = [key for key in config if key.replace("-", "_") not in flags]
+        if unknown:
+            print(f"error: config keys name no flag of {args.command}: {', '.join(unknown)}", file=sys.stderr)
+            return EXIT_USAGE
+        sub_map[args.command].set_defaults(**defaults)
         args = parser.parse_args(argv)
     try:
         return args.func(args)

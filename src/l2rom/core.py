@@ -149,14 +149,14 @@ class StructuredRom:
         return self.A_terms[0][0].n_p
 
 
-def _terms_batch(terms, pts):
-    """Sum_i f_i(p) M_i for a batch of points; returns (N, *M.shape)."""
-    vals = None
-    for fam, mat in terms:
-        coeffs = eval_family(fam, pts)  # (N,)
-        contrib = coeffs[:, None, None] * mat[None, :, :]
-        vals = contrib if vals is None else vals + contrib
-    return vals
+def _term_table(terms, pts):
+    """(N, terms) table of the scalar families of ``terms`` at a batch of points."""
+    return np.stack([eval_family(fam, pts) for fam, _ in terms], axis=1)
+
+
+def _assemble(table, mats):
+    """Sum_k table[:, k] mats[k] for a (terms, ...) stack of matrices; returns (N, ...)."""
+    return (table @ mats.reshape(len(mats), -1)).reshape(len(table), *mats.shape[1:])
 
 
 def batch_states(rom, pts):
@@ -166,9 +166,10 @@ def batch_states(rom, pts):
     Raises SingularOperatorError if any A(p) is singular.
     """
     pts = np.asarray(pts, dtype=complex)
-    ops = _terms_batch(rom.A_terms, pts)
-    rhs = _terms_batch(rom.B_terms, pts)
-    cops = _terms_batch(rom.C_terms, pts)
+    ops, rhs, cops = (
+        _assemble(_term_table(terms, pts), np.stack([mat for _, mat in terms]))
+        for terms in (rom.A_terms, rom.B_terms, rom.C_terms)
+    )
     try:
         x = np.linalg.solve(ops, rhs)
         x_d = np.linalg.solve(np.conj(np.swapaxes(ops, -1, -2)), np.conj(np.swapaxes(cops, -1, -2)))

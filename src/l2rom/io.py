@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -55,16 +54,20 @@ def _encode_real_array(arr):
 
 
 def write_payload(path, payload):
-    """Atomically write a JSON payload; the envelope is validated first."""
+    """Atomically write a JSON payload; the envelope is validated first.
+
+    The temporary file is created with mode 0o666 under the process umask,
+    as open(path, "w") would create it, and renamed over ``path``.
+    """
     if payload.get("kind") not in KINDS:
         raise ValueError(f"payload kind must be one of {KINDS}")
-    payload = dict(payload, version=FORMAT_VERSION)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    text = json.dumps(dict(payload, version=FORMAT_VERSION)) + "\n"
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -241,4 +244,7 @@ def trace_to_payload(trace):
         "converged": bool(trace.converged),
         "iterations": int(trace.iterations),
         "message": trace.message,
+        "objective_calls": int(trace.objective_calls),
+        "gradient_calls": int(trace.gradient_calls),
+        "backtracks": int(trace.backtracks),
     }

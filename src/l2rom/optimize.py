@@ -17,8 +17,8 @@ from .core import (
     SampleSet,
     SingularOperatorError,
     StructuredRom,
-    batch_states,
-    eval_family,
+    _assemble,
+    _term_table,
     kron_rom,
     lti_rom,
     stationary_rom,
@@ -113,50 +113,123 @@ class FitTrace:
     converged: bool = False
     iterations: int = 0
     message: str = ""
+    objective_calls: int = 0
+    gradient_calls: int = 0
+    backtracks: int = 0  # rejected line-search trials, each halving the step
+
+
+def _packed_mats(rom):
+    """The matrices of a rom in packing order.
+
+    The A-terms (or the Kronecker factors E, A, E_xi, A_xi), then the B- and
+    C-terms.
+    """
+    ks = rom.kron
+    mats = [m for _, m in rom.A_terms] if ks is None else [ks.E, ks.A, ks.E_xi, ks.A_xi]
+    return mats + [m for _, m in rom.B_terms + rom.C_terms]
+
+
+def _pack_rom(rom):
+    return np.concatenate([m.ravel() for m in _packed_mats(rom)])
+
+
+def _unpack_mats(template, vec):
+    """Split a packed vector into matrices shaped as those of ``template``."""
+    mats, pos = [], 0
+    for m in _packed_mats(template):
+        mats.append(vec[pos : pos + m.size].reshape(m.shape))
+        pos += m.size
+    return mats
+
+
+class _Misfit:
+    """The weighted L2 misfit of one sample set as a function of a packed rom vector.
+
+    Built once per sample set: the scalar families of the A-, B- and C-terms
+    are evaluated at the sample points once, as (N, terms) tables, and
+    weighted by 2 rho in conjugate for the gradient.  ``value(vec)``
+    assembles A(p), B(p) and C(p) at all points with one contraction per
+    operator and does the primal solves only.  It keeps the states of its
+    last vector, so ``gradient(vec)`` there adds only the dual solves: the
+    gradient is the real part of the per-term sums of x_d [yhat - Y] x^H,
+    x_d [yhat - Y] and [yhat - Y] x^H against the weighted tables, and a
+    kron rom chains its four operator terms through ``kron_factor_gradient``.
+    """
+
+    def __init__(self, template, data):
+        self.template, self.data = template, data
+        groups = (template.A_terms, template.B_terms, template.C_terms)
+        self._tables = [_term_table(terms, data.points) for terms in groups]
+        self._adjoint_tables = [2.0 * data.weights[:, None] * np.conj(t) for t in self._tables]
+        self._last = None  # (vec, A(p), C(p), x, yhat - Y) of the last primal solve
+
+    def _states(self, vec):
+        if self._last is None or not np.array_equal(self._last[0], vec):
+            rom = self.template
+            r, n_i, n_o = rom.r, rom.n_i, rom.n_o
+            c0 = len(vec) - len(rom.C_terms) * n_o * r
+            b0 = c0 - len(rom.B_terms) * r * n_i
+            if rom.kron is None:
+                a_mats = vec[:b0].reshape(-1, r, r)
+            else:  # terms s*xi, -s, -xi, 1: E kron E_xi, E kron A_xi, A kron E_xi, A kron A_xi
+                e, a, e_xi, a_xi = _unpack_mats(rom, vec)[:4]
+                a_mats = np.einsum("iab,jcd->ijacbd", [e, a], [e_xi, a_xi]).reshape(4, r, r)
+            t_a, t_b, t_c = self._tables
+            ops, cops = _assemble(t_a, a_mats), _assemble(t_c, vec[c0:].reshape(-1, n_o, r))
+            try:
+                x = np.linalg.solve(ops, _assemble(t_b, vec[b0:c0].reshape(-1, r, n_i)))
+            except np.linalg.LinAlgError as exc:
+                raise SingularOperatorError(self.data.points) from exc
+            if not np.all(np.isfinite(x)):
+                raise SingularOperatorError(self.data.points)
+            self._last = (vec.copy(), ops, cops, x, cops @ x - self.data.values)
+        return self._last[1:]
+
+    def value(self, vec):
+        """The misfit at ``vec``; raises SingularOperatorError if some A(p) is singular."""
+        err = self._states(vec)[3]
+        return float(np.sum(self.data.weights * np.sum(np.abs(err) ** 2, axis=(1, 2))))
+
+    def gradient(self, vec):
+        """The packed gradient at ``vec``."""
+        ops, cops, x, err = self._states(vec)
+        try:
+            x_d = np.linalg.solve(np.conj(np.swapaxes(ops, -1, -2)), np.conj(np.swapaxes(cops, -1, -2)))
+        except np.linalg.LinAlgError as exc:
+            raise SingularOperatorError(self.data.points) from exc
+        n = len(err)
+        x_h = np.conj(np.swapaxes(x, -1, -2))
+        left = x_d @ err
+        w_a, w_b, w_c = self._adjoint_tables
+        g_a = -(w_a.T @ (left @ x_h).reshape(n, -1)).real
+        g_b = (w_b.T @ left.reshape(n, -1)).real
+        g_c = (w_c.T @ (err @ x_h).reshape(n, -1)).real
+        if self.template.kron is not None:
+            e, a, e_xi, a_xi = _unpack_mats(self.template, vec)[:4]
+            g_ee, g_ea, g_ae, g_aa = g_a.reshape(4, *ops.shape[1:])  # terms s*xi, -s, -xi, 1
+            g_a = [
+                kron_factor_gradient(g_ee, "left", e_xi) + kron_factor_gradient(g_ea, "left", a_xi),
+                kron_factor_gradient(g_ae, "left", e_xi) + kron_factor_gradient(g_aa, "left", a_xi),
+                kron_factor_gradient(g_ee, "right", e) + kron_factor_gradient(g_ae, "right", a),
+                kron_factor_gradient(g_ea, "right", e) + kron_factor_gradient(g_aa, "right", a),
+            ]
+        return np.concatenate([np.ravel(g) for g in (*g_a, g_b, g_c)])
 
 
 def l2_objective(rom, data):
     """Weighted squared misfit sum_i rho_i ||Y_i - yhat(p_i)||_F^2."""
-    _, _, y_hat = batch_states(rom, data.points)
-    err = y_hat - data.values
-    return float(np.sum(data.weights * np.sum(np.abs(err) ** 2, axis=(1, 2))))
+    return _Misfit(rom, data).value(_pack_rom(rom))
 
 
-def _complex_gradients(rom, data):
-    """Per-term complex gradient sums, whose real parts are the gradients.
-
-    The objective is a real function of the real rom matrices, so its
-    gradient is the real part of these sums for any sample set; closure
-    under conjugation only makes the imaginary parts cancel.
-    """
-    x, x_d, y_hat = batch_states(rom, data.points)
-    err = y_hat - data.values  # (N, n_o, n_i)
-    w = 2.0 * data.weights
-
-    dA = []
-    for fam, _ in rom.A_terms:
-        coeff = w * np.conj(eval_family(fam, data.points))
-        # x_d (p) [y - yhat] x(p)^*
-        dA.append(np.einsum("n,nro,noi,nsi->rs", coeff, x_d, -err, np.conj(x)))
-    dB = []
-    for fam, _ in rom.B_terms:
-        coeff = w * np.conj(eval_family(fam, data.points))
-        dB.append(np.einsum("n,nro,noi->ri", coeff, x_d, err))
-    dC = []
-    for fam, _ in rom.C_terms:
-        coeff = w * np.conj(eval_family(fam, data.points))
-        dC.append(np.einsum("n,noi,nri->or", coeff, err, np.conj(x)))
-    return dA, dB, dC
-
-
-def _real(grads):
-    return [np.ascontiguousarray(g.real) for g in grads]
+def _gradient_mats(rom, data):
+    return _unpack_mats(rom, _Misfit(rom, data).gradient(_pack_rom(rom)))
 
 
 def l2_gradients(rom, data):
     """Gradients of l2_objective with respect to every rom matrix."""
-    dA, dB, dC = _complex_gradients(rom, data)
-    return GradientBundle(dA=_real(dA), dB=_real(dB), dC=_real(dC))
+    mats = _gradient_mats(rom, data)
+    n_a, n_b = len(rom.A_terms), len(rom.B_terms)
+    return GradientBundle(dA=mats[:n_a], dB=mats[n_a : n_a + n_b], dC=mats[n_a + n_b :])
 
 
 def kron_factor_gradient(grad_f, side, factor):
@@ -189,50 +262,18 @@ def l2_gradients_kron(rom, data):
     """Gradients with respect to the Kronecker factors E, A, E_xi, A_xi.
 
     Chains the four operator-term gradients of the structured operator
-    (sE - A) kron (xi E_xi - A_xi) through kron_factor_gradient and takes
-    the real parts after the chain.
+    (sE - A) kron (xi E_xi - A_xi) through kron_factor_gradient.
     """
-    ks = rom.kron
-    if ks is None:
+    if rom.kron is None:
         raise ValueError("rom has no Kronecker structure")
-    dA_big, dB, dC = _complex_gradients(rom, data)
-    g_ee, g_ea, g_ae, g_aa = dA_big  # terms s*xi, -s, -xi, 1
-    dE = kron_factor_gradient(g_ee, "left", ks.E_xi) + kron_factor_gradient(g_ea, "left", ks.A_xi)
-    dA = kron_factor_gradient(g_ae, "left", ks.E_xi) + kron_factor_gradient(g_aa, "left", ks.A_xi)
-    dE_xi = kron_factor_gradient(g_ee, "right", ks.E) + kron_factor_gradient(g_ae, "right", ks.A)
-    dA_xi = kron_factor_gradient(g_ea, "right", ks.E) + kron_factor_gradient(g_aa, "right", ks.A)
-    dE, dA, dE_xi, dA_xi = _real([dE, dA, dE_xi, dA_xi])
-    return KronGradientBundle(dE=dE, dA=dA, dE_xi=dE_xi, dA_xi=dA_xi, dB=_real(dB), dC=_real(dC))
-
-
-def _pack_rom(rom):
-    if rom.kron is not None:
-        ks = rom.kron
-        mats = [ks.E, ks.A, ks.E_xi, ks.A_xi]
-    else:
-        mats = [m for _, m in rom.A_terms]
-    mats += [m for _, m in rom.B_terms] + [m for _, m in rom.C_terms]
-    return np.concatenate([m.ravel() for m in mats])
+    dE, dA, dE_xi, dA_xi, dB, dC = _gradient_mats(rom, data)
+    return KronGradientBundle(dE=dE, dA=dA, dE_xi=dE_xi, dA_xi=dA_xi, dB=[dB], dC=[dC])
 
 
 def _unpack_rom(template, vec):
-    mats = []
+    mats = _unpack_mats(template, vec)
     if template.kron is not None:
-        ks = template.kron
-        shapes = [ks.E.shape, ks.A.shape, ks.E_xi.shape, ks.A_xi.shape]
-    else:
-        shapes = [m.shape for _, m in template.A_terms]
-    shapes += [m.shape for _, m in template.B_terms] + [m.shape for _, m in template.C_terms]
-    pos = 0
-    for shp in shapes:
-        size = int(np.prod(shp))
-        mats.append(vec[pos : pos + size].reshape(shp))
-        pos += size
-    if template.kron is not None:
-        e, a, e_xi, a_xi = mats[:4]
-        b = mats[4]
-        c = mats[5]
-        return kron_rom(e, a, e_xi, a_xi, b, c)
+        return kron_rom(*mats)
     n_a = len(template.A_terms)
     n_b = len(template.B_terms)
     return StructuredRom(
@@ -271,32 +312,36 @@ def fit(init, data, opts=None):
     """Minimize the weighted L2 misfit over the rom matrices.
 
     Limited-memory quasi-Newton with Armijo backtracking; the objective
-    trace is monotone non-increasing.  A trial step that makes the operator
-    singular at some sample point is rejected by the line search.  A step
-    whose objective ties the current one (a decrease below the objective's
-    resolution) is taken only if the slope along it flattens,
+    trace is monotone non-increasing.  Each line-search trial costs one
+    primal solve per sample point; the gradient at the trial the search
+    accepts reuses that trial's states and adds one dual solve per point
+    (``_Misfit``).  A trial step that makes the operator singular at some
+    sample point is rejected by the line search.  A step whose objective
+    ties the current one (a decrease below the objective's resolution) is
+    taken only if the slope along it flattens,
     |g(x + t d).d| <= CURVATURE |g(x).d| (the strong-Wolfe curvature test);
     otherwise the fit stops without taking it ("objective stagnated", not
     converged).  The objective never rises.  Returns a FitTrace carrying
-    the final rom.
+    the final rom and the counts of objective and gradient evaluations and
+    of rejected trials.
     """
     if opts is None:
         opts = FitOptions()
+    misfit = _Misfit(init, data)
+    trace = FitTrace()
 
     def objective(vec):
+        trace.objective_calls += 1
         try:
-            val = l2_objective(_unpack_rom(init, vec), data)
+            val = misfit.value(vec)
         except SingularOperatorError:
             return np.inf
         return val if np.isfinite(val) else np.inf
 
     def gradient(vec):
-        rom = _unpack_rom(init, vec)
-        if rom.kron is not None:
-            return _pack_grads(l2_gradients_kron(rom, data))
-        return _pack_grads(l2_gradients(rom, data))
+        trace.gradient_calls += 1
+        return misfit.gradient(vec)
 
-    trace = FitTrace()
     x = _pack_rom(init)
     f_x = objective(x)
     if not np.isfinite(f_x):
@@ -323,17 +368,19 @@ def fit(init, data, opts=None):
             slope = np.dot(g, d)
 
         t = STEP_INIT
-        f_new = objective(x + t * d)
+        x_new = x + t * d
+        f_new = objective(x_new)
         while not (np.isfinite(f_new) and f_new <= f_x + SUFFICIENT_DECREASE * t * slope):
+            trace.backtracks += 1
             t *= BACKTRACK
             if t < MIN_STEP:
                 break
-            f_new = objective(x + t * d)
+            x_new = x + t * d
+            f_new = objective(x_new)
         if t < MIN_STEP:
             trace.message = "line search failed; returning best iterate"
             break
 
-        x_new = x + t * d
         g_new = gradient(x_new)
         if not f_new < f_x and abs(np.dot(g_new, d)) > CURVATURE * abs(slope):
             # a tie below the objective's resolution that does not flatten the slope either

@@ -47,11 +47,20 @@ from l2rom.spectral import pole_residue, pole_residue_affine_singular
 
 
 def assert_trace_contract(trace):
-    """Objective trace monotone; convergence implies the gradient dropped."""
+    """Objective trace monotone; convergence implies the gradient dropped.
+
+    One objective and one gradient evaluation start the fit, each taken
+    step costs one more of each plus its rejected trials (``backtracks``),
+    and a stagnated fit evaluated a trial and its gradient that it did not
+    take.
+    """
     objs = np.asarray(trace.objectives)
     assert np.all(np.diff(objs) <= 1e-12 * max(objs[0], 1.0)), "objective not monotone"
     if trace.converged:
         assert trace.grad_norms[-1] <= 1e-8 * max(trace.grad_norms[0], 1e-300)
+    stagnated = trace.message == "objective stagnated"
+    assert trace.gradient_calls == trace.iterations + 1 + stagnated
+    assert trace.objective_calls == trace.iterations + trace.backtracks + 1 + stagnated
 
 
 def _closed_axis_points(g, num, n_p=1):

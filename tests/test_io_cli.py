@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -16,6 +18,21 @@ def test_complex_encoding_round_trip():
     arr = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     decoded = io._decode_complex_array(io._encode_complex_array(arr))
     assert np.array_equal(decoded, arr)
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    path = tmp_path / "x.json"
+    old = os.umask(0o022)
+    try:
+        io.write_payload(path, {"kind": "trace", "objectives": [1.0]})
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+        os.umask(0o077)
+        io.write_payload(path, {"kind": "trace", "objectives": [2.0]})
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    finally:
+        os.umask(old)
+    assert io.read_payload(path)["objectives"] == [2.0]
+    assert os.listdir(tmp_path) == ["x.json"]
 
 
 def test_write_read_payload(tmp_path):
@@ -95,11 +112,13 @@ def test_model_payload_regenerates(tmp_path):
 
 def test_trace_payload():
     trace = FitTrace(objectives=[2.0, 1.0], grad_norms=[1.0, 0.1],
-                     step_lengths=[1.0], converged=True, iterations=1, message="ok")
+                     step_lengths=[1.0], converged=True, iterations=1, message="ok",
+                     objective_calls=3, gradient_calls=2, backtracks=1)
     payload = io.trace_to_payload(trace)
     assert payload["kind"] == "trace"
     assert payload["objectives"] == [2.0, 1.0]
     assert payload["converged"] is True
+    assert (payload["objective_calls"], payload["gradient_calls"], payload["backtracks"]) == (3, 2, 1)
 
 
 def test_kron_rom_file_must_match_its_factors(tmp_path, capsys):
@@ -209,7 +228,7 @@ def test_cli_bad_usage(tmp_path):
                      "-o", str(tmp_path / "x.json")]) == 2
 
 
-def test_cli_config_fills_defaults(tmp_path):
+def test_cli_config_fills_defaults(tmp_path, capsys):
     model = str(tmp_path / "m.json")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 7, "seed": 5}))
@@ -225,10 +244,13 @@ def test_cli_config_fills_defaults(tmp_path):
     assert cli.main(["--config", str(cfg), "generate", "random-lti", "--n", "30",
                      "-o", model]) == 0
     assert io.read_payload(model)["params"]["n"] == 30
-    # a key that names no flag is ignored
-    cfg.write_text(json.dumps({"func": "x", "n": 8}))
-    assert cli.main(["--config", str(cfg), "generate", "random-lti", "-o", model]) == 0
-    assert io.read_payload(model)["params"]["n"] == 8
+    # a key that names no flag of the subcommand is a usage error that names it
+    for bad, key in (({"func": "x", "n": 8}, "func"), ({"sed": 5}, "sed"), ({"max-iters": 3}, "max-iters")):
+        cfg.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert cli.main(["--config", str(cfg), "generate", "random-lti", "-o", model]) == 2
+        assert key in capsys.readouterr().err
+    assert io.read_payload(model)["params"]["n"] == 30
 
 
 def test_cli_generate_records_state_dimension(tmp_path):

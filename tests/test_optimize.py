@@ -6,7 +6,7 @@ import pytest
 
 from l2rom import optimize
 from l2rom.certify import h2_ct_residuals
-from l2rom.core import SampleSet, batch_states, kron_rom, lti_rom, stationary_rom
+from l2rom.core import SampleSet, SingularOperatorError, batch_states, kron_rom, lti_rom, stationary_rom
 from l2rom.models import (
     AffineLtiFom,
     make_penzl,
@@ -188,11 +188,55 @@ def test_fit_stops_on_a_tie_that_fails_the_curvature_test(monkeypatch):
     target = small_lti(r=2, n_i=1, n_o=1, seed=20)
     data = axis_samples(target)
     init = small_lti(r=2, n_i=1, n_o=1, seed=21)
-    monkeypatch.setattr(optimize, "l2_objective", lambda rom, data: 1.0)
+    monkeypatch.setattr(optimize._Misfit, "value", lambda self, vec: 1.0)
     trace = fit(init, data)
     assert trace.message == "objective stagnated"
     assert not trace.converged and trace.iterations == 0
     assert trace.objectives == [1.0]
+
+
+def test_fit_backs_off_a_step_that_makes_the_operator_singular():
+    # one sample at p = 1, where both A-terms have coefficient 1, so their
+    # gradients are equal: 0.5 each, exactly, and the first trial step
+    # (t = 1 along -g) sets both A-terms to 0, so A(1) = 0
+    data = SampleSet(np.array([[1.0]]), np.array([1.25]), np.ones(1))
+    init = stationary_rom(0.5 * np.eye(1), 0.5 * np.eye(1), np.ones((1, 1)), np.ones((1, 1)))
+    assert np.array_equal(l2_gradients(init, data).dA, [[[0.5]], [[0.5]]])
+    trace = fit(init, data, FitOptions(max_iters=20))
+    assert trace.step_lengths[0] < 1.0 and trace.backtracks >= 1
+    diffs = np.diff(trace.objectives)
+    assert np.all(diffs <= 0.0) and trace.objectives[-1] < trace.objectives[0]
+    # a start where A(p) is singular at a sample point cannot be fitted
+    singular = stationary_rom(0.5 * np.eye(1), -0.5 * np.eye(1), np.ones((1, 1)), np.ones((1, 1)))
+    with pytest.raises(SingularOperatorError):
+        fit(singular, data)
+
+
+def test_fit_counts_its_evaluations(monkeypatch):
+    target = small_lti(r=2, n_i=1, n_o=1, seed=23)
+    data = axis_samples(target)
+    init = small_lti(r=2, n_i=1, n_o=1, seed=24)
+    calls = {"value": 0, "gradient": 0, "assemble": 0}
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in ("value", "gradient"):
+        monkeypatch.setattr(optimize._Misfit, name, counted(name, getattr(optimize._Misfit, name)))
+    monkeypatch.setattr(optimize, "_assemble", counted("assemble", optimize._assemble))
+    trace = fit(init, data, FitOptions(max_iters=30))
+    assert trace.iterations > 0 and trace.backtracks > 0
+    assert (trace.objective_calls, trace.gradient_calls) == (calls["value"], calls["gradient"])
+    # A(p), B(p) and C(p) are assembled once per trial: every gradient is
+    # taken at the trial just evaluated and reuses its primal states
+    assert calls["assemble"] == 3 * trace.objective_calls
+    stagnated = trace.message == "objective stagnated"
+    assert trace.gradient_calls == trace.iterations + 1 + stagnated
+    assert trace.objective_calls == trace.iterations + trace.backtracks + 1 + stagnated
 
 
 def test_fit_zero_iterations_at_optimum():
