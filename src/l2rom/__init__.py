@@ -31,11 +31,9 @@ from .spectral import (
 from .optimize import (
     FitOptions,
     FitTrace,
-    GradientBundle,
     fit,
     greedy_rb_init,
     irka_init,
-    kron_factor_gradient,
     l2_gradients,
     l2_gradients_kron,
     l2_objective,
@@ -74,11 +72,9 @@ __all__ = [
     "pole_residue_lti",
     "FitOptions",
     "FitTrace",
-    "GradientBundle",
     "fit",
     "greedy_rb_init",
     "irka_init",
-    "kron_factor_gradient",
     "l2_gradients",
     "l2_gradients_kron",
     "l2_objective",

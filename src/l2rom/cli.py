@@ -124,20 +124,18 @@ def cmd_sample(args):
     return EXIT_OK
 
 
-def _random_rom(structure, args, rng):
-    r = args.order
+def _random_rom(structure, args, data, rng):
+    r, n_i, n_o = args.order, data.n_i, data.n_o
     if structure == "lti" or structure == "lti-dt":
         a = rng.standard_normal((r, r))
         a = -(a @ a.T) / 2 - 0.5 * np.eye(r)
         if structure == "lti-dt":
             a = 0.5 * a / max(np.max(np.abs(np.linalg.eigvals(a))), 1.0)
-        return lti_rom(np.eye(r), a, rng.standard_normal((r, args.inputs)), rng.standard_normal((args.outputs, r)))
+        return lti_rom(np.eye(r), a, rng.standard_normal((r, n_i)), rng.standard_normal((n_o, r)))
     if structure == "stationary":
         a2 = rng.standard_normal((r, r))
         a2 = a2 @ a2.T / 2 + 0.5 * np.eye(r)
-        return stationary_rom(
-            np.eye(r), a2, rng.standard_normal((r, args.inputs)), rng.standard_normal((args.outputs, r))
-        )
+        return stationary_rom(np.eye(r), a2, rng.standard_normal((r, n_i)), rng.standard_normal((n_o, r)))
     rs, rx = args.order_s, args.order_xi
     a = rng.standard_normal((rs, rs))
     a = -(a @ a.T) / 2 - 0.5 * np.eye(rs)
@@ -145,7 +143,7 @@ def _random_rom(structure, args, rng):
     ax = ax @ ax.T / 2 + 1.5 * np.eye(rx)
     return kron_rom(
         np.eye(rs), a, np.eye(rx), ax,
-        rng.standard_normal((rs * rx, args.inputs)), rng.standard_normal((args.outputs, rs * rx)),
+        rng.standard_normal((rs * rx, n_i)), rng.standard_normal((n_o, rs * rx)),
     )
 
 
@@ -170,7 +168,7 @@ def cmd_fit(args):
             )
         inits = [init]
     elif args.init == "random":
-        inits = [_random_rom(args.structure, args, rng) for _ in range(max(args.restarts, 1))]
+        inits = [_random_rom(args.structure, args, data, rng) for _ in range(max(args.restarts, 1))]
     else:
         if not args.model:
             raise UsageError(f"--init {args.init} requires --model")
@@ -350,8 +348,6 @@ def build_parser():
     fitp.add_argument("--order", "-r", type=int, default=2)
     fitp.add_argument("--order-s", type=int, default=2)
     fitp.add_argument("--order-xi", type=int, default=2)
-    fitp.add_argument("--inputs", type=int, default=1)
-    fitp.add_argument("--outputs", type=int, default=1)
     fitp.add_argument("--restarts", type=int, default=1)
     fitp.add_argument("--max-iters", type=int, default=500)
     fitp.add_argument("--tol", type=float, default=1e-8, help="relative gradient tolerance")
@@ -401,6 +397,9 @@ def main(argv=None):
             return EXIT_IO
         except json.JSONDecodeError as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if not isinstance(config, dict):
+            print(f"invalid config: {cfg_path} does not hold a JSON object", file=sys.stderr)
             return EXIT_USAGE
     else:
         config = {}

@@ -26,12 +26,10 @@ from .core import (
 from .spectral import pole_residue_lti
 
 __all__ = [
-    "GradientBundle",
     "FitOptions",
     "FitTrace",
     "l2_objective",
     "l2_gradients",
-    "kron_factor_gradient",
     "l2_gradients_kron",
     "fit",
     "irka_init",
@@ -52,42 +50,11 @@ LBFGS_MEMORY = 10
 
 # Gate of irka_init's Aitken extrapolation: the most the two latest
 # contraction-rate estimates may differ, relative to the latest, and the
-# least cosine between the last two fixed-point residuals.
+# least cosine between the last two fixed-point residuals.  The iteration
+# stops when the shifts move by at most IRKA_TOL relative to their largest.
 AITKEN_RATE_RTOL = 0.1
 AITKEN_ALIGNMENT = 0.99
-
-
-@dataclass(frozen=True)
-class GradientBundle:
-    """Gradients of the L2 objective with respect to the rom matrices."""
-
-    dA: list  # real (r, r) arrays, one per A-term
-    dB: list  # real (r, n_i) arrays
-    dC: list  # real (n_o, r) arrays
-
-    def norm(self):
-        sq = 0.0
-        for g in self.dA + self.dB + self.dC:
-            sq += float(np.sum(g * g))
-        return np.sqrt(sq)
-
-
-@dataclass(frozen=True)
-class KronGradientBundle:
-    """Gradients with respect to the Kronecker factors and B, C."""
-
-    dE: np.ndarray
-    dA: np.ndarray
-    dE_xi: np.ndarray
-    dA_xi: np.ndarray
-    dB: list
-    dC: list
-
-    def norm(self):
-        sq = 0.0
-        for g in [self.dE, self.dA, self.dE_xi, self.dA_xi] + self.dB + self.dC:
-            sq += float(np.sum(g * g))
-        return np.sqrt(sq)
+IRKA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -152,11 +119,16 @@ class _Misfit:
     operator and does the primal solves only.  It keeps the states of its
     last vector, so ``gradient(vec)`` there adds only the dual solves: the
     gradient is the real part of the per-term sums of x_d [yhat - Y] x^H,
-    x_d [yhat - Y] and [yhat - Y] x^H against the weighted tables, and a
-    kron rom chains its four operator terms through ``kron_factor_gradient``.
+    x_d [yhat - Y] and [yhat - Y] x^H against the weighted tables.  A kron
+    rom chains its four operator-term gradients back to the factors with the
+    adjoint of the contraction that builds the terms from them.  The rom's
+    output and input counts must be those of the samples.
     """
 
     def __init__(self, template, data):
+        dims = (template.n_o, template.n_i)
+        if dims != data.values.shape[1:]:
+            raise ValueError(f"the rom's (outputs, inputs) {dims} differ from the samples' {data.values.shape[1:]}")
         self.template, self.data = template, data
         groups = (template.A_terms, template.B_terms, template.C_terms)
         self._tables = [_term_table(terms, data.points) for terms in groups]
@@ -206,13 +178,8 @@ class _Misfit:
         g_c = (w_c.T @ (err @ x_h).reshape(n, -1)).real
         if self.template.kron is not None:
             e, a, e_xi, a_xi = _unpack_mats(self.template, vec)[:4]
-            g_ee, g_ea, g_ae, g_aa = g_a.reshape(4, *ops.shape[1:])  # terms s*xi, -s, -xi, 1
-            g_a = [
-                kron_factor_gradient(g_ee, "left", e_xi) + kron_factor_gradient(g_ea, "left", a_xi),
-                kron_factor_gradient(g_ae, "left", e_xi) + kron_factor_gradient(g_aa, "left", a_xi),
-                kron_factor_gradient(g_ee, "right", e) + kron_factor_gradient(g_ae, "right", a),
-                kron_factor_gradient(g_ea, "right", e) + kron_factor_gradient(g_aa, "right", a),
-            ]
+            g6 = g_a.reshape(2, 2, len(e), len(e_xi), len(e), len(e_xi))
+            g_a = [np.einsum("ijacbd,jcd->iab", g6, [e_xi, a_xi]), np.einsum("ijacbd,iab->jcd", g6, [e, a])]
         return np.concatenate([np.ravel(g) for g in (*g_a, g_b, g_c)])
 
 
@@ -221,53 +188,20 @@ def l2_objective(rom, data):
     return _Misfit(rom, data).value(_pack_rom(rom))
 
 
-def _gradient_mats(rom, data):
+def l2_gradients(rom, data):
+    """Gradients of l2_objective with respect to the rom matrices.
+
+    A list of real arrays in packing order: the A-terms (or the Kronecker
+    factors E, A, E_xi, A_xi), then the B- and C-terms.
+    """
     return _unpack_mats(rom, _Misfit(rom, data).gradient(_pack_rom(rom)))
 
 
-def l2_gradients(rom, data):
-    """Gradients of l2_objective with respect to every rom matrix."""
-    mats = _gradient_mats(rom, data)
-    n_a, n_b = len(rom.A_terms), len(rom.B_terms)
-    return GradientBundle(dA=mats[:n_a], dB=mats[n_a : n_a + n_b], dC=mats[n_a + n_b :])
-
-
-def kron_factor_gradient(grad_f, side, factor):
-    """Gradient with respect to one Kronecker factor of X = L kron R.
-
-    Given the gradient ``grad_f`` of a scalar function at X, returns the
-    gradient with respect to L (side="left", ``factor`` = R held fixed) or
-    with respect to R (side="right", ``factor`` = L held fixed), by
-    contracting ``grad_f`` against the conjugate of the fixed factor.
-    """
-    factor = np.atleast_2d(np.asarray(factor))
-    grad_f = np.asarray(grad_f)
-    if np.max(np.abs(factor)) == 0:
-        raise ValueError("the fixed Kronecker factor must be nonzero")
-    m = factor.shape[0]
-    if grad_f.shape[0] % m or grad_f.shape[1] % factor.shape[1]:
-        raise ValueError("gradient shape is not divisible by the fixed factor shape")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if side == "left":
-        n = grad_f.shape[0] // m
-        g4 = grad_f.reshape(n, m, grad_f.shape[1] // factor.shape[1], factor.shape[1])
-        return np.einsum("ab,kalb->kl", np.conj(factor), g4)
-    n = grad_f.shape[0] // factor.shape[0]
-    g4 = grad_f.reshape(factor.shape[0], n, factor.shape[1], grad_f.shape[1] // factor.shape[1])
-    return np.einsum("kl,kalb->ab", np.conj(factor), g4)
-
-
 def l2_gradients_kron(rom, data):
-    """Gradients with respect to the Kronecker factors E, A, E_xi, A_xi.
-
-    Chains the four operator-term gradients of the structured operator
-    (sE - A) kron (xi E_xi - A_xi) through kron_factor_gradient.
-    """
+    """l2_gradients of a rom with Kronecker structure: dE, dA, dE_xi, dA_xi, dB, dC."""
     if rom.kron is None:
         raise ValueError("rom has no Kronecker structure")
-    dE, dA, dE_xi, dA_xi, dB, dC = _gradient_mats(rom, data)
-    return KronGradientBundle(dE=dE, dA=dA, dE_xi=dE_xi, dA_xi=dA_xi, dB=[dB], dC=[dC])
+    return _unpack_mats(rom, _Misfit(rom, data).gradient(_pack_rom(rom)))
 
 
 def _unpack_rom(template, vec):
@@ -281,14 +215,6 @@ def _unpack_rom(template, vec):
         B_terms=tuple((fam, m) for (fam, _), m in zip(template.B_terms, mats[n_a : n_a + n_b])),
         C_terms=tuple((fam, m) for (fam, _), m in zip(template.C_terms, mats[n_a + n_b :])),
     )
-
-
-def _pack_grads(bundle):
-    if isinstance(bundle, KronGradientBundle):
-        mats = [bundle.dE, bundle.dA, bundle.dE_xi, bundle.dA_xi] + bundle.dB + bundle.dC
-    else:
-        mats = bundle.dA + bundle.dB + bundle.dC
-    return np.concatenate([m.ravel() for m in mats])
 
 
 def _lbfgs_direction(grad, pairs):
@@ -352,7 +278,6 @@ def fit(init, data, opts=None):
     trace.grad_norms.append(float(g_ref))
 
     pairs = []
-    best_x, best_f = x, f_x
     for it in range(opts.max_iters):
         g_norm = np.linalg.norm(g)
         if g_norm <= opts.grad_tol * g_ref:
@@ -393,8 +318,6 @@ def fit(init, data, opts=None):
             if len(pairs) > LBFGS_MEMORY:
                 pairs.pop(0)
         x, f_x, g = x_new, f_new, g_new
-        if f_x < best_f:
-            best_x, best_f = x, f_x
         trace.objectives.append(f_x)
         trace.grad_norms.append(float(np.linalg.norm(g)))
         trace.step_lengths.append(float(t))
@@ -402,7 +325,7 @@ def fit(init, data, opts=None):
     else:
         trace.message = "maximum iterations reached"
 
-    trace.rom = _unpack_rom(init, best_x if best_f < f_x else x)
+    trace.rom = _unpack_rom(init, x)
     return trace
 
 
@@ -564,7 +487,7 @@ def _aitken(image, residuals, r, time_domain):
     return state if np.all(admissible) else None
 
 
-def irka_init(fom, r, tol=1e-10, max_iters=200):
+def irka_init(fom, r, max_iters=200):
     """Tangential rational Krylov fixed-point iteration for LTI systems.
 
     ``fom`` exposes E, A, B, C, ``factor(s)``, the factored s E - A, and
@@ -578,7 +501,7 @@ def irka_init(fom, r, tol=1e-10, max_iters=200):
     images g of the reduced poles, matched to sigma, and their residue
     factors (``_irka_map``).  Each real shift or conjugate pair costs one
     factorization, a primal and an adjoint solve.  The iteration stops when
-    max|g - sigma| <= tol max|g| and returns the order-r LTI StructuredRom
+    max|g - sigma| <= IRKA_TOL max|g| and returns the order-r LTI StructuredRom
     projected at sigma.
 
     A plain step takes z <- F(z).  When three plain steps contract at a
@@ -622,7 +545,7 @@ def irka_init(fom, r, tol=1e-10, max_iters=200):
             residuals = []
         move = np.max(np.abs(residual[:r]))
         scale = max(np.max(np.abs(image[:r])), 1e-300)
-        if move <= tol * scale:
+        if move <= IRKA_TOL * scale:
             break
         residuals = [*residuals[-2:], residual]
         state = image
@@ -633,7 +556,7 @@ def irka_init(fom, r, tol=1e-10, max_iters=200):
     else:
         warnings.warn(
             f"irka_init stopped at max_iters={max_iters} with relative shift "
-            f"movement {move / scale:.3e} (tol {tol:.1e})",
+            f"movement {move / scale:.3e} (tol {IRKA_TOL:.1e})",
             RuntimeWarning,
             stacklevel=2,
         )

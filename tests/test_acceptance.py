@@ -33,7 +33,6 @@ from l2rom.models import (
 )
 from l2rom.optimize import (
     FitOptions,
-    _pack_grads,
     _pack_rom,
     _unpack_rom,
     fit,
@@ -142,10 +141,8 @@ def test_gradients_match_finite_differences():
     for structure in ("lti-ct", "lti-dt", "kron", "stationary", "lti-ct-open", "kron-open"):
         for seed in range(20):
             rom, data = _gradient_instance(structure, 1000 + seed)
-            if rom.kron is not None:
-                grad = _pack_grads(l2_gradients_kron(rom, data))
-            else:
-                grad = _pack_grads(l2_gradients(rom, data))
+            grads = l2_gradients_kron(rom, data) if rom.kron is not None else l2_gradients(rom, data)
+            grad = np.concatenate([g.ravel() for g in grads])
             x = _pack_rom(rom)
             fd = np.zeros_like(grad)
             for i in range(len(x)):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -32,10 +33,25 @@ def test_benchmark_traced_functions_exist():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    wanted = {(layer, name) for layer, names in tracing.WRAPPED.items() for name in names}
+    # The workload reads names of l2rom modules, e.g. optimize.FitOptions; a
+    # missing one would only show as a failed benchmark run.
+    tree = ast.parse((ROOT / "perfbench" / "workload.py").read_text())
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "l2rom"
+        for alias in node.names
+    }
+    read = {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    assert {("optimize", "FitOptions"), ("cli", "rom_pole_residue")} <= read
     missing = [
         f"l2rom.{layer}.{name}"
-        for layer, names in tracing.WRAPPED.items()
-        for name in names
-        if not callable(getattr(importlib.import_module(f"l2rom.{layer}"), name, None))
+        for layer, name in sorted(wanted | read)
+        if not hasattr(importlib.import_module(f"l2rom.{layer}"), name)
     ]
     assert not missing, missing

@@ -136,7 +136,7 @@ def test_kron_rom_file_must_match_its_factors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: invalid rom file")
 
 
-def test_cli_fit_init_file_must_match_structure(tmp_path):
+def test_cli_fit_init_file_must_match_structure(tmp_path, capsys):
     model = str(tmp_path / "m.json")
     samples = str(tmp_path / "s.json")
     init = str(tmp_path / "init.json")
@@ -149,6 +149,26 @@ def test_cli_fit_init_file_must_match_structure(tmp_path):
     assert cli.main([*argv, "--structure", "stationary"]) == 2
     assert cli.main([*argv, "--structure", "lti"]) == 0
     assert cli.main([*argv, "--structure", "lti-dt"]) == 0  # lti-dt only shapes the random start
+    # a rom of other dimensions than the samples is a usage error, not a broadcast fit
+    io.write_payload(init, io.rom_to_payload(lti_rom(np.eye(2), -np.eye(2), np.ones((2, 2)), np.ones((1, 2)))))
+    capsys.readouterr()
+    assert cli.main([*argv, "--structure", "lti"]) == 2
+    assert "(outputs, inputs) (1, 2) differ from the samples' (1, 1)" in capsys.readouterr().err
+
+
+def test_cli_fit_takes_its_dimensions_from_the_samples(tmp_path):
+    model = str(tmp_path / "m.json")
+    samples = str(tmp_path / "s.json")
+    out = str(tmp_path / "r.json")
+    cli.main(["generate", "random-lti", "--n", "6", "--inputs", "2", "--outputs", "3", "-o", model])
+    cli.main(["sample", model, "--scheme", "logspace 0.1 1 4", "-o", samples])
+    # a random start has the samples' input and output counts
+    assert cli.main(["fit", samples, "--structure", "lti", "--max-iters", "2", "-o", out]) == 0
+    rom = io.rom_from_payload(io.read_payload(out, expect_kind="rom"))
+    assert (rom.n_o, rom.n_i) == (3, 2)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", samples, "--structure", "lti", "--inputs", "2", "-o", out])
+    assert exc.value.code == 2
 
 
 def test_cli_irka_takes_the_time_domain_from_the_model(tmp_path):
@@ -250,6 +270,10 @@ def test_cli_config_fills_defaults(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["--config", str(cfg), "generate", "random-lti", "-o", model]) == 2
         assert key in capsys.readouterr().err
+    # valid JSON that is not an object is an invalid config
+    cfg.write_text(json.dumps([1, 2]))
+    assert cli.main(["--config", str(cfg), "generate", "random-lti", "-o", model]) == 2
+    assert "invalid config" in capsys.readouterr().err
     assert io.read_payload(model)["params"]["n"] == 30
 
 
