@@ -1,8 +1,9 @@
 """Fit an order-2 model to frequency samples of the order-1006 spiral benchmark.
 
-Samples the transfer function at 50 log-spaced frequencies (plus conjugates),
-starts from a tangential-Krylov initializer and minimizes the weighted
-least-squares misfit.  The optimal model is certified through the Hermite
+Samples the transfer function at 50 log-spaced frequencies on the positive
+imaginary axis (weight 2 each, standing for the conjugates too), starts from
+a tangential-Krylov initializer and minimizes the weighted least-squares
+misfit.  The optimal model is certified through the Hermite
 interpolation conditions of the sampled (discrete least-squares) problem.
 
 Run:  python3 demos/penzl_ls_fit.py

@@ -8,10 +8,11 @@ those conditions as relative residuals and collect them in a Certificate:
   mirror images of the reduced poles (half-plane / unit-circle geometry).
 - H2xL2: two-variable conditions at mirrored pole pairs, including the
   weighted derivative-sum conditions.
-- DISCRETE_LS: Hermite interpolation between the modified transfer
-  functions G and Ghat, weighted Cauchy sums over the sample nodes.
-- STATIONARY: Hermite interpolation of modified outputs Y and Yhat, the same
-  sums over a Gauss rule of [a, b], at the reduced poles (not mirrored).
+- DISCRETE_LS and STATIONARY: Hermite interpolation of the L2 projection
+  T(z) = int H(p) / (conj p - z) dmu(p) by its reduced counterpart That at
+  z = conj(lambda_k), for the point measure mu of the samples or of a Gauss
+  rule of [a, b].  One Cauchy sum serves both: it runs over the measure and
+  its conjugate mirror, so a real model's conditions hold on any sample set.
 """
 
 from __future__ import annotations
@@ -209,46 +210,48 @@ def h2l2_residuals(fom, rom2d, tolerance=1e-4):
 
 
 def _cauchy_sum(nodes, weights, vals, points, order):
-    """sum_i w_i vals_i / (t_i - s)^(1 + order) over the nodes t_i, at each of the M points s.
+    """sum w V / (conj p - z)^(1 + order) over the conjugate-doubled measure, at each of M points z.
 
-    The Cauchy transform of the point measure sum_i w_i delta(t - t_i) on
-    the values (order 0), or its first derivative in s (order 1); returns
-    (M, n_o, n_i).
+    Node p (weight w, value V) and its mirror conj p (value conj V) carry
+    w / 2 each.  A real model's misfit is the same at both, so this holds
+    for any sample set; a closed set keeps its own sums.  Returns (M, n_o, n_i).
     """
-    diffs = nodes - points[:, None]  # (M, N)
+    nodes = np.concatenate([np.conj(nodes), nodes])
+    diffs = nodes - points[:, None]  # (M, 2N)
     scale = max(np.max(np.abs(nodes)), 1.0)
     near = np.min(np.abs(diffs), axis=1) < 1e-12 * scale
     if np.any(near):
         raise ValueError(f"evaluation point {points[np.argmax(near)]} coincides with a data node")
-    coeff = weights / diffs if order == 0 else weights / diffs**2
-    return np.einsum("mn,noi->moi", coeff, vals)
+    coeff = 0.5 * np.concatenate([weights, weights]) / diffs ** (1 + order)
+    return np.einsum("mn,noi->moi", coeff, np.concatenate([vals, np.conj(vals)]))
 
 
 def modified_ls_tf_eval(data, rom_pr, points, order=0):
-    """Evaluate G (rom_pr None) or Ghat at M points s, shape (M, n_o, n_i).
+    """Evaluate T (rom_pr None) or That at M points z, shape (M, n_o, n_i).
 
-    G(s) = sum_i rho_i H_i / (s - iw_i); Ghat replaces H_i by the rom
-    transfer function evaluated at the data nodes, once per call.  Order 1
-    gives the termwise derivative.
+    T(z) = sum_i rho_i H_i / (conj s_i - z) over the conjugate-doubled
+    samples (``_cauchy_sum``); That replaces H_i by the rom transfer function
+    at the data nodes, evaluated once per call; order 1 gives the derivative.
+    On a closed imaginary-axis set T(z) = G(-z), G(s) = sum_i rho_i H_i / (s - s_i).
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     vals = data.values if rom_pr is None else rom_pr.evaluate(data.points)
-    return -_cauchy_sum(data.points[:, 0], data.weights, vals, _points(points, 1)[:, 0], order)
+    return _cauchy_sum(data.points[:, 0], data.weights, vals, _points(points, 1)[:, 0], order)
 
 
 def ls_residuals(data, rom_pr, tolerance=1e-6):
-    """Hermite interpolation residuals of Ghat against G at -conj(lambda_k).
+    """Hermite interpolation residuals of That against T at conj(lambda_k).
 
-    The reduced model is evaluated at the data nodes once, and G, Ghat and
-    their derivatives are summed at all r mirrored poles in one call each.
+    The reduced model is evaluated at the data nodes once, and T, That and
+    their derivatives are summed at all r conjugate poles in one call each.
     """
-    sig = -np.conj(rom_pr.poles)
+    z = np.conj(rom_pr.poles)
     nodes = data.points[:, 0]
     rom_at_nodes = rom_pr.evaluate(data.points)
-    g, gd = (-_cauchy_sum(nodes, data.weights, data.values, sig, order) for order in (0, 1))
-    g_hat, gd_hat = (-_cauchy_sum(nodes, data.weights, rom_at_nodes, sig, order) for order in (0, 1))
-    rows = _hermite_rows(rom_pr.left_factors, rom_pr.right_factors, g, g_hat, gd, gd_hat)
+    t, td = (_cauchy_sum(nodes, data.weights, data.values, z, order) for order in (0, 1))
+    t_hat, td_hat = (_cauchy_sum(nodes, data.weights, rom_at_nodes, z, order) for order in (0, 1))
+    rows = _hermite_rows(rom_pr.left_factors, rom_pr.right_factors, t, t_hat, td, td_hat)
     return Certificate(family="DISCRETE_LS", rows=rows, tolerance=tolerance)
 
 
@@ -283,11 +286,12 @@ def _real_outside(values, interval, what):
 def _modified_outputs(models, interval, points):
     """Y and Y' of each model at the M real points, shape (len(models), 2, M, n_o, n_i).
 
-    Y(s) = int_a^b H(t) / (t - s) dt and Y'(s) = int_a^b H(t) / (t - s)^2 dt,
-    with H from ``model.evaluate`` at the nodes of the rules of
-    STATIONARY_RULE_NODES in turn; each rule is built once and shared by the
-    models.  The sums of the first rule that agrees with its predecessor to
-    STATIONARY_RULE_RTOL at every point are returned; ValueError if none does.
+    Y(s) = int_a^b H(t) / (t - s) dt and Y'(s) = int_a^b H(t) / (t - s)^2 dt
+    are T and T' (``_cauchy_sum``) of the rules of STATIONARY_RULE_NODES in
+    turn (conj t = t on real nodes), with H from ``model.evaluate``; each
+    rule is built once and shared by the models.  The sums of the first rule
+    that agrees with its predecessor to STATIONARY_RULE_RTOL at every point
+    are returned; ValueError if none does.
     """
     previous = None
     for n in STATIONARY_RULE_NODES:
@@ -324,8 +328,8 @@ def modified_output_eval(model, interval, points, order=0):
 def stationary_residuals(fom, rom_pr, interval, tolerance=1e-6):
     """Hermite residuals of Yhat against Y at the reduced poles lambda_k.
 
-    Interpolation for the stationary family happens at the poles themselves,
-    not their mirror images.  ``fom`` is anything with ``evaluate``: the
+    The DISCRETE_LS condition on the measure of [a, b], at real poles, so
+    conj(lambda_k) = lambda_k.  ``fom`` is anything with ``evaluate``: the
     full-order model or its pole-residue form; the ``PoleResidue``
     ``rom_pr`` must have real poles outside [a, b].  Both sides are
     integrated with the same quadrature rules (see modified_output_eval).

@@ -38,7 +38,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 # The stationary report draws no point this close to [a, b] (see
-# _stationary_grid): the interval rules resolve Y only about 1 % away.
+# _report_grid): the interval rules resolve Y only about 1 % away.
 STATIONARY_REPORT_GAP = 0.02
 
 FAMILY_FLAGS = {
@@ -116,11 +116,8 @@ def cmd_sample(args):
             raise UsageError(f"unknown sampling scheme {parts[0]!r}")
     except (IndexError, ValueError) as exc:
         raise UsageError(f"bad sampling scheme {args.scheme!r}: {exc}") from exc
-    from .core import check_conjugation_closure
-
-    closed, _ = check_conjugation_closure(data)
     io.write_payload(args.out, io.samples_to_payload(data))
-    print(f"wrote {len(data)} samples to {args.out} (conjugation-closed: {closed})")
+    print(f"wrote {len(data)} samples to {args.out}")
     return EXIT_OK
 
 
@@ -251,15 +248,19 @@ def cmd_certify(args):
     return EXIT_OK if cert.passed else EXIT_CERT_FAIL
 
 
-def _stationary_grid(poles, interval, points):
-    """The points of a linear grid around the reduced poles that lie clear of [a, b].
+def _report_grid(conj_poles, points, interval=None):
+    """A linear grid of real points z around the real parts of the conjugate poles.
 
     The grid reaches half a pole's distance from 0 beyond the outermost
-    poles.  Points within STATIONARY_REPORT_GAP of the interval, in the
-    variable of the interval rule (ln t when 0 < a, t / (b - a) otherwise),
-    are dropped: the quadrature cannot resolve Y there.
+    poles.  With an ``interval`` (the stationary family), points within
+    STATIONARY_REPORT_GAP of [a, b], in the variable of the interval rule
+    (ln t when 0 < a, t / (b - a) otherwise), are dropped: the quadrature
+    cannot resolve T there.
     """
-    grid = np.linspace(poles.min() - 0.5 * abs(poles.min()), poles.max() + 0.5 * abs(poles.max()), points)
+    lo, hi = conj_poles.min(), conj_poles.max()
+    grid = np.linspace(lo - 0.5 * abs(lo), hi + 0.5 * abs(hi), points)
+    if interval is None:
+        return grid
     a, b, gap = interval.a, interval.b, STATIONARY_REPORT_GAP
     if a > 0:
         lo, hi = a * np.exp(-gap), b * np.exp(gap)
@@ -272,39 +273,28 @@ def _stationary_grid(poles, interval, points):
 
 
 def cmd_report(args):
-    rom = _load(args.rom, "rom", io.rom_from_payload)
-    pr = pole_residue(rom)
     family = FAMILY_FLAGS[args.family]
-    lines = []
+    if family not in ("DISCRETE_LS", "STATIONARY"):
+        raise UsageError("reports exist for the discrete-ls and stationary families")
+    pr = pole_residue(_load(args.rom, "rom", io.rom_from_payload))
+    conj_poles = np.sort(np.conj(pr.poles).real)
     if family == "DISCRETE_LS":
         if not args.samples:
             raise UsageError("discrete-ls report requires --samples")
         data = _load(args.samples, "samples", io.samples_from_payload)
-        mirrors = np.sort(-np.conj(pr.poles).real)
-        lines.append("# columns: s  G(s)  Ghat(s)  G(s)-Ghat(s)")
-        for m in mirrors:
-            lines.append(f"# mirrored-pole {m:.17g}")
-        grid = np.logspace(np.log10(max(mirrors.min() / 10, 1e-3)), np.log10(mirrors.max() * 10), args.points)
-        g = modified_ls_tf_eval(data, None, grid)[:, 0, 0]
-        gh = modified_ls_tf_eval(data, pr, grid)[:, 0, 0]
-        for s, g_s, gh_s in zip(grid, g, gh):
-            lines.append(f"{s:.17g} {g_s.real:.17g} {gh_s.real:.17g} {(g_s - gh_s).real:.17g}")
-    elif family == "STATIONARY":
+        grid = _report_grid(conj_poles, args.points)
+        t, t_hat = (modified_ls_tf_eval(data, model, grid) for model in (None, pr))
+    else:
         if not args.model:
             raise UsageError("stationary report requires --model")
         fom = _load(args.model, "model", io.model_from_payload)
         interval = Interval(*fom.interval)
-        poles = np.sort(pr.poles.real)
-        lines.append("# columns: p  Y(p)  Yhat(p)  Y(p)-Yhat(p)")
-        for lam in poles:
-            lines.append(f"# rom-pole {lam:.17g}")
-        grid = _stationary_grid(poles, interval, args.points)
-        y = modified_output_eval(fom, interval, grid)[:, 0, 0].real
-        yh = modified_output_eval(pr, interval, grid)[:, 0, 0].real
-        for p, y_p, yh_p in zip(grid, y, yh):
-            lines.append(f"{p:.17g} {y_p:.17g} {yh_p:.17g} {y_p - yh_p:.17g}")
-    else:
-        raise UsageError("reports exist for the discrete-ls and stationary families")
+        grid = _report_grid(conj_poles, args.points, interval)
+        t, t_hat = (modified_output_eval(model, interval, grid) for model in (fom, pr))
+    lines = ["# columns: z T(z) That(z) T(z)-That(z)"]
+    lines += [f"# conj-pole {z:.17g}" for z in conj_poles]
+    for z, t_z, t_hat_z in zip(grid, t[:, 0, 0].real, t_hat[:, 0, 0].real):
+        lines.append(f"{z:.17g} {t_z:.17g} {t_hat_z:.17g} {t_z - t_hat_z:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as handle:

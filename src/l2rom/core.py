@@ -219,6 +219,7 @@ class SampleSet:
         return self.values.shape[2]
 
 
+# Only perfbench/tracing.py still calls this (by name); no sampler, fit or certificate needs closure.
 def check_conjugation_closure(samples):
     """Check that for every sample there is a conjugate partner.
 

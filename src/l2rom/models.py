@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SampleSet, check_conjugation_closure
+from .core import SampleSet
 from .spectral import PoleResidue2D, _check_wrt, _points
 
 __all__ = [
@@ -409,41 +409,29 @@ def _conjugate_pairs(poles, keep="real"):
             poles[-1] = poles[-1].real
     return poles
 
-def _conj_index(poles):
-    idx = np.empty(len(poles), dtype=int)
-    for i, lam in enumerate(poles):
-        idx[i] = int(np.argmin(np.abs(poles - np.conj(lam))))
-    return idx
-
 
 def _symmetrize_factors(s_poles, xi_poles, left, right):
-    ks = _conj_index(s_poles)
-    kxi = _conj_index(xi_poles)
+    # _conjugate_pairs pairs poles 2j and 2j + 1; an odd count ends in a real pole, its own partner
+    ks, kxi = (np.minimum(np.arange(n) ^ 1, n - 1) for n in (len(s_poles), len(xi_poles)))
     left_s = 0.5 * (left + np.conj(left[ks][:, kxi]))
     right_s = 0.5 * (right + np.conj(right[ks][:, kxi]))
     return left_s, right_s
 
 
 def sample_frequency_response(fom, freqs, weights=None):
-    """Evaluate H(i w) at positive frequencies and append the conjugate points.
+    """Sample H(i w) once per frequency w, at twice its weight (default 1).
 
-    Returns a conjugation-closed sample set with N = 2 * len(freqs) points.
+    A real model's misfit at -i w equals that at i w, so this is the L2
+    objective of the samples at +-i w; DISCRETE_LS doubles the measure itself.
     """
     freqs = np.asarray(freqs, dtype=float)
-    if weights is None:
-        weights = np.ones_like(freqs)
-    weights = np.asarray(weights, dtype=float)
+    if freqs.size == 0:
+        raise ValueError("freqs must hold at least one frequency")
+    weights = np.ones_like(freqs) if weights is None else np.asarray(weights, dtype=float)
     if len(weights) != len(freqs):
         raise ValueError("freqs and weights must have the same length")
-    values = fom.evaluate(1j * freqs)
-    points = np.concatenate([1j * freqs, -1j * freqs])[:, None]
-    values = np.concatenate([values, np.conj(values)])
-    weights = np.concatenate([weights, weights])
-    samples = SampleSet(points=points, values=values, weights=weights)
-    ok, bad = check_conjugation_closure(samples)
-    if not ok:
-        raise ValueError(f"frequency samples are not closed under conjugation (indices {bad})")
-    return samples
+    points = (1j * freqs)[:, None]
+    return SampleSet(points=points, values=fom.evaluate(points), weights=2.0 * weights)
 
 
 def sample_unit_circle(fom, num):

@@ -514,6 +514,8 @@ def irka_init(fom, r, max_iters=200):
     iterate (a pole in the closed right half-plane, or on or outside the
     unit circle for "dt") raises ValueError.
     """
+    if r < 1:
+        raise ValueError(f"the reduced order r must be at least 1, got {r}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     E, A, time_domain = fom.E, fom.A, fom.time_domain
@@ -576,6 +578,8 @@ def greedy_rb_init(fom, r, candidates):
     at the candidates maximizing the current output error; one-sided
     Galerkin projection.
     """
+    if r < 1:
+        raise ValueError(f"the reduced order r must be at least 1, got {r}")
     a1, a2, b, c = fom.A1, fom.A2, np.atleast_2d(fom.B), np.atleast_2d(fom.C)
     candidates = np.unique(np.asarray(candidates, dtype=float))
     if len(candidates) == 0:

@@ -21,9 +21,10 @@ from l2rom.models import (
     make_random_stable,
     sample_frequency_response,
     sample_stationary,
+    sample_unit_circle,
 )
-from l2rom import spectral
-from l2rom.optimize import FitOptions, fit, greedy_rb_init
+from l2rom import certify, spectral
+from l2rom.optimize import FitOptions, fit, greedy_rb_init, irka_init
 from l2rom.spectral import (
     PoleResidue,
     PoleResidue2D,
@@ -123,13 +124,19 @@ def test_h2l2_detects_perturbation():
 
 
 def test_modified_ls_tf_single_sample():
-    # one unit-weight sample of value 1 at node iw gives G(s) = 1/(s - iw)
-    data = SampleSet(np.array([[2j]]), np.ones((1, 1, 1), dtype=complex), np.ones(1))
-    s = np.array([1.0 + 0.5j, -3.0])
-    assert np.allclose(modified_ls_tf_eval(data, None, s)[:, 0, 0], 1.0 / (s - 2j))
-    assert np.allclose(modified_ls_tf_eval(data, None, s, order=1)[:, 0, 0], -1.0 / (s - 2j) ** 2)
-    with pytest.raises(ValueError, match="coincides with a data node"):
-        modified_ls_tf_eval(data, None, [1.0, 2j])
+    # one unit-weight sample of value v at node iw is doubled by its mirror,
+    # value conj(v) at -iw, half the weight each:
+    # T(z) = (v / (-iw - z) + conj(v) / (iw - z)) / 2
+    v = 1.0 + 0.5j
+    data = SampleSet(np.array([[2j]]), np.full((1, 1, 1), v), np.ones(1))
+    z = np.array([1.0 + 0.5j, -3.0])
+    t = 0.5 * (v / (-2j - z) + np.conj(v) / (2j - z))
+    td = 0.5 * (v / (-2j - z) ** 2 + np.conj(v) / (2j - z) ** 2)
+    assert np.allclose(modified_ls_tf_eval(data, None, z)[:, 0, 0], t)
+    assert np.allclose(modified_ls_tf_eval(data, None, z, order=1)[:, 0, 0], td)
+    for node in (2j, -2j):
+        with pytest.raises(ValueError, match="coincides with a data node"):
+            modified_ls_tf_eval(data, None, [1.0, node])
 
 
 def test_modified_ls_tf_derivative_fd():
@@ -156,6 +163,16 @@ def test_ls_residuals_detect_mismatch():
     data = sample_frequency_response(fom, np.logspace(-1, 1, 8))
     cert = ls_residuals(data, lti_pr(other))
     assert cert.max_residual > 1e-3
+
+
+def test_ls_residuals_certify_a_fit_on_unit_circle_samples():
+    # the discrete-time optimum on 64 circle nodes certifies on the doubled
+    # measure (the kernel of the imaginary axis read 1.0 here)
+    fom = make_random_stable(20, seed=73, time_domain="dt")
+    data = sample_unit_circle(fom, 64)
+    trace = fit(irka_init(fom, 2), data, FitOptions(max_iters=500))
+    cert = ls_residuals(data, pole_residue(trace.rom))
+    assert cert.passed, f"least-squares certificate residual {cert.max_residual:.2e}"
 
 
 def test_ls_residuals_evaluate_rom_once_per_node(monkeypatch):
@@ -364,6 +381,31 @@ def test_stationary_fom_object_and_eigen_form_agree():
     assert by_object.passed and by_form.passed
     assert [row.label for row in by_object.rows] == [row.label for row in by_form.rows]
     assert abs(by_object.max_residual - by_form.max_residual) <= 1e-9
+
+
+def test_stationary_residuals_are_ls_residuals_on_the_interval_rule():
+    # one kernel: the stationary certificate is DISCRETE_LS on the sample set
+    # of the interval rule whose sums it accepted
+    fom = make_poisson(8)
+    data = sample_stationary(fom, 60)
+    trace = fit(greedy_rb_init(fom, 2, np.logspace(-1, 1, 20)), data, FitOptions(max_iters=500))
+    rom_pr = pole_residue(trace.rom)
+    interval = Interval(*fom.interval)
+    evaluated = []
+
+    class Recording:
+        def evaluate(self, points):
+            evaluated.append((np.asarray(points), fom.evaluate(points)))
+            return evaluated[-1][1]
+
+    stationary = stationary_residuals(Recording(), rom_pr, interval)
+    nodes, values = evaluated[-1]
+    _, weights = certify._interval_rule(interval, len(nodes))
+    ls = ls_residuals(SampleSet(nodes.astype(complex)[:, None], values, weights), rom_pr)
+    assert [row.label for row in ls.rows] == [row.label for row in stationary.rows]
+    got = np.array([[v for _, v in row.residuals] for row in ls.rows])
+    want = np.array([[v for _, v in row.residuals] for row in stationary.rows])
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_residuals_invariant_under_factor_rescaling():

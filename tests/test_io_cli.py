@@ -213,8 +213,19 @@ def test_cli_pipeline_lti(tmp_path, capsys):
     assert cli.main(["report", rom, "--family", "discrete-ls", "--samples", samples,
                      "-o", report]) == 0
     text = open(report).read()
-    assert text.startswith("# columns:")
-    assert "# mirrored-pole" in text
+    assert text.startswith("# columns: z T(z) That(z) T(z)-That(z)\n")
+    assert "# conj-pole" in text
+
+
+def test_cli_discrete_time_pipeline_certifies(tmp_path):
+    # circle samples of a discrete-time model: the fitted optimum certifies
+    model = str(tmp_path / "model.json")
+    samples = str(tmp_path / "samples.json")
+    rom = str(tmp_path / "rom.json")
+    assert cli.main(["generate", "random-lti", "--n", "20", "--seed", "73", "--dt", "-o", model]) == 0
+    assert cli.main(["sample", model, "--scheme", "circle 64", "-o", samples]) == 0
+    assert cli.main(["fit", samples, "--structure", "lti-dt", "-o", rom]) == 0
+    assert cli.main(["certify", rom, "--family", "discrete-ls", "--samples", samples]) == 0
 
 
 def test_cli_family_structure_mismatch(tmp_path):
@@ -304,7 +315,7 @@ def test_cli_report_evaluates_rom_once(tmp_path, monkeypatch):
     monkeypatch.setattr(spectral, "pole_residue_eval", counting)
     argv = ["report", rom, "--family", "discrete-ls", "--samples", samples, "--points", "50", "-o", report]
     assert cli.main(argv) == 0
-    assert calls == [8]  # the rom at the 8 conjugation-closed sample points, once
+    assert calls == [4]  # the rom at the 4 sample points, once
     assert sum(not line.startswith("#") for line in open(report)) == 50
 
 

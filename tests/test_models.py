@@ -143,11 +143,16 @@ def test_kron_parametric_admissible_and_symmetric():
 
 
 def test_sample_frequency_response_closure():
+    # one sample per frequency at +iw, at twice its weight: a real model's
+    # misfit at -iw is the same, so the objective is that of the closed set
     fom = make_random_stable(6, seed=3)
-    data = sample_frequency_response(fom, np.logspace(0, 2, 5))
-    assert len(data) == 10
-    ok, _ = check_conjugation_closure(data)
-    assert ok
+    freqs = np.logspace(0, 2, 5)
+    weights = np.linspace(1.0, 2.0, 5)
+    data = sample_frequency_response(fom, freqs, weights)
+    assert len(data) == 5
+    assert np.array_equal(data.points[:, 0], 1j * freqs)
+    assert np.array_equal(data.weights, 2.0 * weights)
+    assert np.array_equal(data.values, fom.evaluate(1j * freqs))
 
 
 def test_sample_unit_circle_closure_and_weights():
@@ -301,7 +306,8 @@ def _run_python(args, code):
 def test_model_validation_survives_optimized_mode():
     code = """
 import numpy as np
-from l2rom.models import AffineLtiFom, make_random_stable, sample_frequency_response
+from l2rom.models import AffineLtiFom, make_poisson, make_random_stable, sample_frequency_response
+from l2rom.optimize import greedy_rb_init, irka_init
 
 class NanFom:
     def evaluate(self, points):
@@ -309,13 +315,16 @@ class NanFom:
 
 fom = make_random_stable(4)
 for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
-             lambda: sample_frequency_response(NanFom(), [1.0, 2.0])):
+             lambda: sample_frequency_response(NanFom(), [1.0, 2.0]),
+             lambda: sample_frequency_response(fom, []),
+             lambda: irka_init(fom, 0),
+             lambda: greedy_rb_init(make_poisson(4), 0, [0.5, 1.0])):
     try:
         make()
     except ValueError:
         print("raised")
 """
-    assert _run_python(["-O"], code).split() == ["raised", "raised"]
+    assert _run_python(["-O"], code).split() == ["raised"] * 5
 
 
 def test_building_models_does_not_import_scipy_sparse():

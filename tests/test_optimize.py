@@ -462,3 +462,17 @@ def test_irka_rejects_unstable_model():
     fom = AffineLtiFom(E_entries=np.eye(n), A_entries=a, B=np.ones((n, 1)), C=np.ones((1, n)))
     with pytest.raises(ValueError, match="unstable"):
         irka_init(fom, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: irka_init(make_random_stable(10), 0), "reduced order r must be at least 1"),
+        (lambda: greedy_rb_init(make_poisson(8), 0, [0.5, 1.0]), "reduced order r must be at least 1"),
+        (lambda: sample_frequency_response(make_random_stable(4), []), "freqs must hold at least one"),
+    ],
+    ids=["irka-r0", "rb-r0", "no-freqs"],
+)
+def test_degenerate_inputs_raise_value_errors_that_name_the_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
