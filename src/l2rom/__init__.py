@@ -42,8 +42,7 @@ from .certify import (
     Certificate,
     CertificateRow,
     Interval,
-    h2_ct_residuals,
-    h2_dt_residuals,
+    h2_residuals,
     h2l2_residuals,
     ls_residuals,
     modified_ls_tf_eval,
@@ -81,8 +80,7 @@ __all__ = [
     "Certificate",
     "CertificateRow",
     "Interval",
-    "h2_ct_residuals",
-    "h2_dt_residuals",
+    "h2_residuals",
     "h2l2_residuals",
     "ls_residuals",
     "modified_ls_tf_eval",

@@ -5,7 +5,8 @@ bitangential Hermite interpolation conditions.  The functions here evaluate
 those conditions as relative residuals and collect them in a Certificate:
 
 - H2_CT / H2_DT: tangential interpolation of the transfer function at the
-  mirror images of the reduced poles (half-plane / unit-circle geometry).
+  mirror images of the reduced poles (half-plane / unit-circle geometry);
+  the full-order model's time domain picks the family.
 - H2xL2: two-variable conditions at mirrored pole pairs, including the
   weighted derivative-sum conditions.
 - DISCRETE_LS and STATIONARY: Hermite interpolation of the L2 projection
@@ -21,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _points
+from .spectral import _points, mirror, stable
 
 __all__ = [
     "Certificate",
     "CertificateRow",
     "Interval",
-    "h2_ct_residuals",
-    "h2_dt_residuals",
+    "h2_residuals",
     "h2l2_residuals",
     "modified_ls_tf_eval",
     "ls_residuals",
@@ -44,6 +44,11 @@ STATIONARY_POLE_MARGIN = 1e-10
 # and the relative agreement of two successive rules that accepts the later one
 STATIONARY_RULE_NODES = (16, 32, 64, 128, 256, 512)
 STATIONARY_RULE_RTOL = 1e-12
+# per time domain: the H2 certificate's family, default tolerance and stability region
+H2_FAMILIES = {
+    "ct": ("H2_CT", 1e-6, "in the open left half-plane"),
+    "dt": ("H2_DT", 1e-4, "inside the open unit disk"),
+}
 
 
 @dataclass(frozen=True)
@@ -116,38 +121,28 @@ def _hermite_rows(left, right, h, h_hat, hd, hd_hat):
     return tuple(rows)
 
 
-def h2_ct_residuals(fom, rom_pr, tolerance=1e-6):
-    """Interpolation residuals at -conj(lambda_k) for continuous-time H2.
+def h2_residuals(fom, rom_pr, tolerance=None):
+    """Interpolation residuals at the mirror images sigma_k of the reduced poles, for H2.
 
-    Per pole: right tangential H(sigma) b_k, left tangential c_k^* H(sigma),
-    and bitangential Hermite c_k^* H'(sigma) b_k, each relative to the
-    full-order-side magnitude.  ``fom`` is any object with the full-order
-    protocol of ``l2rom.models``: ``evaluate(points)`` and
-    ``partial(points)``, each (N, n_o, n_i) at N points; ``rom_pr`` is a
-    ``PoleResidue`` and is evaluated through the same two methods.
+    ``fom.time_domain`` ("ct" or "dt") picks the family and its default
+    tolerance (H2_FAMILIES), the stability region that the poles must lie
+    in and the mirror map (``spectral.stable``, ``spectral.mirror``).  Per
+    pole: right tangential H(sigma) b_k, left tangential c_k^* H(sigma) and
+    bitangential Hermite c_k^* H'(sigma) b_k, each relative to the
+    full-order-side magnitude.  Both ``fom`` and the ``PoleResidue``
+    ``rom_pr`` are evaluated through ``evaluate`` and ``partial``.
     """
-    if np.any(rom_pr.poles.real >= 0):
-        raise ValueError("continuous-time certificate requires poles in the open left half-plane")
-    sig = -np.conj(rom_pr.poles)
+    time_domain = getattr(fom, "time_domain", None)
+    if time_domain not in H2_FAMILIES:
+        raise ValueError("the H2 certificate requires a model with a time domain, 'ct' or 'dt'")
+    family, default_tolerance, region = H2_FAMILIES[time_domain]
+    if not np.all(stable(rom_pr.poles, time_domain)):
+        raise ValueError(f"the {family} certificate requires poles {region}")
+    sig = mirror(rom_pr.poles, time_domain)
     h, h_hat = fom.evaluate(sig), rom_pr.evaluate(sig)
     hd, hd_hat = fom.partial(sig), rom_pr.partial(sig)
     rows = _hermite_rows(rom_pr.left_factors, rom_pr.right_factors, h, h_hat, hd, hd_hat)
-    return Certificate(family="H2_CT", rows=rows, tolerance=tolerance)
-
-
-def h2_dt_residuals(fom, rom_pr, tolerance=1e-4):
-    """Interpolation residuals at 1/conj(lambda_k) for discrete-time h2.
-
-    ``fom`` and ``rom_pr`` are evaluated through ``evaluate``/``partial``, as
-    for h2_ct_residuals.
-    """
-    if np.any(np.abs(rom_pr.poles) >= 1):
-        raise ValueError("discrete-time certificate requires poles inside the open unit disk")
-    sig = 1.0 / np.conj(rom_pr.poles)
-    h, h_hat = fom.evaluate(sig), rom_pr.evaluate(sig)
-    hd, hd_hat = fom.partial(sig), rom_pr.partial(sig)
-    rows = _hermite_rows(rom_pr.left_factors, rom_pr.right_factors, h, h_hat, hd, hd_hat)
-    return Certificate(family="H2_DT", rows=rows, tolerance=tolerance)
+    return Certificate(family=family, rows=rows, tolerance=default_tolerance if tolerance is None else tolerance)
 
 
 def h2l2_residuals(fom, rom2d, tolerance=1e-4):
@@ -156,17 +151,17 @@ def h2l2_residuals(fom, rom2d, tolerance=1e-4):
     Per pole pair: right and left tangential conditions; per s-pole the
     pi-weighted sum of c_kj^* dH/ds b_kj over j; per xi-pole the sum of
     c_il^* dH/dxi b_il over i.  ``fom`` is any object with ``evaluate`` and
-    ``partial(points, wrt)`` at (N, 2) points (s, xi), as for h2_ct_residuals;
+    ``partial(points, wrt)`` at (N, 2) points (s, xi), as for h2_residuals;
     the ``PoleResidue2D`` ``rom2d`` is evaluated through the same methods.
     """
     lam = rom2d.s_poles
     pi = rom2d.xi_poles
-    if np.any(lam.real >= 0):
+    if not np.all(stable(lam, "ct")):
         raise ValueError("s-poles must lie in the open left half-plane")
-    if np.any(np.abs(pi) <= 1):
+    eta = mirror(pi, "dt")
+    if not np.all(stable(eta, "dt")):
         raise ValueError("xi-poles must lie outside the closed unit disk")
-    sig = -np.conj(lam)
-    eta = 1.0 / np.conj(pi)
+    sig = mirror(lam, "ct")
 
     r_s, r_xi = len(lam), len(pi)
     pts = np.stack([np.repeat(sig, r_xi), np.tile(eta, r_s)], axis=1)  # pair (k, l) is row k * r_xi + l

@@ -20,8 +20,7 @@ import numpy as np
 from . import io, models
 from .certify import (
     Interval,
-    h2_ct_residuals,
-    h2_dt_residuals,
+    h2_residuals,
     h2l2_residuals,
     ls_residuals,
     modified_ls_tf_eval,
@@ -41,13 +40,9 @@ EXIT_IO = 3
 # _report_grid): the interval rules resolve Y only about 1 % away.
 STATIONARY_REPORT_GAP = 0.02
 
-FAMILY_FLAGS = {
-    "h2-ct": "H2_CT",
-    "h2-dt": "H2_DT",
-    "h2xl2": "H2xL2",
-    "discrete-ls": "DISCRETE_LS",
-    "stationary": "STATIONARY",
-}
+# certify --family: the rom structure each family's conditions apply to; the
+# full-order model's time domain picks H2_CT or H2_DT for h2
+FAMILY_STRUCTURE = {"h2": "lti", "h2xl2": "kron", "discrete-ls": "lti", "stationary": "stationary"}
 
 
 class UsageError(Exception):
@@ -123,11 +118,11 @@ def cmd_sample(args):
 
 def _random_rom(structure, args, data, rng):
     r, n_i, n_o = args.order, data.n_i, data.n_o
-    if structure == "lti" or structure == "lti-dt":
+    if structure == "lti":
+        # poles in [-0.5, 0): stable in both time domains
         a = rng.standard_normal((r, r))
         a = -(a @ a.T) / 2 - 0.5 * np.eye(r)
-        if structure == "lti-dt":
-            a = 0.5 * a / max(np.max(np.abs(np.linalg.eigvals(a))), 1.0)
+        a = 0.5 * a / max(np.max(np.abs(np.linalg.eigvals(a))), 1.0)
         return lti_rom(np.eye(r), a, rng.standard_normal((r, n_i)), rng.standard_normal((n_o, r)))
     if structure == "stationary":
         a2 = rng.standard_normal((r, r))
@@ -158,11 +153,10 @@ def cmd_fit(args):
         if not args.init_file:
             raise UsageError("--init file requires --init-file")
         init = _load(args.init_file, "rom", io.rom_from_payload)
-        wanted, found = "lti" if args.structure == "lti-dt" else args.structure, rom_structure(init)
-        if found != wanted:
-            raise UsageError(
-                f"--structure {args.structure} requires a {wanted} rom, {args.init_file} holds a {found} rom"
-            )
+        found = rom_structure(init)
+        if found != args.structure:
+            raise UsageError(f"--structure {args.structure} requires a {args.structure} rom, "
+                             f"{args.init_file} holds a {found} rom")
         inits = [init]
     elif args.init == "random":
         inits = [_random_rom(args.structure, args, data, rng) for _ in range(max(args.restarts, 1))]
@@ -171,8 +165,8 @@ def cmd_fit(args):
             raise UsageError(f"--init {args.init} requires --model")
         fom = _load(args.model, "model", io.model_from_payload)
         if args.init == "irka":
-            if args.structure not in ("lti", "lti-dt"):
-                raise UsageError("irka initialization applies to lti structures")
+            if args.structure != "lti":
+                raise UsageError("irka initialization applies to the lti structure")
             inits = [irka_init(fom, args.order)]
         elif args.init == "rb":
             if args.structure != "stationary":
@@ -204,27 +198,14 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-_FAMILY_STRUCTURE = {
-    "H2_CT": "lti",
-    "H2_DT": "lti",
-    "DISCRETE_LS": "lti",
-    "H2xL2": "kron",
-    "STATIONARY": "stationary",
-}
-
-
 def cmd_certify(args):
-    family = FAMILY_FLAGS[args.family]
     rom = _load(args.rom, "rom", io.rom_from_payload)
-    structure = rom_structure(rom)
-    if structure != _FAMILY_STRUCTURE[family]:
-        raise UsageError(
-            f"certificate family {args.family} requires a {_FAMILY_STRUCTURE[family]} rom, "
-            f"found {structure}"
-        )
+    structure, wanted = rom_structure(rom), FAMILY_STRUCTURE[args.family]
+    if structure != wanted:
+        raise UsageError(f"certificate family {args.family} requires a {wanted} rom, found {structure}")
     pr = pole_residue(rom)
     tol = {} if args.tol is None else {"tolerance": args.tol}  # else each family's own default
-    if family == "DISCRETE_LS":
+    if args.family == "discrete-ls":
         if not args.samples:
             raise UsageError("discrete-ls certification requires --samples")
         data = _load(args.samples, "samples", io.samples_from_payload)
@@ -233,23 +214,21 @@ def cmd_certify(args):
         if not args.model:
             raise UsageError(f"{args.family} certification requires --model")
         fom = _load(args.model, "model", io.model_from_payload)
-        if family == "H2_CT":
-            cert = h2_ct_residuals(fom, pr, **tol)
-        elif family == "H2_DT":
-            cert = h2_dt_residuals(fom, pr, **tol)
-        elif family == "H2xL2":
+        if args.family == "h2":
+            cert = h2_residuals(fom, pr, **tol)
+        elif args.family == "h2xl2":
             cert = h2l2_residuals(fom, pr, **tol)
         else:
             cert = stationary_residuals(fom, pr, Interval(*fom.interval), **tol)
     if args.out:
         io.write_payload(args.out, io.certificate_to_payload(cert))
-    print(f"{family}: max residual {cert.max_residual:.3e} "
+    print(f"{cert.family}: max residual {cert.max_residual:.3e} "
           f"(tolerance {cert.tolerance:.1e}) -> {'PASS' if cert.passed else 'FAIL'}")
     return EXIT_OK if cert.passed else EXIT_CERT_FAIL
 
 
 def _report_grid(conj_poles, points, interval=None):
-    """A linear grid of real points z around the real parts of the conjugate poles.
+    """A linear grid of real points z around the (real) conjugate poles.
 
     The grid reaches half a pole's distance from 0 beyond the outermost
     poles.  With an ``interval`` (the stationary family), points within
@@ -273,20 +252,25 @@ def _report_grid(conj_poles, points, interval=None):
 
 
 def cmd_report(args):
-    family = FAMILY_FLAGS[args.family]
-    if family not in ("DISCRETE_LS", "STATIONARY"):
-        raise UsageError("reports exist for the discrete-ls and stationary families")
-    pr = pole_residue(_load(args.rom, "rom", io.rom_from_payload))
-    conj_poles = np.sort(np.conj(pr.poles).real)
-    if family == "DISCRETE_LS":
+    rom = _load(args.rom, "rom", io.rom_from_payload)
+    structure = rom_structure(rom)
+    if structure not in ("lti", "stationary"):
+        raise UsageError(f"reports exist for lti (discrete-ls) and stationary roms, found {structure}")
+    pr = pole_residue(rom)
+    # the grid is real, so it holds the interpolation points conj(lambda_k) only of real poles
+    if np.max(np.abs(pr.poles.imag)) > 1e-8 * max(np.max(np.abs(pr.poles)), 1.0):
+        raise UsageError("the report draws T on the real axis and needs real reduced poles, found "
+                         + np.array2string(np.sort_complex(pr.poles), precision=6))
+    conj_poles = np.sort(pr.poles.real)
+    if structure == "lti":
         if not args.samples:
-            raise UsageError("discrete-ls report requires --samples")
+            raise UsageError("the discrete-ls report of an lti rom requires --samples")
         data = _load(args.samples, "samples", io.samples_from_payload)
         grid = _report_grid(conj_poles, args.points)
         t, t_hat = (modified_ls_tf_eval(data, model, grid) for model in (None, pr))
     else:
         if not args.model:
-            raise UsageError("stationary report requires --model")
+            raise UsageError("the stationary report requires --model")
         fom = _load(args.model, "model", io.model_from_payload)
         interval = Interval(*fom.interval)
         grid = _report_grid(conj_poles, args.points, interval)
@@ -331,7 +315,7 @@ def build_parser():
 
     fitp = sub.add_parser("fit", help="fit a structured reduced model to samples")
     fitp.add_argument("samples")
-    fitp.add_argument("--structure", required=True, choices=("lti", "lti-dt", "kron", "stationary"))
+    fitp.add_argument("--structure", required=True, choices=("lti", "kron", "stationary"))
     fitp.add_argument("--init", default="random", choices=("irka", "rb", "random", "file"))
     fitp.add_argument("--model", help="model file (for irka/rb initialization)")
     fitp.add_argument("--init-file", help="rom file (for file initialization)")
@@ -348,7 +332,7 @@ def build_parser():
 
     cert = sub.add_parser("certify", help="evaluate optimality-condition residuals")
     cert.add_argument("rom")
-    cert.add_argument("--family", required=True, choices=sorted(FAMILY_FLAGS))
+    cert.add_argument("--family", required=True, choices=sorted(FAMILY_STRUCTURE))
     cert.add_argument("--model")
     cert.add_argument("--samples")
     cert.add_argument("--tol", type=float)
@@ -357,7 +341,6 @@ def build_parser():
 
     rep = sub.add_parser("report", help="emit plot-ready columnar text")
     rep.add_argument("rom")
-    rep.add_argument("--family", required=True, choices=sorted(FAMILY_FLAGS))
     rep.add_argument("--model")
     rep.add_argument("--samples")
     rep.add_argument("--points", type=int, default=200)

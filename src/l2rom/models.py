@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import SampleSet
-from .spectral import PoleResidue2D, _check_wrt, _points
+from .spectral import PoleResidue2D, _check_wrt, _points, _time_domain
 
 __all__ = [
     "AffineLtiFom",
@@ -174,8 +174,7 @@ class AffineLtiFom(_AffineFom):
     time_domain: str = "ct"  # or "dt"
 
     def __post_init__(self):
-        if self.time_domain not in ("ct", "dt"):
-            raise ValueError(f"time_domain must be 'ct' or 'dt', got {self.time_domain!r}")
+        _time_domain(self.time_domain)
 
     @cached_property
     def E(self):
@@ -250,6 +249,13 @@ class KronParametricFom(PoleResidue2D):
     def evaluator(self):
         # kept only because perfbench/workload.py (KronH2L2.run) calls it; the model has the protocol itself
         return self
+
+
+def _check_positive(**dims):
+    """ValueError naming the first dimension below 1."""
+    for name, value in dims.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def make_penzl():
@@ -354,6 +360,7 @@ def make_random_stable(n, n_i=1, n_o=1, seed=0, time_domain="ct"):
     eigenvalues have negative real part.  Discrete time: random A rescaled to
     spectral radius 0.9.
     """
+    _check_positive(n=n, n_i=n_i, n_o=n_o)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) / np.sqrt(n)
     if time_domain == "ct":
@@ -374,6 +381,7 @@ def make_kron_parametric(r_s_terms, r_xi_terms, n_i=1, n_o=1, seed=0):
     >= 1.1; conjugate pole pairs carry conjugate factors so the map is real
     on the real-(s, real-xi) restriction.
     """
+    _check_positive(r_s_terms=r_s_terms, r_xi_terms=r_xi_terms, n_i=n_i, n_o=n_o)
     rng = np.random.default_rng(seed)
     s_poles = -0.1 - 2.0 * rng.random(r_s_terms) + 1j * rng.standard_normal(r_s_terms)
     s_poles = _conjugate_pairs(s_poles)
@@ -434,13 +442,18 @@ def sample_frequency_response(fom, freqs, weights=None):
     return SampleSet(points=points, values=fom.evaluate(points), weights=2.0 * weights)
 
 
+def _circle_rule(num):
+    """Nodes exp(2 pi i k / num) and weights 1/num of the trapezoid rule of the normalized unit-circle measure."""
+    if num < 2 or num % 2:
+        raise ValueError("circle node count must be even and at least 2")
+    theta = 2.0 * np.pi * np.arange(num) / num
+    return np.exp(1j * theta), np.full(num, 1.0 / num)
+
+
 def sample_unit_circle(fom, num):
     """Uniform trapezoid quadrature of the unit-circle measure (weights 1/num)."""
-    if num < 2 or num % 2:
-        raise ValueError("node count must be even and at least 2")
-    theta = 2.0 * np.pi * np.arange(num) / num
-    points = np.exp(1j * theta)[:, None]
-    weights = np.full(num, 1.0 / num)
+    nodes, weights = _circle_rule(num)
+    points = nodes[:, None]
     return SampleSet(points=points, values=fom.evaluate(points), weights=weights)
 
 
@@ -463,17 +476,13 @@ def sample_h2l2(fom, n_s=96, n_xi=64):
     discretized with Gauss-Legendre; the circle uses the uniform trapezoid
     rule.  Weights absorb the 1/(4 pi^2) normalization.
     """
+    _check_positive(n_s=n_s)
+    xi, w_xi = _circle_rule(n_xi)
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_s)
     t_nodes = 0.5 * np.pi * t_nodes
     t_weights = 0.5 * np.pi * t_weights
     omega = np.tan(t_nodes)
     w_s = t_weights / np.cos(t_nodes) ** 2 / (2.0 * np.pi)
-
-    if n_xi < 2 or n_xi % 2:
-        raise ValueError("circle node count must be even and at least 2")
-    theta = 2.0 * np.pi * np.arange(n_xi) / n_xi
-    xi = np.exp(1j * theta)
-    w_xi = np.full(n_xi, 1.0 / n_xi)
 
     # frequency-major order: point k * n_xi + l is (i omega_k, xi_l)
     points = np.stack([np.repeat(1j * omega, n_xi), np.tile(xi, n_s)], axis=1)

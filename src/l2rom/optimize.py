@@ -23,7 +23,7 @@ from .core import (
     lti_rom,
     stationary_rom,
 )
-from .spectral import pole_residue_lti
+from .spectral import mirror, pole_residue_lti, stable
 
 __all__ = [
     "FitOptions",
@@ -329,18 +329,6 @@ def fit(init, data, opts=None):
     return trace
 
 
-def _mirror(poles, time_domain):
-    if time_domain == "dt":
-        sig = 1.0 / np.conj(poles)
-        bad = np.abs(sig) <= 1.0
-        sig[bad] = 1.0 / np.conj(sig[bad])  # reflect back outside the unit circle
-        return sig
-    sig = -np.conj(poles)
-    bad = sig.real <= 0
-    sig[bad] = -np.conj(sig[bad])  # reflect unstable mirror images into the RHP
-    return sig
-
-
 def _conjugate_leads(shifts):
     """The shifts whose solves span a real basis at a conjugation-closed shift set.
 
@@ -451,14 +439,15 @@ def _irka_map(fom, B, C, state, time_domain):
     v, w = _orth(np.column_stack(v_cols)), _orth(np.column_stack(w_cols))
     reduced = w.T @ (fom.E @ v), w.T @ (fom.A @ v), w.T @ B, C @ v
     pr = pole_residue_lti(*reduced)
-    mirrored = _mirror(pr.poles, time_domain)
+    poles = pr.poles
+    mirrored = np.where(stable(poles, time_domain), mirror(poles, time_domain), poles)  # unstable poles stay
     order = _nearest_order(mirrored, shifts)
     image = np.concatenate([
         mirrored[order],
         _unit_aligned(pr.right_factors[order], b_dirs).ravel(),
         _unit_aligned(pr.left_factors[order], c_dirs).ravel(),
     ])
-    return reduced, pr.poles, image
+    return reduced, poles, image
 
 
 def _aitken(image, residuals, r, time_domain):
@@ -471,7 +460,8 @@ def _aitken(image, residuals, r, time_domain):
     to AITKEN_ALIGNMENT, the limit of the linear iteration is
     F(z) + rho_0/(1 - rho_0) f0.  A real rho_0 keeps the shifts closed
     under conjugation.  None when the gate is shut or an extrapolated shift
-    (the first r entries) leaves the admissible region.
+    (the first r entries) leaves the admissible region, the mirror image of
+    the stability region.
     """
     if len(residuals) < 3:
         return None
@@ -483,8 +473,7 @@ def _aitken(image, residuals, r, time_domain):
     if not (steady and abs(inner) >= AITKEN_ALIGNMENT * np.linalg.norm(f1) * np.linalg.norm(f0)):
         return None
     state = image + rho0 / (1.0 - rho0) * f0
-    admissible = np.abs(state[:r]) > 1.0 if time_domain == "dt" else state[:r].real > 0.0
-    return state if np.all(admissible) else None
+    return state if np.all(stable(mirror(state[:r], time_domain), time_domain)) else None
 
 
 def irka_init(fom, r, max_iters=200):
@@ -525,10 +514,10 @@ def irka_init(fom, r, max_iters=200):
         return lti_rom(_dense(E), _dense(A), B, C)
 
     v0 = _krylov_start(fom, r)
-    lam0 = np.linalg.eigvals(np.linalg.solve(v0.T @ (E @ v0), v0.T @ (A @ v0)))
+    lam0 = np.linalg.eigvals(np.linalg.solve(v0.T @ (E @ v0), v0.T @ (A @ v0))).astype(complex)  # complex shifts
     n_i, n_o = B.shape[1], C.shape[0]
     state = np.concatenate([
-        _mirror(lam0.astype(complex), time_domain),  # complex shifts factor complex operators
+        np.where(stable(lam0, time_domain), mirror(lam0, time_domain), lam0),
         np.full(r * n_i, 1.0 / np.sqrt(n_i)),
         np.full(r * n_o, 1.0 / np.sqrt(n_o)),
     ])
@@ -562,8 +551,7 @@ def irka_init(fom, r, max_iters=200):
             RuntimeWarning,
             stacklevel=2,
         )
-    unstable = np.abs(poles) >= 1.0 if time_domain == "dt" else poles.real >= 0.0
-    if np.any(unstable):
+    if not np.all(stable(poles, time_domain)):
         raise ValueError(f"irka_init produced an unstable reduced model (poles {poles})")
     return lti_rom(*reduced)
 

@@ -4,6 +4,8 @@ Covers the conversion from state-space data to partial-fraction (pole-residue)
 form, including the singular-coefficient case that produces a constant term,
 and the two-variable Kronecker-structured case; ``pole_residue(rom)`` picks
 the conversion from a structured reduced model's operator structure.
+``stable`` and ``mirror`` hold the geometry of the two time domains: the
+stability region and the reflection across its boundary.
 ``PoleResidue`` and ``PoleResidue2D`` answer the batched ``evaluate``/``partial``
 protocol of the full-order models in ``l2rom.models``.
 """
@@ -26,10 +28,29 @@ __all__ = [
     "pole_residue_affine_singular",
     "kron_pole_residue",
     "pole_residue_eval",
+    "stable",
+    "mirror",
 ]
 
 POLE_SEPARATION_RTOL = 1e-8
 POLE_EVAL_SEPARATION = 1e-12
+
+
+def stable(poles, time_domain):
+    """Per pole, whether it lies in the stability region: Re z < 0 ("ct") or |z| < 1 ("dt")."""
+    return np.real(poles) < 0 if _time_domain(time_domain) == "ct" else np.abs(poles) < 1
+
+
+def mirror(points, time_domain):
+    """Reflection across the stability boundary, its own inverse: -conj z ("ct") or 1/conj z ("dt")."""
+    return -np.conj(points) if _time_domain(time_domain) == "ct" else 1.0 / np.conj(points)
+
+
+def _time_domain(time_domain):
+    """``time_domain`` itself; ValueError unless it is "ct" or "dt"."""
+    if time_domain not in ("ct", "dt"):
+        raise ValueError(f"time_domain must be 'ct' or 'dt', got {time_domain!r}")
+    return time_domain
 
 
 class DefectivePencilError(np.linalg.LinAlgError):

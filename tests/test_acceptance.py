@@ -14,8 +14,7 @@ import scipy.integrate
 
 from l2rom.certify import (
     Interval,
-    h2_ct_residuals,
-    h2_dt_residuals,
+    h2_residuals,
     h2l2_residuals,
     ls_residuals,
     stationary_residuals,
@@ -104,9 +103,9 @@ def _gradient_instance(structure, seed):
     g = np.random.default_rng(seed)
     n_i, n_o = int(g.integers(1, 3)), int(g.integers(1, 3))
     num = 2 * int(g.integers(3, 9))  # N <= 16
-    if structure in ("lti-ct", "lti-dt"):
+    if structure in ("ct-lti", "dt-lti"):
         r = int(g.integers(2, 5))
-        td = "ct" if structure == "lti-ct" else "dt"
+        td = structure[:2]
         rom = _random_lti(g, r, n_i, n_o, td)
         target = _random_lti(g, r, n_i, n_o, td)
         if td == "ct":
@@ -138,7 +137,7 @@ def _gradient_instance(structure, seed):
 
 def test_gradients_match_finite_differences():
     start = time.monotonic()
-    for structure in ("lti-ct", "lti-dt", "kron", "stationary", "lti-ct-open", "kron-open"):
+    for structure in ("ct-lti", "dt-lti", "kron", "stationary", "ct-lti-open", "kron-open"):
         for seed in range(20):
             rom, data = _gradient_instance(structure, 1000 + seed)
             grads = l2_gradients_kron(rom, data) if rom.kron is not None else l2_gradients(rom, data)
@@ -242,8 +241,8 @@ def test_h2_conditions_continuous():
     for n, n_i, n_o, seed in ((30, 1, 1, 70), (20, 2, 2, 71)):
         fom = make_random_stable(n, n_i, n_o, seed=seed)
         rom = irka_init(fom, 4)
-        cert = h2_ct_residuals(fom, pole_residue(rom), tolerance=1e-6)
-        assert cert.passed, f"n={n}: H2 residual {cert.max_residual:.2e}"
+        cert = h2_residuals(fom, pole_residue(rom), tolerance=1e-6)
+        assert cert.family == "H2_CT" and cert.passed, f"n={n}: H2 residual {cert.max_residual:.2e}"
 
 
 def test_h2_conditions_discrete():
@@ -253,8 +252,8 @@ def test_h2_conditions_discrete():
         init = irka_init(fom, 4)
         trace = fit(init, data, FitOptions(max_iters=300))
         assert_trace_contract(trace)
-        cert = h2_dt_residuals(fom, pole_residue(trace.rom), tolerance=1e-4)
-        assert cert.passed, f"n={n}: discrete H2 residual {cert.max_residual:.2e}"
+        cert = h2_residuals(fom, pole_residue(trace.rom), tolerance=1e-4)
+        assert cert.family == "H2_DT" and cert.passed, f"n={n}: discrete H2 residual {cert.max_residual:.2e}"
 
 
 def test_h2l2_conditions():

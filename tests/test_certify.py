@@ -6,8 +6,7 @@ from l2rom.certify import (
     Certificate,
     CertificateRow,
     Interval,
-    h2_ct_residuals,
-    h2_dt_residuals,
+    h2_residuals,
     h2l2_residuals,
     ls_residuals,
     modified_ls_tf_eval,
@@ -61,7 +60,8 @@ def test_certificate_structure():
 def test_h2_ct_zero_residuals_on_self():
     fom = make_random_stable(6, 2, 2, seed=40)
     pr = lti_pr(fom)
-    cert = h2_ct_residuals(fom, pr)
+    cert = h2_residuals(fom, pr)
+    assert cert.family == "H2_CT" and cert.tolerance == 1e-6
     assert cert.max_residual <= 1e-10
     assert cert.passed
 
@@ -72,7 +72,7 @@ def test_h2_ct_detects_perturbation():
     pr_bad = PoleResidue(
         poles=pr.poles, left_factors=1.05 * pr.left_factors, right_factors=pr.right_factors
     )
-    cert = h2_ct_residuals(fom, pr_bad)
+    cert = h2_residuals(fom, pr_bad)
     assert cert.max_residual > 1e-3
     assert not cert.passed
 
@@ -80,21 +80,41 @@ def test_h2_ct_detects_perturbation():
 def test_h2_ct_rejects_unstable_poles():
     fom = make_random_stable(4, seed=42)
     pr = real_pr([0.5, -1.0], np.ones((2, 1)), np.ones((2, 1)))
-    with pytest.raises(ValueError):
-        h2_ct_residuals(fom, pr)
+    with pytest.raises(ValueError, match="H2_CT certificate requires poles in the open left half-plane"):
+        h2_residuals(fom, pr)
 
 
 def test_h2_dt_zero_residuals_on_self():
     fom = make_random_stable(6, seed=43, time_domain="dt")
-    cert = h2_dt_residuals(fom, lti_pr(fom))
+    cert = h2_residuals(fom, lti_pr(fom))
+    assert cert.family == "H2_DT" and cert.tolerance == 1e-4
     assert cert.max_residual <= 1e-10
 
 
 def test_h2_dt_rejects_poles_outside_disk():
     fom = make_random_stable(4, seed=44, time_domain="dt")
     pr = real_pr([1.5, 0.2], np.ones((2, 1)), np.ones((2, 1)))
-    with pytest.raises(ValueError):
-        h2_dt_residuals(fom, pr)
+    with pytest.raises(ValueError, match="H2_DT certificate requires poles inside the open unit disk"):
+        h2_residuals(fom, pr)
+
+
+@pytest.mark.parametrize("time_domain, seed", [("dt", 2), ("ct", 8)])
+def test_h2_residuals_take_the_family_from_the_model(time_domain, seed):
+    # the IRKA fixed point is H2-optimal in the model's own time domain; the
+    # other domain's conditions read 260 (dt, seed 2) and 0.942 (ct, seed 8)
+    fom = make_random_stable(20, seed=seed, time_domain=time_domain)
+    pr = pole_residue(irka_init(fom, 2))
+    cert = h2_residuals(fom, pr)
+    assert cert.family == {"ct": "H2_CT", "dt": "H2_DT"}[time_domain]
+    assert cert.passed, cert.max_residual
+    assert cert.tolerance == certify.H2_FAMILIES[time_domain][1]
+    assert h2_residuals(fom, pr, tolerance=0.5).tolerance == 0.5
+
+
+def test_h2_residuals_need_a_time_domain():
+    fom = make_kron_parametric(2, 2, seed=0)
+    with pytest.raises(ValueError, match="time domain"):
+        h2_residuals(fom, real_pr([-1.0], np.ones((1, 1)), np.ones((1, 1))))
 
 
 def test_h2l2_zero_residuals_on_self():
@@ -416,6 +436,6 @@ def test_residuals_invariant_under_factor_rescaling():
     pr_scaled = PoleResidue(
         poles=pr.poles, left_factors=g * pr.left_factors, right_factors=pr.right_factors / g
     )
-    c1 = h2_ct_residuals(fom, pr)
-    c2 = h2_ct_residuals(fom, pr_scaled)
+    c1 = h2_residuals(fom, pr)
+    c2 = h2_residuals(fom, pr_scaled)
     assert np.isclose(c1.max_residual, c2.max_residual, rtol=1e-6, atol=1e-12)

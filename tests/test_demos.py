@@ -55,3 +55,35 @@ def test_benchmark_traced_functions_exist():
         if not hasattr(importlib.import_module(f"l2rom.{layer}"), name)
     ]
     assert not missing, missing
+
+
+def test_benchmark_cli_steps_parse(monkeypatch):
+    # The penzl-cli workload passes argv lists from perfbench/spec.json to
+    # cli.main; a choice renamed or removed there would only show as a failed
+    # benchmark run.  Each size's four steps, built by the workload itself,
+    # must parse.
+    from l2rom import cli
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # the workload imports its tracing module
+    spec = importlib.util.spec_from_file_location("perfbench_workload", ROOT / "perfbench" / "workload.py")
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    parser, _ = cli.build_parser()
+    parsed, unparsed = [], []
+
+    def parse(argv):
+        try:
+            parsed.append(parser.parse_args(argv).command)
+        except SystemExit:
+            unparsed.append(argv)
+        return 0
+
+    monkeypatch.setattr(cli, "main", parse)
+    bench = workload.load_spec()
+    steps = ("generate", "scheme", "fit", "certify")
+    for name, entry in bench["workloads"].items():
+        for size in entry["sizes"].values():
+            if all(step in size for step in steps):
+                workload.WORKLOADS[name](size, 0, bench).run()
+    assert not unparsed, unparsed
+    assert parsed and len(parsed) % 4 == 0 and set(parsed) == {"generate", "sample", "fit", "certify"}

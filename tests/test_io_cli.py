@@ -9,7 +9,7 @@ from l2rom import cli, io, spectral
 from l2rom.certify import Certificate, CertificateRow
 from l2rom.core import SampleSet, kron_rom, lti_rom, stationary_rom
 from l2rom.models import make_random_stable, sample_frequency_response
-from l2rom.optimize import FitTrace
+from l2rom.optimize import FitTrace, irka_init
 
 rng = np.random.default_rng(23)
 
@@ -147,8 +147,8 @@ def test_cli_fit_init_file_must_match_structure(tmp_path, capsys):
     argv = ["fit", samples, "--init", "file", "--init-file", init, "--max-iters", "2",
             "-o", str(tmp_path / "r.json")]
     assert cli.main([*argv, "--structure", "stationary"]) == 2
+    assert cli.main([*argv, "--structure", "kron"]) == 2
     assert cli.main([*argv, "--structure", "lti"]) == 0
-    assert cli.main([*argv, "--structure", "lti-dt"]) == 0  # lti-dt only shapes the random start
     # a rom of other dimensions than the samples is a usage error, not a broadcast fit
     io.write_payload(init, io.rom_to_payload(lti_rom(np.eye(2), -np.eye(2), np.ones((2, 2)), np.ones((1, 2)))))
     capsys.readouterr()
@@ -174,15 +174,21 @@ def test_cli_fit_takes_its_dimensions_from_the_samples(tmp_path):
 def test_cli_irka_takes_the_time_domain_from_the_model(tmp_path):
     model = str(tmp_path / "m.json")
     samples = str(tmp_path / "s.json")
-    cli.main(["generate", "random-lti", "--dt", "--n", "20", "-o", model])
+    rom = str(tmp_path / "r.json")
+    cert = str(tmp_path / "c.json")
+    cli.main(["generate", "random-lti", "--dt", "--n", "20", "--seed", "2", "-o", model])
     cli.main(["sample", model, "--scheme", "circle 64", "-o", samples])
-    roms = []
-    for structure in ("lti", "lti-dt"):
-        out = str(tmp_path / f"{structure}.json")
-        argv = ["fit", samples, "--structure", structure, "--init", "irka", "--model", model, "-r", "2", "-o", out]
-        assert cli.main(argv) == 0
-        roms.append(io.rom_from_payload(io.read_payload(out, expect_kind="rom")))
-    assert roms_equal(*roms)
+    # no fit iterations: the rom is the irka start, H2-optimal in discrete time
+    argv = ["fit", samples, "--structure", "lti", "--init", "irka", "--model", model, "-r", "2",
+            "--max-iters", "0", "-o", rom]
+    assert cli.main(argv) == 0
+    fom = io.model_from_payload(io.read_payload(model, expect_kind="model"))
+    assert roms_equal(io.rom_from_payload(io.read_payload(rom, expect_kind="rom")), irka_init(fom, 2))
+    # the h2 family takes the time domain from the model too (the continuous-time conditions read 260)
+    assert cli.main(["certify", rom, "--family", "h2", "--model", model, "-o", cert]) == 0
+    payload = io.read_payload(cert, expect_kind="certificate")
+    assert (payload["family"], payload["tolerance"]) == ("H2_DT", 1e-4)
+    assert payload["passed"] is True
 
 
 def test_cli_pipeline_lti(tmp_path, capsys):
@@ -208,10 +214,12 @@ def test_cli_pipeline_lti(tmp_path, capsys):
                      "-o", cert]) == 0
     payload = io.read_payload(cert, expect_kind="certificate")
     assert payload["passed"] is True
-    # report for the same data
+    # the report draws T on the real axis: it refuses this rom's complex poles and takes a real one
     report = str(tmp_path / "report.txt")
-    assert cli.main(["report", rom, "--family", "discrete-ls", "--samples", samples,
-                     "-o", report]) == 0
+    assert cli.main(["report", rom, "--samples", samples, "-o", report]) == 2
+    assert cli.main(["fit", samples, "--structure", "lti", "--init", "irka", "--model", model,
+                     "-r", "1", "-o", rom]) == 0
+    assert cli.main(["report", rom, "--samples", samples, "-o", report]) == 0
     text = open(report).read()
     assert text.startswith("# columns: z T(z) That(z) T(z)-That(z)\n")
     assert "# conj-pole" in text
@@ -224,7 +232,7 @@ def test_cli_discrete_time_pipeline_certifies(tmp_path):
     rom = str(tmp_path / "rom.json")
     assert cli.main(["generate", "random-lti", "--n", "20", "--seed", "73", "--dt", "-o", model]) == 0
     assert cli.main(["sample", model, "--scheme", "circle 64", "-o", samples]) == 0
-    assert cli.main(["fit", samples, "--structure", "lti-dt", "-o", rom]) == 0
+    assert cli.main(["fit", samples, "--structure", "lti", "-o", rom]) == 0
     assert cli.main(["certify", rom, "--family", "discrete-ls", "--samples", samples]) == 0
 
 
@@ -232,7 +240,7 @@ def test_cli_family_structure_mismatch(tmp_path):
     rom = stationary_rom(np.eye(2), np.eye(2) * 2, np.ones((2, 1)), np.ones((1, 2)))
     path = str(tmp_path / "rom.json")
     io.write_payload(path, io.rom_to_payload(rom))
-    assert cli.main(["certify", path, "--family", "h2-ct", "--model", "missing.json"]) == 2
+    assert cli.main(["certify", path, "--family", "h2", "--model", "missing.json"]) == 2
 
 
 def test_cli_missing_file_is_io_error(tmp_path):
@@ -304,7 +312,7 @@ def test_cli_report_evaluates_rom_once(tmp_path, monkeypatch):
     report = str(tmp_path / "report.txt")
     cli.main(["generate", "random-lti", "--n", "6", "-o", model])
     cli.main(["sample", model, "--scheme", "logspace 0.1 1 4", "-o", samples])
-    cli.main(["fit", samples, "--structure", "lti", "-r", "2", "--max-iters", "5", "-o", rom])
+    cli.main(["fit", samples, "--structure", "lti", "-r", "1", "--max-iters", "5", "-o", rom])
     calls = []
     evaluate = spectral.pole_residue_eval
 
@@ -313,7 +321,7 @@ def test_cli_report_evaluates_rom_once(tmp_path, monkeypatch):
         return evaluate(pr, points, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "pole_residue_eval", counting)
-    argv = ["report", rom, "--family", "discrete-ls", "--samples", samples, "--points", "50", "-o", report]
+    argv = ["report", rom, "--samples", samples, "--points", "50", "-o", report]
     assert cli.main(argv) == 0
     assert calls == [4]  # the rom at the 4 sample points, once
     assert sum(not line.startswith("#") for line in open(report)) == 50
@@ -339,7 +347,7 @@ def test_cli_malformed_file_is_usage_error(tmp_path, capsys, kind, payload, mess
     if kind == "samples":
         argv = ["fit", str(path), "--structure", "lti", "-o", str(tmp_path / "rom.json")]
     else:
-        argv = ["certify", str(path), "--family", "h2-ct", "--model", str(tmp_path / "m.json")]
+        argv = ["certify", str(path), "--family", "h2", "--model", str(tmp_path / "m.json")]
     assert cli.main(argv) == 2  # not 1, which means "certificate fail"
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid {kind} file") and message in err
@@ -349,6 +357,9 @@ def test_cli_certificate_carries_family_default_tolerance(tmp_path):
     from inspect import signature
 
     from l2rom import certify
+
+    def default(function):
+        return signature(function).parameters["tolerance"].default
 
     def write(name, payload):
         path = str(tmp_path / name)
@@ -371,20 +382,21 @@ def test_cli_certificate_carries_family_default_tolerance(tmp_path):
         assert cli.main(["generate", *argv, "-o", model[name]]) == 0
     samples = str(tmp_path / "samples.json")
     assert cli.main(["sample", model["ct"], "--scheme", "logspace 0.1 10 6", "-o", samples]) == 0
+    h2 = certify.H2_FAMILIES  # the model's time domain picks the family and its default tolerance
     cases = (
-        ("h2-ct", lti, ["--model", model["ct"]], certify.h2_ct_residuals),
-        ("h2-dt", lti_dt, ["--model", model["dt"]], certify.h2_dt_residuals),
-        ("h2xl2", kron, ["--model", model["kron"]], certify.h2l2_residuals),
-        ("discrete-ls", lti, ["--samples", samples], certify.ls_residuals),
-        ("stationary", stat, ["--model", model["poisson"]], certify.stationary_residuals),
+        ("h2", lti, ["--model", model["ct"]], *h2["ct"][:2]),
+        ("h2", lti_dt, ["--model", model["dt"]], *h2["dt"][:2]),
+        ("h2xl2", kron, ["--model", model["kron"]], "H2xL2", default(certify.h2l2_residuals)),
+        ("discrete-ls", lti, ["--samples", samples], "DISCRETE_LS", default(certify.ls_residuals)),
+        ("stationary", stat, ["--model", model["poisson"]], "STATIONARY", default(certify.stationary_residuals)),
     )
-    for family, rom, extra, function in cases:
-        out = str(tmp_path / f"{family}.cert.json")
-        assert cli.main(["certify", rom, "--family", family, *extra, "-o", out]) in (0, 1)
-        tolerance = io.read_payload(out, expect_kind="certificate")["tolerance"]
-        assert tolerance == signature(function).parameters["tolerance"].default, family
+    for k, (flag, rom, extra, family, tolerance) in enumerate(cases):
+        out = str(tmp_path / f"{k}.cert.json")
+        assert cli.main(["certify", rom, "--family", flag, *extra, "-o", out]) in (0, 1)
+        payload = io.read_payload(out, expect_kind="certificate")
+        assert (payload["family"], payload["tolerance"]) == (family, tolerance), flag
     out = str(tmp_path / "explicit.cert.json")
-    cli.main(["certify", lti, "--family", "h2-ct", "--model", model["ct"], "--tol", "0.25", "-o", out])
+    cli.main(["certify", lti, "--family", "h2", "--model", model["ct"], "--tol", "0.25", "-o", out])
     assert io.read_payload(out)["tolerance"] == 0.25
 
 
@@ -409,8 +421,7 @@ def test_cli_stationary_certificate_factors_only_the_rom(tmp_path, monkeypatch):
     assert cli.main(["certify", rom, "--family", "stationary", "--model", model]) == 0
     assert shapes == [(2, 2)]  # the reduced model's form; the full model only through evaluate
     shapes.clear()
-    assert cli.main(["report", rom, "--family", "stationary", "--model", model, "--points", "30",
-                     "-o", report]) == 0
+    assert cli.main(["report", rom, "--model", model, "--points", "30", "-o", report]) == 0
     assert shapes == [(2, 2)]
     rows = np.loadtxt(report)  # columns p, Y, Yhat, Y - Yhat
     assert rows.shape == (30, 4)
@@ -427,7 +438,7 @@ def test_cli_stationary_report_grid_stays_outside_the_interval(tmp_path):
         stationary_rom(np.eye(2), np.diag([-1 / 12, -1 / 15]), np.ones((2, 1)), np.ones((1, 2)))
     ))
     assert cli.main(["certify", rom, "--family", "stationary", "--model", model]) == 1
-    assert cli.main(["report", rom, "--family", "stationary", "--model", model, "-o", report]) == 0
+    assert cli.main(["report", rom, "--model", model, "-o", report]) == 0
     grid = np.loadtxt(report)[:, 0]
     a, b = io.model_from_payload(io.read_payload(model, expect_kind="model")).interval
     assert len(grid) > 0 and np.all((grid < a) | (grid > b))
@@ -436,4 +447,46 @@ def test_cli_stationary_report_grid_stays_outside_the_interval(tmp_path):
     io.write_payload(rom, io.rom_to_payload(
         stationary_rom(np.eye(2), np.diag([-1.0, -1 / 5]), np.ones((2, 1)), np.ones((1, 2)))
     ))
-    assert cli.main(["report", rom, "--family", "stationary", "--model", model, "-o", report]) == 2
+    assert cli.main(["report", rom, "--model", model, "-o", report]) == 2
+
+
+def test_cli_report_rejects_non_real_poles(tmp_path, capsys):
+    # poles -1 +- 2j: the interpolation points conj(lambda_k) are off the real grid of the report
+    model = str(tmp_path / "m.json")
+    samples = str(tmp_path / "s.json")
+    rom = str(tmp_path / "r.json")
+    cli.main(["generate", "random-lti", "--n", "6", "-o", model])
+    cli.main(["sample", model, "--scheme", "logspace 0.1 1 4", "-o", samples])
+    io.write_payload(rom, io.rom_to_payload(lti_rom(np.eye(2), np.array([[-1.0, 2.0], [-2.0, -1.0]]),
+                                                     np.ones((2, 1)), np.ones((1, 2)))))
+    capsys.readouterr()
+    assert cli.main(["report", rom, "--samples", samples, "-o", str(tmp_path / "report.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "real reduced poles" in err and "-1.-2.j" in err and "-1.+2.j" in err
+    assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    *(["fit", "s.json", "--structure", f"lti-{time_domain}", "-o", "r.json"] for time_domain in ("ct", "dt")),
+    *(["certify", "r.json", "--family", f"h2-{time_domain}", "--model", "m.json"] for time_domain in ("ct", "dt")),
+    ["report", "r.json", "--family", "discrete-ls", "--samples", "s.json"],
+], ids=["fit-structure-ct", "fit-structure-dt", "certify-family-ct", "certify-family-dt", "report-family"])
+def test_cli_time_domain_and_report_family_are_not_options(argv, capsys):
+    # the model's time domain and the rom's structure decide them
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --family" if argv[0] == "report" else "invalid choice") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["random-lti", "--inputs", "0"], "n_i"),
+    (["random-lti", "--n", "0"], "n"),
+    (["kron-parametric", "--s-terms", "0"], "r_s_terms"),
+])
+def test_cli_generate_rejects_empty_dimensions(tmp_path, capsys, argv, name):
+    # the library's checks (test_degenerate_inputs_raise_value_errors_that_name_the_argument) reach the exit code
+    path = tmp_path / "m.json"
+    assert cli.main(["generate", *argv, "-o", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be at least 1")
+    assert not path.exists()

@@ -306,7 +306,8 @@ def _run_python(args, code):
 def test_model_validation_survives_optimized_mode():
     code = """
 import numpy as np
-from l2rom.models import AffineLtiFom, make_poisson, make_random_stable, sample_frequency_response
+from l2rom.models import (AffineLtiFom, make_kron_parametric, make_poisson, make_random_stable,
+                          sample_frequency_response, sample_h2l2)
 from l2rom.optimize import greedy_rb_init, irka_init
 
 class NanFom:
@@ -318,13 +319,21 @@ for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
              lambda: sample_frequency_response(NanFom(), [1.0, 2.0]),
              lambda: sample_frequency_response(fom, []),
              lambda: irka_init(fom, 0),
-             lambda: greedy_rb_init(make_poisson(4), 0, [0.5, 1.0])):
+             lambda: greedy_rb_init(make_poisson(4), 0, [0.5, 1.0]),
+             lambda: make_random_stable(0),
+             lambda: make_random_stable(4, n_i=0),
+             lambda: make_random_stable(4, n_o=0),
+             lambda: make_kron_parametric(0, 2),
+             lambda: make_kron_parametric(2, 0),
+             lambda: make_kron_parametric(2, 2, n_i=0),
+             lambda: make_kron_parametric(2, 2, n_o=0),
+             lambda: sample_h2l2(make_kron_parametric(2, 2), n_s=0, n_xi=4)):
     try:
         make()
     except ValueError:
         print("raised")
 """
-    assert _run_python(["-O"], code).split() == ["raised"] * 5
+    assert _run_python(["-O"], code).split() == ["raised"] * 13
 
 
 def test_building_models_does_not_import_scipy_sparse():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from l2rom import optimize
-from l2rom.certify import h2_ct_residuals
+from l2rom.certify import h2_residuals
 from l2rom.core import SampleSet, SingularOperatorError, batch_states, kron_rom, lti_rom, stationary_rom
 from l2rom.models import (
     AffineLtiFom,
@@ -448,7 +448,7 @@ def test_irka_fixed_points_satisfy_h2_conditions(monkeypatch):
         rejected += _guard_rejections(maps)
         if caught:
             continue
-        cert = h2_ct_residuals(fom, pole_residue(rom), tolerance=1e-6)
+        cert = h2_residuals(fom, pole_residue(rom), tolerance=1e-6)
         assert cert.passed, f"n={n} {n_i}x{n_o} r={r} seed={seed}: residual {cert.max_residual:.2e}"
         certified += 1
     assert certified >= len(cases) - 2
@@ -470,8 +470,17 @@ def test_irka_rejects_unstable_model():
         (lambda: irka_init(make_random_stable(10), 0), "reduced order r must be at least 1"),
         (lambda: greedy_rb_init(make_poisson(8), 0, [0.5, 1.0]), "reduced order r must be at least 1"),
         (lambda: sample_frequency_response(make_random_stable(4), []), "freqs must hold at least one"),
+        (lambda: make_random_stable(0), "n must be at least 1"),
+        (lambda: make_random_stable(4, n_i=0), "n_i must be at least 1"),
+        (lambda: make_random_stable(4, n_o=0), "n_o must be at least 1"),
+        (lambda: make_kron_parametric(0, 2), "r_s_terms must be at least 1"),
+        (lambda: make_kron_parametric(2, 0), "r_xi_terms must be at least 1"),
+        (lambda: make_kron_parametric(2, 2, n_i=0), "n_i must be at least 1"),
+        (lambda: make_kron_parametric(2, 2, n_o=0), "n_o must be at least 1"),
+        (lambda: sample_h2l2(make_kron_parametric(2, 2), n_s=0, n_xi=4), "n_s must be at least 1"),
     ],
-    ids=["irka-r0", "rb-r0", "no-freqs"],
+    ids=["irka-r0", "rb-r0", "no-freqs", "lti-n0", "lti-inputs0", "lti-outputs0", "kron-s-terms0",
+         "kron-xi-terms0", "kron-inputs0", "kron-outputs0", "h2l2-n_s0"],
 )
 def test_degenerate_inputs_raise_value_errors_that_name_the_argument(call, message):
     with pytest.raises(ValueError, match=message):

@@ -213,3 +213,26 @@ def test_affine_singular_indefinite_a1_takes_general_path():
     for p, val in zip(ps, pr.evaluate(ps)):
         direct = c @ np.linalg.solve(a1 + p * a2, b)
         assert np.max(np.abs(val - direct)) <= 1e-8 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("time_domain", ["ct", "dt"])
+def test_mirror_is_an_involution_onto_the_admissible_region(time_domain):
+    g = np.random.default_rng(5)
+    z = 3.0 * (g.standard_normal(200) + 1j * g.standard_normal(200))
+    z = np.concatenate([z, z.real, -0.5 + 0.25j * z.imag])  # real points, and points inside the unit disk
+    away = np.abs(z.real) > 1e-6 if time_domain == "ct" else np.abs(np.abs(z) - 1.0) > 1e-6
+    z = z[away]  # off the boundary of the stability region
+    image = spectral.mirror(z, time_domain)
+    assert np.allclose(spectral.mirror(image, time_domain), z, rtol=1e-14, atol=0)
+    admissible = z.real > 0 if time_domain == "ct" else np.abs(z) > 1
+    assert np.array_equal(spectral.stable(image, time_domain), admissible)
+    assert np.array_equal(spectral.stable(z, time_domain), ~admissible)  # off the boundary: one or the other
+    assert 0 < np.sum(admissible) < len(z)
+    boundary = 1j * z.imag if time_domain == "ct" else np.exp(1j * z.imag)
+    assert np.allclose(spectral.mirror(boundary, time_domain), boundary, rtol=1e-14, atol=0)  # fixed points
+
+
+def test_geometry_rejects_an_unknown_time_domain():
+    for helper in (spectral.stable, spectral.mirror):
+        with pytest.raises(ValueError, match="time_domain"):
+            helper(np.ones(2), "xt")
