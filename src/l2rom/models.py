@@ -62,62 +62,89 @@ def _triplets(entries):
     return tuple(np.asarray(t) for t in entries)
 
 
+def _tridiagonal(n, kl, ku):
+    """Whether an (n, n) band of kl sub- and ku super-diagonals is factored by ?gttrf.
+
+    scipy's ?gttrf wrapper rejects n = 1 and n = 2, so those stay on ?gbtrf.
+    """
+    return kl <= 1 and ku <= 1 and n >= 3
+
+
 def _band_layouts(n, *operators):
     """LAPACK band storage of (n, n) operators that share one band.
 
     Returns (kl, ku, layouts): kl and ku are the widest sub- and
-    super-diagonal over all operators, in their assembly order.  Each layout
+    super-diagonal over all operators, in their assembly order, and each
+    layout holds one operator (duplicate triplets summed) in the storage of
+    the kernel that ``BandedLU`` picks for the band.  A tridiagonal band
+    (``_tridiagonal``) is a (3, n) C-order array whose rows are the sub-,
+    main and super-diagonal, entry (i, j) at row 1 + j - i, column
+    min(i, j); the last column of the outer rows stays zero.  Any other band
     is a (2 kl + ku + 1, n) Fortran-order array holding entry (i, j) at row
-    kl + ku + i - j of column j (duplicate triplets summed); its top kl rows
-    stay zero for the fill-in of ?gbtrf's row interchanges.
+    kl + ku + i - j of column j; its top kl rows stay zero for the fill-in of
+    ?gbtrf's row interchanges.
     """
     triplets = [_triplets(op) for op in operators]
     offsets = np.concatenate([rows - cols for rows, cols, _ in triplets])
     kl = int(offsets.max(initial=0))
     ku = int(-offsets.min(initial=0))
-    ldab = 2 * kl + ku + 1
+    tridiagonal, ldab = _tridiagonal(n, kl, ku), 2 * kl + ku + 1
     layouts = []
     for rows, cols, values in triplets:
-        flat = kl + ku + rows - cols + ldab * cols
-        layouts.append(np.bincount(flat, weights=values, minlength=ldab * n).reshape(n, ldab).T)
+        if tridiagonal:
+            flat = (1 + cols - rows) * n + np.minimum(rows, cols)
+            layouts.append(np.bincount(flat, weights=values, minlength=3 * n).reshape(3, n))
+        else:
+            flat = kl + ku + rows - cols + ldab * cols
+            layouts.append(np.bincount(flat, weights=values, minlength=ldab * n).reshape(n, ldab).T)
     return kl, ku, layouts
 
 
 class BandedLU:
     """LU factors, with partial pivoting, of one banded full-order operator.
 
-    ``ab`` is the operator in LAPACK band storage (``_band_layouts``); it is
-    factored in place by ?gbtrf, real or complex as its dtype is.
-    ``solve(rhs)`` is the primal solve and ``solve(rhs, trans="H")`` the
-    adjoint one; a complex right-hand side on a real factor is solved as its
-    real and imaginary parts.  An exactly singular operator raises
-    ``np.linalg.LinAlgError``.
+    ``ab`` is the operator in the band storage of ``_band_layouts``; it is
+    factored in place, real or complex as its dtype is, by the LAPACK kernel
+    that the band selects: ?gttrf/?gttrs when kl <= 1, ku <= 1 and n >= 3,
+    ?gbtrf/?gbtrs otherwise.  At bandwidth 1 the tridiagonal kernels do the
+    same pivoted elimination without the per-column BLAS calls of the
+    general band ones.  ``solve(rhs)`` is the primal solve and
+    ``solve(rhs, trans="H")`` the adjoint one; a complex right-hand side on a
+    real factor is solved as its real and imaginary parts.  An exactly
+    singular operator raises ``np.linalg.LinAlgError``.
     """
 
     def __init__(self, ab, kl, ku):
         from scipy.linalg import lapack
 
         self.is_complex = np.iscomplexobj(ab)
-        gbtrf = lapack.zgbtrf if self.is_complex else lapack.dgbtrf
-        self._gbtrs = lapack.zgbtrs if self.is_complex else lapack.dgbtrs
-        self.kl, self.ku = kl, ku
-        self.lu, self.ipiv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
+        prefix = "z" if self.is_complex else "d"
+        if _tridiagonal(ab.shape[1], kl, ku):
+            gttrs = getattr(lapack, prefix + "gttrs")
+            *factors, info = getattr(lapack, prefix + "gttrf")(
+                ab[0, :-1], ab[1], ab[2, :-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1
+            )
+            self._trs = lambda b, code: gttrs(*factors, b, trans="NTC"[code])[0]
+        else:
+            gbtrs = getattr(lapack, prefix + "gbtrs")
+            lu, ipiv, info = getattr(lapack, prefix + "gbtrf")(ab, kl, ku, overwrite_ab=1)
+            self._trs = lambda b, code: gbtrs(lu, kl, ku, b, ipiv, trans=code)[0]
         if info > 0:
             raise np.linalg.LinAlgError(f"full-order operator is singular (zero pivot in column {info - 1})")
 
     def solve(self, rhs, trans="N"):
         if trans not in ("N", "H"):
             raise ValueError(f"trans must be 'N' or 'H', got {trans!r}")
-        # ?gbtrs: 1 is the transpose (the adjoint of a real factor), 2 the conjugate transpose
+        # 1 is the transpose (the adjoint of a real factor), 2 the conjugate transpose
         code = 0 if trans == "N" else 2 if self.is_complex else 1
         rhs = np.asarray(rhs)
         b = rhs.reshape(rhs.shape[0], -1)
         if np.iscomplexobj(b) and not self.is_complex:
             k = b.shape[1]
-            x, _ = self._gbtrs(self.lu, self.kl, self.ku, np.hstack([b.real, b.imag]), self.ipiv, trans=code)
+            x = self._trs(np.hstack([b.real, b.imag]), code)
             x = x[:, :k] + 1j * x[:, k:]
         else:
-            x, _ = self._gbtrs(self.lu, self.kl, self.ku, b, self.ipiv, trans=code)
+            x = self._trs(b, code)
         return x.reshape(rhs.shape)
 
 
@@ -164,7 +191,9 @@ class AffineLtiFom(_AffineFom):
     ``E_entries`` and ``A_entries`` are dense (n, n) arrays or COO triplets
     (rows, cols, values); ``E`` and ``A`` are the operators, built on first
     use (CSC for triplets), for products.  Every full-order solve goes
-    through ``factor``, a banded LU in the assembly order.
+    through ``factor``, a banded LU in the assembly order: LAPACK's
+    tridiagonal ?gttrf when the band is at most one wide on each side and
+    n >= 3 (Penzl), the general band ?gbtrf otherwise (``BandedLU``).
     """
 
     E_entries: object
@@ -186,7 +215,7 @@ class AffineLtiFom(_AffineFom):
 
     @cached_property
     def bands(self):
-        """(kl, ku, (E, A)) in LAPACK band storage, built on first use."""
+        """(kl, ku, (E, A)) in the band storage of their kernel (``_band_layouts``), built on first use."""
         return _band_layouts(self.n, self.E_entries, self.A_entries)
 
     @property
@@ -206,7 +235,9 @@ class AffineStationaryFom(_AffineFom):
     ``A1_entries`` and ``A2_entries`` are dense (n, n) arrays or COO
     triplets; ``A1`` and ``A2`` are the operators, built on first use, for
     products.  Every full-order solve goes through ``factor``, a banded LU in
-    the assembly order.
+    the assembly order: LAPACK's tridiagonal ?gttrf when the band is at most
+    one wide on each side and n >= 3, the general band ?gbtrf otherwise
+    (Poisson, kl = ku = 34; ``BandedLU``).
     """
 
     A1_entries: object
@@ -225,7 +256,7 @@ class AffineStationaryFom(_AffineFom):
 
     @cached_property
     def bands(self):
-        """(kl, ku, (A1, A2)) in LAPACK band storage, built on first use."""
+        """(kl, ku, (A1, A2)) in the band storage of their kernel (``_band_layouts``), built on first use."""
         return _band_layouts(self.n, self.A1_entries, self.A2_entries)
 
     @property

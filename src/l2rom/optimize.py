@@ -360,8 +360,11 @@ def _conjugate_leads(shifts):
 
 
 def _orth(mat):
-    q, _ = np.linalg.qr(mat)
-    return q
+    """Orthonormal basis of the columns of a real (n, k) ``mat``, k <= n: the Q of its Householder QR."""
+    from scipy.linalg import lapack
+
+    qr, tau, _, _ = lapack.dgeqrf(mat)
+    return lapack.dorgqr(qr, tau, overwrite_a=1)[0]
 
 
 def _dense(op):

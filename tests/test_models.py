@@ -245,21 +245,39 @@ def _dense(op):
     return op.toarray() if hasattr(op, "toarray") else op
 
 
-@pytest.mark.parametrize("name", ["penzl", "poisson", "random"])
+def _tridiagonal_fom(n):
+    """A1 + p A2 with A1 tridiagonal from triplets: its diagonal is small next
+    to its off-diagonals, so the factorization must interchange rows."""
+    g = np.random.default_rng(n)
+    i = np.arange(n - 1)
+    rows = np.concatenate([np.arange(n), i + 1, i])
+    cols = np.concatenate([np.arange(n), i, i + 1])
+    A1 = (rows, cols, np.concatenate([0.1 * g.random(n), 1.0 + g.random(2 * (n - 1))]))
+    A2 = (np.arange(n), np.arange(n), 0.05 * g.random(n))
+    return AffineStationaryFom(A1_entries=A1, A2_entries=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
+
+
+@pytest.mark.parametrize("name", ["penzl", "poisson", "random", "tridiagonal-1", "tridiagonal-2", "tridiagonal-3",
+                                  "tridiagonal-40"])
 def test_factored_solves_match_dense_oracle(name):
-    # penzl: complex factor (adjoint at a complex shift); poisson and the
-    # dense random model (full band): real factors with complex right-hand sides.
-    # evaluate/partial run on a batch of the first point and a second one of
-    # the other kind (real or complex).
-    if name == "poisson":
+    # penzl and tridiagonal-n (n >= 3): the tridiagonal kernel; poisson, the
+    # dense random model (full band) and tridiagonal-n (n < 3): the general
+    # band kernel.  evaluate/partial run on a batch of a real and a complex
+    # point, and each point's factor (real or complex) solves real and complex
+    # right-hand sides, primal and adjoint.
+    if name == "penzl":
+        fom, points, band = make_penzl(), [0.3 + 150.0j, 2.0], (1, 1)
+    elif name == "random":
+        fom, points, band = make_random_stable(12, 2, 3, seed=5), [0.7, 0.4 - 0.9j], (11, 11)
+    elif name == "poisson":
         fom, points, band = make_poisson(cells_per_side=8), [1.7, 0.9 + 0.2j], (10, 10)
+    else:
+        n = int(name.split("-")[1])
+        fom, points, band = _tridiagonal_fom(n), [1.7, 0.9 + 0.2j], (min(n - 1, 1),) * 2
+    if isinstance(fom, AffineStationaryFom):
         operator = lambda p: fom.A1.toarray() + p * fom.A2.toarray()
         dK = fom.A2.toarray()
     else:
-        if name == "penzl":
-            fom, points, band = make_penzl(), [0.3 + 150.0j, 2.0], (1, 1)
-        else:
-            fom, points, band = make_random_stable(12, 2, 3, seed=5), [0.7, 0.4 - 0.9j], (11, 11)
         operator = lambda p: p * _dense(fom.E) - _dense(fom.A)
         dK = _dense(fom.E)
     assert fom.bands[:2] == band
@@ -271,29 +289,71 @@ def test_factored_solves_match_dense_oracle(name):
         K = operator(p)
         cases.append((value, fom.C @ np.linalg.solve(K, fom.B)))
         cases.append((deriv, -fom.C @ np.linalg.solve(K, dK @ np.linalg.solve(K, fom.B))))
+        lu = fom.factor(p)
+        for rhs in (real_rhs, complex_rhs, complex_rhs[:, 0]):
+            cases.append((lu.solve(rhs), np.linalg.solve(K, rhs)))
+            cases.append((lu.solve(rhs, trans="H"), np.linalg.solve(K.conj().T, rhs)))
     # a real point is factored real: the same bits as the real factor's solve
     real = np.array([p for p in points if np.isreal(p)], dtype=float)
     assert not np.iscomplexobj(fom.evaluate(real))
     assert np.array_equal(fom.evaluate(real)[0], fom.C @ fom.factor(real[0]).solve(fom.B))
-    p = points[0]
-    K = operator(p)
-    lu = fom.factor(p)
-    for rhs in (real_rhs, complex_rhs, complex_rhs[:, 0]):
-        cases.append((lu.solve(rhs), np.linalg.solve(K, rhs)))
-        cases.append((lu.solve(rhs, trans="H"), np.linalg.solve(K.conj().T, rhs)))
     for got, want in cases:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _count_kernel_calls(monkeypatch):
+    """Count the LAPACK factorizations by kernel: 'gttrf' (tridiagonal) and 'gbtrf' (general band)."""
+    from scipy.linalg import lapack
+
+    counts = {"gttrf": 0, "gbtrf": 0}
+    for kernel in counts:
+        for prefix in "dz":
+            wrapped = getattr(lapack, prefix + kernel)
+
+            def counting(*args, _kernel=kernel, _wrapped=wrapped, **kwargs):
+                counts[_kernel] += 1
+                return _wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(lapack, prefix + kernel, counting)
+    return counts
+
+
+@pytest.mark.parametrize("make, kernel", [(make_penzl, "gttrf"), (lambda: make_poisson(8), "gbtrf"),
+                                          (lambda: _tridiagonal_fom(3), "gttrf"),
+                                          (lambda: _tridiagonal_fom(2), "gbtrf")])
+def test_band_picks_the_factorization_kernel(monkeypatch, make, kernel):
+    # Penzl (kl = ku = 1) and Poisson (kl = ku = 34) keep one benchmark
+    # workload on each side of the choice; n = 2 stays on ?gbtrf, which
+    # scipy's ?gttrf wrapper cannot take
+    counts = _count_kernel_calls(monkeypatch)
+    make().evaluate([2.0, 0.5 + 1.0j])
+    assert counts == {k: 2 if k == kernel else 0 for k in counts}
+
+
+def _singular_tridiagonal_fom():
+    """A1 + p A2 = [[1, 1, 0], [1, 1, 0], [0, 0, 1 + p]], singular at every p."""
+    rows, cols = np.array([0, 0, 1, 1, 2]), np.array([0, 1, 0, 1, 2])
+    return AffineStationaryFom(A1_entries=(rows, cols, np.ones(5)), A2_entries=(np.array([2]), np.array([2]), np.ones(1)),
+                               B=np.ones((3, 1)), C=np.ones((1, 3)))
+
+
 def test_singular_full_order_operator_raises():
+    # a zero on the diagonal at n = 4 and n = 2 (tridiagonal and general band
+    # kernels), and a tridiagonal operator with two equal leading rows
     n = 4
     diag = (np.arange(n), np.arange(n), np.array([1.0, 2.0, 0.0, 1.0]))
-    fom = AffineStationaryFom(A1_entries=diag, A2_entries=diag, B=np.ones((n, 1)), C=np.ones((1, n)))
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        fom.factor(1.5)
-    with pytest.raises(np.linalg.LinAlgError):
-        fom.evaluate([3.0])
+    singular = [
+        (AffineStationaryFom(A1_entries=diag, A2_entries=diag, B=np.ones((n, 1)), C=np.ones((1, n))), 1.5),
+        (AffineStationaryFom(A1_entries=np.diag([1.0, 0.0]), A2_entries=np.eye(2), B=np.ones((2, 1)),
+                             C=np.ones((1, 2))), 0.0),
+        (_singular_tridiagonal_fom(), 1.5),
+    ]
+    for fom, p in singular:
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            fom.factor(p)
+        with pytest.raises(np.linalg.LinAlgError):
+            fom.evaluate([p])
 
 
 def _run_python(args, code):
@@ -306,7 +366,7 @@ def _run_python(args, code):
 def test_model_validation_survives_optimized_mode():
     code = """
 import numpy as np
-from l2rom.models import (AffineLtiFom, make_kron_parametric, make_poisson, make_random_stable,
+from l2rom.models import (AffineLtiFom, AffineStationaryFom, make_kron_parametric, make_poisson, make_random_stable,
                           sample_frequency_response, sample_h2l2)
 from l2rom.optimize import greedy_rb_init, irka_init
 
@@ -315,6 +375,8 @@ class NanFom:
         return np.full((len(points), 1, 1), np.nan + 0j)
 
 fom = make_random_stable(4)
+rows, cols = np.array([0, 0, 1, 1, 2]), np.array([0, 1, 0, 1, 2])
+tridiagonal = AffineStationaryFom((rows, cols, np.ones(5)), (rows, cols, np.zeros(5)), np.ones((3, 1)), np.ones((1, 3)))
 for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
              lambda: sample_frequency_response(NanFom(), [1.0, 2.0]),
              lambda: sample_frequency_response(fom, []),
@@ -327,13 +389,14 @@ for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
              lambda: make_kron_parametric(2, 0),
              lambda: make_kron_parametric(2, 2, n_i=0),
              lambda: make_kron_parametric(2, 2, n_o=0),
-             lambda: sample_h2l2(make_kron_parametric(2, 2), n_s=0, n_xi=4)):
+             lambda: sample_h2l2(make_kron_parametric(2, 2), n_s=0, n_xi=4),
+             lambda: tridiagonal.factor(1.5)):
     try:
         make()
-    except ValueError:
+    except ValueError:  # np.linalg.LinAlgError is a ValueError
         print("raised")
 """
-    assert _run_python(["-O"], code).split() == ["raised"] * 13
+    assert _run_python(["-O"], code).split() == ["raised"] * 14
 
 
 def test_building_models_does_not_import_scipy_sparse():
