@@ -73,7 +73,7 @@ def _tridiagonal(n, kl, ku):
 def _band_layouts(n, *operators):
     """LAPACK band storage of (n, n) operators that share one band.
 
-    Returns (kl, ku, layouts): kl and ku are the widest sub- and
+    Returns (kl, ku, layouts, lower): kl and ku are the widest sub- and
     super-diagonal over all operators, in their assembly order, and each
     layout holds one operator (duplicate triplets summed) in the storage of
     the kernel that ``BandedLU`` picks for the band.  A tridiagonal band
@@ -82,52 +82,76 @@ def _band_layouts(n, *operators):
     min(i, j); the last column of the outer rows stays zero.  Any other band
     is a (2 kl + ku + 1, n) Fortran-order array holding entry (i, j) at row
     kl + ku + i - j of column j; its top kl rows stay zero for the fill-in of
-    ?gbtrf's row interchanges.
+    ?gbtrf's row interchanges.  ``lower`` is None unless every operator of a
+    wider band is symmetric, bit for bit on each pair of mirrored diagonals
+    (a tridiagonal band is not tested); then it holds each operator's lower
+    band storage for band Cholesky, a (kl + 1, n) Fortran-order copy of the
+    layout's rows from kl + ku on (entry (i, j), i >= j, at row i - j).
     """
     triplets = [_triplets(op) for op in operators]
     offsets = np.concatenate([rows - cols for rows, cols, _ in triplets])
     kl = int(offsets.max(initial=0))
     ku = int(-offsets.min(initial=0))
-    tridiagonal, ldab = _tridiagonal(n, kl, ku), 2 * kl + ku + 1
-    layouts = []
-    for rows, cols, values in triplets:
-        if tridiagonal:
-            flat = (1 + cols - rows) * n + np.minimum(rows, cols)
-            layouts.append(np.bincount(flat, weights=values, minlength=3 * n).reshape(3, n))
-        else:
-            flat = kl + ku + rows - cols + ldab * cols
-            layouts.append(np.bincount(flat, weights=values, minlength=ldab * n).reshape(n, ldab).T)
-    return kl, ku, layouts
+    if _tridiagonal(n, kl, ku):
+        layouts = [
+            np.bincount((1 + cols - rows) * n + np.minimum(rows, cols), weights=values, minlength=3 * n).reshape(3, n)
+            for rows, cols, values in triplets
+        ]
+        return kl, ku, layouts, None
+    ldab, main = 2 * kl + ku + 1, kl + ku
+    layouts = [
+        np.bincount(main + rows - cols + ldab * cols, weights=values, minlength=ldab * n).reshape(n, ldab).T
+        for rows, cols, values in triplets
+    ]
+    symmetric = kl == ku and all(
+        np.array_equal(ab[main - d, d:], ab[main + d, : n - d]) for ab in layouts for d in range(1, kl + 1)
+    )
+    lower = [np.asfortranarray(ab[main:]) for ab in layouts] if symmetric else None
+    return kl, ku, layouts, lower
 
 
 class BandedLU:
-    """LU factors, with partial pivoting, of one banded full-order operator.
+    """A factored banded full-order operator K0 + p K1.
 
-    ``ab`` is the operator in the band storage of ``_band_layouts``; it is
-    factored in place, real or complex as its dtype is, by the LAPACK kernel
-    that the band selects: ?gttrf/?gttrs when kl <= 1, ku <= 1 and n >= 3,
-    ?gbtrf/?gbtrs otherwise.  At bandwidth 1 the tridiagonal kernels do the
-    same pivoted elimination without the per-column BLAS calls of the
-    general band ones.  ``solve(rhs)`` is the primal solve and
-    ``solve(rhs, trans="H")`` the adjoint one; a complex right-hand side on a
-    real factor is solved as its real and imaginary parts.  An exactly
-    singular operator raises ``np.linalg.LinAlgError``.
+    ``bands`` is (kl, ku, (K0, K1), lower) in the storage of
+    ``_band_layouts``.  The band and the point p pick the LAPACK kernel:
+
+    - kl <= 1, ku <= 1 and n >= 3: the tridiagonal ?gttrf/?gttrs, which do
+      the pivoted elimination of ?gbtrf without its per-column BLAS calls;
+    - a symmetric band (``lower`` given) at a real p: band Cholesky,
+      dpbtrf/dpbtrs on the (kl + 1, n) lower band.  If dpbtrf finds the
+      operator not positive definite, the general band kernel factors it;
+    - otherwise the general band ?gbtrf/?gbtrs, with partial pivoting.
+
+    K0 + p K1 is formed in the storage that the kernel reads and factored in
+    place, real or complex as p is.  ``solve(rhs)`` is the primal solve and
+    ``solve(rhs, trans="H")`` the adjoint one (the same solve on a Cholesky
+    factor); a complex right-hand side on a real factor is solved as its
+    real and imaginary parts.  An exactly singular operator raises
+    ``np.linalg.LinAlgError``.
     """
 
-    def __init__(self, ab, kl, ku):
+    def __init__(self, bands, p):
         from scipy.linalg import lapack
 
-        self.is_complex = np.iscomplexobj(ab)
+        kl, ku, (ab_0, ab_1), lower = bands
+        self.is_complex = np.iscomplexobj(p)
         prefix = "z" if self.is_complex else "d"
-        if _tridiagonal(ab.shape[1], kl, ku):
+        if _tridiagonal(ab_0.shape[1], kl, ku):
             gttrs = getattr(lapack, prefix + "gttrs")
+            ab = ab_0 + p * ab_1
             *factors, info = getattr(lapack, prefix + "gttrf")(
                 ab[0, :-1], ab[1], ab[2, :-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1
             )
             self._trs = lambda b, code: gttrs(*factors, b, trans="NTC"[code])[0]
         else:
+            if lower is not None and not self.is_complex:
+                cholesky, info = lapack.dpbtrf(lower[0] + p * lower[1], lower=1, overwrite_ab=1)
+                if info == 0:
+                    self._trs = lambda b, code: lapack.dpbtrs(cholesky, b, lower=1)[0]
+                    return
             gbtrs = getattr(lapack, prefix + "gbtrs")
-            lu, ipiv, info = getattr(lapack, prefix + "gbtrf")(ab, kl, ku, overwrite_ab=1)
+            lu, ipiv, info = getattr(lapack, prefix + "gbtrf")(ab_0 + p * ab_1, kl, ku, overwrite_ab=1)
             self._trs = lambda b, code: gbtrs(lu, kl, ku, b, ipiv, trans=code)[0]
         if info > 0:
             raise np.linalg.LinAlgError(f"full-order operator is singular (zero pivot in column {info - 1})")
@@ -149,11 +173,11 @@ class BandedLU:
 
 
 class _AffineFom:
-    """The protocol for y(p) = C K(p)^{-1} B with K(p) affine in one parameter.
+    """The protocol for y(p) = C K(p)^{-1} B with K(p) = K0 + p K1.
 
-    A subclass provides ``factor(p)``, the factored K(p), and ``_slope``, the
-    operator dK/dp.  Each point costs one factorization, real or complex as
-    the point is.
+    A subclass provides ``bands``, K0 and K1 in band storage
+    (``_band_layouts``), and ``_slope``, the operator K1 for products.  Each
+    point costs one factorization, real or complex as the point is.
     """
 
     n_p = 1
@@ -169,6 +193,10 @@ class _AffineFom:
     @property
     def n_o(self):
         return self.C.shape[0]
+
+    def factor(self, p):
+        """Factored K(p), for primal and adjoint solves at the point p (``BandedLU``)."""
+        return BandedLU(self.bands, p)
 
     def evaluate(self, points):
         """C K(p)^{-1} B at each of the N points, shape (N, n_o, n_i)."""
@@ -191,9 +219,11 @@ class AffineLtiFom(_AffineFom):
     ``E_entries`` and ``A_entries`` are dense (n, n) arrays or COO triplets
     (rows, cols, values); ``E`` and ``A`` are the operators, built on first
     use (CSC for triplets), for products.  Every full-order solve goes
-    through ``factor``, a banded LU in the assembly order: LAPACK's
-    tridiagonal ?gttrf when the band is at most one wide on each side and
-    n >= 3 (Penzl), the general band ?gbtrf otherwise (``BandedLU``).
+    through ``factor``, one banded factorization in the assembly order whose
+    kernel ``BandedLU`` picks by band and symmetry: LAPACK's tridiagonal
+    ?gttrf when the band is at most one wide on each side and n >= 3
+    (Penzl), band Cholesky at a real shift when E and A are symmetric and
+    s E - A is positive definite there, the general band ?gbtrf otherwise.
     """
 
     E_entries: object
@@ -215,17 +245,13 @@ class AffineLtiFom(_AffineFom):
 
     @cached_property
     def bands(self):
-        """(kl, ku, (E, A)) in the band storage of their kernel (``_band_layouts``), built on first use."""
-        return _band_layouts(self.n, self.E_entries, self.A_entries)
+        """(kl, ku, (-A, E), lower) as ``_band_layouts`` stores them, built on the first solve."""
+        rows, cols, values = _triplets(self.A_entries)
+        return _band_layouts(self.n, (rows, cols, -values), self.E_entries)
 
     @property
     def _slope(self):
         return self.E
-
-    def factor(self, s):
-        """Factored s E - A, for primal and adjoint solves at the shift s."""
-        kl, ku, (ab_e, ab_a) = self.bands
-        return BandedLU(s * ab_e - ab_a, kl, ku)
 
 
 @dataclass(frozen=True)
@@ -234,10 +260,14 @@ class AffineStationaryFom(_AffineFom):
 
     ``A1_entries`` and ``A2_entries`` are dense (n, n) arrays or COO
     triplets; ``A1`` and ``A2`` are the operators, built on first use, for
-    products.  Every full-order solve goes through ``factor``, a banded LU in
-    the assembly order: LAPACK's tridiagonal ?gttrf when the band is at most
-    one wide on each side and n >= 3, the general band ?gbtrf otherwise
-    (Poisson, kl = ku = 34; ``BandedLU``).
+    products.  Every full-order solve goes through ``factor``, one banded
+    factorization in the assembly order whose kernel ``BandedLU`` picks by
+    band and symmetry: LAPACK's tridiagonal ?gttrf when the band is at most
+    one wide on each side and n >= 3; band Cholesky, dpbtrf on the
+    (kl + 1, n) lower band, at a real p when A1 and A2 are symmetric and
+    A1 + p A2 is positive definite (Poisson, kl = ku = 34); the general band
+    ?gbtrf otherwise (a complex p, a non-symmetric band, or an indefinite
+    operator after dpbtrf has failed).
     """
 
     A1_entries: object
@@ -256,17 +286,16 @@ class AffineStationaryFom(_AffineFom):
 
     @cached_property
     def bands(self):
-        """(kl, ku, (A1, A2)) in the band storage of their kernel (``_band_layouts``), built on first use."""
+        """(kl, ku, (A1, A2), lower) as ``_band_layouts`` stores them, built on the first solve.
+
+        Whether A1 and A2 are symmetric is tested here, once, on the mirrored
+        diagonals of the band storage; a tridiagonal band skips the test.
+        """
         return _band_layouts(self.n, self.A1_entries, self.A2_entries)
 
     @property
     def _slope(self):
         return self.A2
-
-    def factor(self, p):
-        """Factored A1 + p A2, for primal and adjoint solves at the parameter p."""
-        kl, ku, (ab_1, ab_2) = self.bands
-        return BandedLU(ab_1 + p * ab_2, kl, ku)
 
 
 class KronParametricFom(PoleResidue2D):

@@ -201,27 +201,33 @@ def pole_residue_lti(E, A, B, C):
     return PoleResidue(poles=diag.eigenvalues, left_factors=left, right_factors=right)
 
 
-def _symmetric_eig_projections(a2, a1, B, C):
+def _symmetric_eig_projections(a2, ab1, B, C):
     """Eigenvalues of A2 X = A1 X D and the projections C X, X^T B.
 
-    X holds A1-orthonormal eigenvectors but is never formed.  With
-    A1 = L L^T, L^{-1} A2 L^{-T} = Q T Q^T (Householder tridiagonalization,
+    ``a2`` is a dense Fortran-order copy of A2 and ``ab1`` the lower band
+    storage of A1 (``_lower_band``); both are overwritten.  X holds
+    A1-orthonormal eigenvectors but is never formed.  With A1 = L L^T (band
+    Cholesky), L^{-1} A2 L^{-T} = Q T Q^T (Householder tridiagonalization,
     Q kept as reflectors) and T = Z D Z^T, X = L^{-T} Q Z, so C X and X^T B
-    need L^{-1} and Q^T applied to B and C^T only.  Returns (d, C X, X^T B)
-    in ascending d, or None if A1 is not positive definite or the
-    tridiagonal eigensolver fails.  The dense copies a1 and a2 are
-    overwritten.
+    need L^{-1} (a banded triangular solve) and Q^T applied to B and C^T
+    only.  L is expanded to a dense triangle only for the reduction to
+    standard form.  Returns (d, C X, X^T B) in ascending d, or None if A1 is
+    not positive definite or the tridiagonal eigensolver fails.
     """
     from scipy.linalg import lapack
 
-    n = a1.shape[0]
-    L, info = lapack.dpotrf(a1, lower=1, overwrite_a=1)
+    n, kd = a2.shape[0], ab1.shape[0] - 1
+    Lb, info = lapack.dpbtrf(ab1, lower=1, overwrite_ab=1)
     if info != 0:
         return None
-    M, _ = lapack.dsygst(a2, L, lower=1, overwrite_a=1)
+    P, _ = lapack.dtbtrs(Lb, np.hstack([B, C.T]), uplo="L")  # L^{-1} [B, C^T]
+    L = np.zeros(n * n)  # dense L in Fortran order: entry (j + d, j) at d + (n + 1) j
+    for d in range(kd + 1):
+        L[d :: n + 1][: n - d] = Lb[d, : n - d]
+    M, _ = lapack.dsygst(a2, L.reshape(n, n, order="F"), lower=1, overwrite_a=1)
+    del L
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
     T, diag, off, tau, _ = lapack.dsytrd(M, lower=1, lwork=lwork, overwrite_a=1)
-    P, _ = lapack.dtrtrs(L, np.hstack([B, C.T]), lower=1)  # L^{-1} [B, C^T]
     if n > 1:  # P <- Q^T P; the reflectors lie below the subdiagonal of T
         lwork = int(lapack.dormqr("L", "T", T[1:, :-1], tau, P[1:], -1)[1][0])
         P[1:] = lapack.dormqr("L", "T", T[1:, :-1], tau, P[1:], lwork)[0]
@@ -280,18 +286,37 @@ def _pole_residue_affine_symmetric(d, cx, xb, constant, rank_rtol):
     return PoleResidue(poles=poles, left_factors=lefts, right_factors=rights, constant=constant.astype(complex))
 
 
-def _pattern(op):
-    """Row and column indices of the stored entries of a sparse or dense matrix."""
+def _entries(op):
+    """Rows, columns and values of the stored entries of a sparse or dense matrix."""
     if hasattr(op, "tocoo"):
         coo = op.tocoo()
-        return coo.row, coo.col
-    return np.nonzero(op)
+        return coo.row, coo.col, coo.data
+    rows, cols = np.nonzero(op)
+    return rows, cols, op[rows, cols]
 
 
 def _dense_block(op, keep):
     """Private Fortran-order dense copy of op[keep][:, keep]."""
     block = op[np.ix_(keep, keep)]
     return block.toarray(order="F") if hasattr(block, "toarray") else np.array(block, dtype=float, order="F")
+
+
+def _lower_band(op, keep):
+    """LAPACK lower band storage of the symmetric block op[keep][:, keep].
+
+    A (kd + 1, len(keep)) Fortran-order array holding entry (i, j), i >= j,
+    at row i - j of column j, with duplicate entries summed; kd is the widest
+    sub-diagonal of the block's sparsity pattern.  op is a sparse or dense
+    matrix; its upper triangle is not read.
+    """
+    rows, cols, values = _entries(op)
+    index = np.full(op.shape[0], -1)
+    index[keep] = np.arange(len(keep))
+    rows, cols = index[rows], index[cols]
+    lower = (cols >= 0) & (rows >= cols)
+    rows, cols, values = rows[lower], cols[lower], values[lower]
+    ldab, n = int((rows - cols).max(initial=0)) + 1, len(keep)
+    return np.bincount(rows - cols + ldab * cols, weights=values, minlength=ldab * n).reshape(n, ldab).T
 
 
 def _is_symmetric(op, tol):
@@ -306,12 +331,14 @@ def pole_residue_affine_singular(A1, A2, B, C):
     max(n) * eps times the largest.  Uses a low-rank update identity on A1;
     symmetric pencils with A1 positive definite take a symmetric eigensolver
     path that tolerates repeated eigenvalues and projects B and C without
-    forming the eigenvectors (an A1 whose Cholesky factorization fails falls
-    back to the general path).  A1 and A2 may be dense arrays or scipy
-    sparse matrices.  Indices i whose row and column
-    are zero in A2 and zero off the diagonal in A1 (a nonzero a1_ii) are
-    decoupled: they add C[:, i] B[i, :] / a1_ii to the constant term and are
-    left out of the eigenproblem.  The rest is densified once.
+    forming the eigenvectors.  That path factors A1 on its band
+    (``_lower_band``) and makes no dense copy of it; an A1 whose band
+    Cholesky factorization fails falls back to the general path.  A1 and A2
+    may be dense arrays or scipy sparse matrices.  Indices i whose row and
+    column are zero in A2 and zero off the diagonal in A1 (a nonzero a1_ii)
+    are decoupled: they add C[:, i] B[i, :] / a1_ii to the constant term and
+    are left out of the eigenproblem.  The rest of A2 is densified once, and
+    so is A1 on the general path.
     """
     A1, A2 = (op if hasattr(op, "tocoo") else np.asarray(op, dtype=float) for op in (A1, A2))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -320,9 +347,9 @@ def pole_residue_affine_singular(A1, A2, B, C):
 
     diag = np.asarray(A1.diagonal(), dtype=float)
     coupled = diag == 0.0
-    rows, cols = _pattern(A2)
+    rows, cols, _ = _entries(A2)
     coupled[rows] = coupled[cols] = True
-    rows, cols = _pattern(A1)
+    rows, cols, _ = _entries(A1)
     off = rows != cols
     coupled[rows[off]] = coupled[cols[off]] = True
     keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
@@ -333,7 +360,7 @@ def pole_residue_affine_singular(A1, A2, B, C):
 
     sym_tol = 1e-12 * max(abs(A1).max(), abs(A2).max(), 1e-300)
     if _is_symmetric(A1, sym_tol) and _is_symmetric(A2, sym_tol):
-        projected = _symmetric_eig_projections(_dense_block(A2, keep), _dense_block(A1, keep), B, C)
+        projected = _symmetric_eig_projections(_dense_block(A2, keep), _lower_band(A1, keep), B, C)
         if projected is not None:
             return _pole_residue_affine_symmetric(*projected, constant, rank_rtol)
 

@@ -257,29 +257,49 @@ def _tridiagonal_fom(n):
     return AffineStationaryFom(A1_entries=A1, A2_entries=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
 
 
-@pytest.mark.parametrize("name", ["penzl", "poisson", "random", "tridiagonal-1", "tridiagonal-2", "tridiagonal-3",
-                                  "tridiagonal-40"])
+def _symmetric_indefinite_fom(n=9):
+    """A1 + p A2 with symmetric A1 and A2 on a band two wide: A1 + 2 A2 is
+    indefinite, so band Cholesky fails there and the general band kernel
+    factors it."""
+    g = np.random.default_rng(n)
+    i = np.arange(n)
+    rows = np.concatenate([i, i[1:], i[:-1], i[2:], i[:-2]])
+    cols = np.concatenate([i, i[:-1], i[1:], i[:-2], i[2:]])
+    first, second = 0.3 * g.random(n - 1), 0.2 * g.random(n - 2)
+    A1 = (rows, cols, np.concatenate([np.where(i % 3, 2.0, -2.0), first, first, second, second]))
+    A2 = (i, i, 0.1 + 0.1 * g.random(n))
+    return AffineStationaryFom(A1_entries=A1, A2_entries=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
+
+
+def _dense_pencil(fom):
+    """K(p) as a dense matrix function, and the dense dK/dp."""
+    if isinstance(fom, AffineStationaryFom):
+        return lambda p: fom.A1.toarray() + p * fom.A2.toarray(), fom.A2.toarray()
+    return lambda p: p * _dense(fom.E) - _dense(fom.A), _dense(fom.E)
+
+
+@pytest.mark.parametrize("name", ["penzl", "poisson", "random", "symmetric-indefinite", "tridiagonal-1",
+                                  "tridiagonal-2", "tridiagonal-3", "tridiagonal-40"])
 def test_factored_solves_match_dense_oracle(name):
-    # penzl and tridiagonal-n (n >= 3): the tridiagonal kernel; poisson, the
-    # dense random model (full band) and tridiagonal-n (n < 3): the general
-    # band kernel.  evaluate/partial run on a batch of a real and a complex
-    # point, and each point's factor (real or complex) solves real and complex
-    # right-hand sides, primal and adjoint.
+    # penzl and tridiagonal-n (n >= 3): the tridiagonal kernel; poisson at
+    # its real point: band Cholesky; symmetric-indefinite at its real point:
+    # band Cholesky fails, then the general band kernel; the complex points,
+    # the dense random model (full band) and tridiagonal-n (n < 3): the
+    # general band kernel.  evaluate/partial run on a batch of a real and a
+    # complex point, and each point's factor (real or complex) solves real and
+    # complex right-hand sides, primal and adjoint.
     if name == "penzl":
         fom, points, band = make_penzl(), [0.3 + 150.0j, 2.0], (1, 1)
     elif name == "random":
         fom, points, band = make_random_stable(12, 2, 3, seed=5), [0.7, 0.4 - 0.9j], (11, 11)
     elif name == "poisson":
         fom, points, band = make_poisson(cells_per_side=8), [1.7, 0.9 + 0.2j], (10, 10)
+    elif name == "symmetric-indefinite":
+        fom, points, band = _symmetric_indefinite_fom(), [2.0, 0.9 + 0.2j], (2, 2)
     else:
         n = int(name.split("-")[1])
         fom, points, band = _tridiagonal_fom(n), [1.7, 0.9 + 0.2j], (min(n - 1, 1),) * 2
-    if isinstance(fom, AffineStationaryFom):
-        operator = lambda p: fom.A1.toarray() + p * fom.A2.toarray()
-        dK = fom.A2.toarray()
-    else:
-        operator = lambda p: p * _dense(fom.E) - _dense(fom.A)
-        dK = _dense(fom.E)
+    operator, dK = _dense_pencil(fom)
     assert fom.bands[:2] == band
     g = np.random.default_rng(4)
     real_rhs = g.standard_normal((fom.n, 2))
@@ -302,33 +322,54 @@ def test_factored_solves_match_dense_oracle(name):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _count_kernel_calls(monkeypatch):
-    """Count the LAPACK factorizations by kernel: 'gttrf' (tridiagonal) and 'gbtrf' (general band)."""
+def _record_kernel_calls(monkeypatch):
+    """Record, in call order, the LAPACK factorization kernels called: ?gttrf, ?gbtrf and dpbtrf."""
     from scipy.linalg import lapack
 
-    counts = {"gttrf": 0, "gbtrf": 0}
-    for kernel in counts:
-        for prefix in "dz":
-            wrapped = getattr(lapack, prefix + kernel)
+    calls = []
+    for name in ("dgttrf", "zgttrf", "dgbtrf", "zgbtrf", "dpbtrf"):
+        wrapped = getattr(lapack, name)
 
-            def counting(*args, _kernel=kernel, _wrapped=wrapped, **kwargs):
-                counts[_kernel] += 1
-                return _wrapped(*args, **kwargs)
+        def recording(*args, _name=name, _wrapped=wrapped, **kwargs):
+            calls.append(_name)
+            return _wrapped(*args, **kwargs)
 
-            monkeypatch.setattr(lapack, prefix + kernel, counting)
-    return counts
+        monkeypatch.setattr(lapack, name, recording)
+    return calls
 
 
 @pytest.mark.parametrize("make, kernel", [(make_penzl, "gttrf"), (lambda: make_poisson(8), "gbtrf"),
                                           (lambda: _tridiagonal_fom(3), "gttrf"),
-                                          (lambda: _tridiagonal_fom(2), "gbtrf")])
+                                          (lambda: _tridiagonal_fom(2), "gbtrf"),
+                                          (lambda: make_random_stable(6), "gbtrf"),
+                                          (_symmetric_indefinite_fom, "gbtrf")])
 def test_band_picks_the_factorization_kernel(monkeypatch, make, kernel):
-    # Penzl (kl = ku = 1) and Poisson (kl = ku = 34) keep one benchmark
-    # workload on each side of the choice; n = 2 stays on ?gbtrf, which
-    # scipy's ?gttrf wrapper cannot take
-    counts = _count_kernel_calls(monkeypatch)
+    # a batch holding a complex point is factored complex at every point, so
+    # no band Cholesky runs.  Penzl (kl = ku = 1) and Poisson (kl = ku = 34)
+    # keep one benchmark workload on each side of the band choice; n = 2
+    # stays on ?gbtrf, which scipy's ?gttrf wrapper cannot take
+    calls = _record_kernel_calls(monkeypatch)
     make().evaluate([2.0, 0.5 + 1.0j])
-    assert counts == {k: 2 if k == kernel else 0 for k in counts}
+    assert calls == ["z" + kernel] * 2
+
+
+@pytest.mark.parametrize("make, kernels", [(make_penzl, ["dgttrf"]), (lambda: make_poisson(8), ["dpbtrf"]),
+                                           (lambda: make_random_stable(6), ["dgbtrf"]),
+                                           (_symmetric_indefinite_fom, ["dpbtrf", "dgbtrf"]),
+                                           (lambda: _tridiagonal_fom(3), ["dgttrf"]),
+                                           (lambda: _tridiagonal_fom(2), ["dgbtrf"])])
+def test_real_point_on_a_symmetric_band_takes_band_cholesky(monkeypatch, make, kernels):
+    # Poisson is symmetric and positive definite at real p: dpbtrf alone.
+    # The symmetric indefinite model tries dpbtrf, then factors with
+    # dgbtrf.  Penzl keeps the tridiagonal kernel, and the dense random
+    # model and the n = 2 band (neither symmetric) the general band one.
+    fom = make()
+    calls = _record_kernel_calls(monkeypatch)
+    operator, _ = _dense_pencil(fom)
+    want = fom.C @ np.linalg.solve(operator(2.0), fom.B)
+    got = fom.evaluate([2.0])[0]
+    assert calls == kernels
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _singular_tridiagonal_fom():
@@ -338,9 +379,20 @@ def _singular_tridiagonal_fom():
                                B=np.ones((3, 1)), C=np.ones((1, 3)))
 
 
+def _singular_symmetric_fom():
+    """A1 + p A2 = [[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1 + p]],
+    symmetric on a band two wide and singular at every p."""
+    rows, cols = np.divmod(np.arange(9), 3)
+    rows, cols = np.append(rows, 3), np.append(cols, 3)
+    return AffineStationaryFom(A1_entries=(rows, cols, np.ones(10)), A2_entries=(np.array([3]), np.array([3]), np.ones(1)),
+                               B=np.ones((4, 1)), C=np.ones((1, 4)))
+
+
 def test_singular_full_order_operator_raises():
     # a zero on the diagonal at n = 4 and n = 2 (tridiagonal and general band
-    # kernels), and a tridiagonal operator with two equal leading rows
+    # kernels), a tridiagonal operator with two equal leading rows, and a
+    # symmetric operator whose band Cholesky fails before ?gbtrf finds the
+    # zero pivot
     n = 4
     diag = (np.arange(n), np.arange(n), np.array([1.0, 2.0, 0.0, 1.0]))
     singular = [
@@ -348,9 +400,10 @@ def test_singular_full_order_operator_raises():
         (AffineStationaryFom(A1_entries=np.diag([1.0, 0.0]), A2_entries=np.eye(2), B=np.ones((2, 1)),
                              C=np.ones((1, 2))), 0.0),
         (_singular_tridiagonal_fom(), 1.5),
+        (_singular_symmetric_fom(), 1.5),
     ]
     for fom, p in singular:
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        with pytest.raises(np.linalg.LinAlgError, match=r"singular \(zero pivot"):
             fom.factor(p)
         with pytest.raises(np.linalg.LinAlgError):
             fom.evaluate([p])
@@ -377,6 +430,8 @@ class NanFom:
 fom = make_random_stable(4)
 rows, cols = np.array([0, 0, 1, 1, 2]), np.array([0, 1, 0, 1, 2])
 tridiagonal = AffineStationaryFom((rows, cols, np.ones(5)), (rows, cols, np.zeros(5)), np.ones((3, 1)), np.ones((1, 3)))
+rows, cols = np.divmod(np.arange(9), 3)  # symmetric, band two wide: band Cholesky fails, then ?gbtrf
+symmetric = AffineStationaryFom((rows, cols, np.ones(9)), (rows, cols, np.zeros(9)), np.ones((3, 1)), np.ones((1, 3)))
 for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
              lambda: sample_frequency_response(NanFom(), [1.0, 2.0]),
              lambda: sample_frequency_response(fom, []),
@@ -390,13 +445,14 @@ for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
              lambda: make_kron_parametric(2, 2, n_i=0),
              lambda: make_kron_parametric(2, 2, n_o=0),
              lambda: sample_h2l2(make_kron_parametric(2, 2), n_s=0, n_xi=4),
-             lambda: tridiagonal.factor(1.5)):
+             lambda: tridiagonal.factor(1.5),
+             lambda: symmetric.factor(1.5)):
     try:
         make()
     except ValueError:  # np.linalg.LinAlgError is a ValueError
         print("raised")
 """
-    assert _run_python(["-O"], code).split() == ["raised"] * 14
+    assert _run_python(["-O"], code).split() == ["raised"] * 15
 
 
 def test_building_models_does_not_import_scipy_sparse():

@@ -193,7 +193,7 @@ def test_symmetric_projections_match_dense_eigh(n, rank):
     # the tridiagonal route never forms X; check it against scipy's generalized
     # eigh through quantities that do not depend on the eigenvector basis
     a1, a2, b, c = _dense_symmetric_pencil(n, rank)
-    d, cx, xb = spectral._symmetric_eig_projections(a2.copy(order="F"), a1.copy(order="F"), b, c)
+    d, cx, xb = spectral._symmetric_eig_projections(a2.copy(order="F"), spectral._lower_band(a1, np.arange(n)), b, c)
     d_ref = scipy.linalg.eigh(a2, a1, eigvals_only=True)
     assert np.max(np.abs(d - d_ref)) <= 1e-13 * np.max(np.abs(d_ref))
     a1_inv_b = np.linalg.solve(a1, b)
@@ -207,12 +207,35 @@ def test_affine_singular_indefinite_a1_takes_general_path():
     a1 = q @ np.diag([3.0, 2.0, 1.0, -1.0, -2.0, -3.5]) @ q.T
     a1 = 0.5 * (a1 + a1.T)
     _, a2, b, c = _dense_symmetric_pencil(n, n)
-    assert spectral._symmetric_eig_projections(a2.copy(order="F"), a1.copy(order="F"), b, c) is None
+    assert spectral._symmetric_eig_projections(a2.copy(order="F"), spectral._lower_band(a1, np.arange(n)), b, c) is None
     pr = pole_residue_affine_singular(a1, a2, b, c)
     ps = np.array([0.3, 1.7, 6.0])
     for p, val in zip(ps, pr.evaluate(ps)):
         direct = c @ np.linalg.solve(a1 + p * a2, b)
         assert np.max(np.abs(val - direct)) <= 1e-8 * np.max(np.abs(direct))
+
+
+def test_symmetric_poisson_form_takes_band_cholesky(monkeypatch):
+    # A1 of the kept block is factored on its band; no dense Cholesky runs
+    from scipy.linalg import lapack
+
+    from l2rom.models import make_poisson
+
+    counts = {"dpbtrf": 0, "dpotrf": 0}
+    for name in counts:
+        wrapped = getattr(lapack, name)
+
+        def counting(*args, _name=name, _wrapped=wrapped, **kwargs):
+            counts[_name] += 1
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, counting)
+    fom = make_poisson(8)
+    pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
+    assert counts == {"dpbtrf": 1, "dpotrf": 0}
+    ps = np.array([0.1, 1.7, 9.9])
+    direct = fom.evaluate(ps)
+    assert np.max(np.abs(pr.evaluate(ps) - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("time_domain", ["ct", "dt"])
