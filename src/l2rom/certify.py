@@ -57,8 +57,8 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("interval requires a < b")
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"interval requires finite a < b, got [{self.a}, {self.b}]")
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,11 @@ EXIT_IO = 3
 # _report_grid): the interval rules resolve Y only about 1 % away.
 STATIONARY_REPORT_GAP = 0.02
 
-# certify --family: the rom structure each family's conditions apply to; the
-# full-order model's time domain picks H2_CT or H2_DT for h2
+# certify --family: the rom structure each family's conditions apply to, which
+# is also the kind of model it reads (MODEL_KIND); the model's time domain
+# picks H2_CT or H2_DT for h2
 FAMILY_STRUCTURE = {"h2": "lti", "h2xl2": "kron", "discrete-ls": "lti", "stationary": "stationary"}
+MODEL_KIND = {models.AffineLtiFom: "lti", models.AffineStationaryFom: "stationary", models.KronParametricFom: "kron"}
 
 
 class UsageError(Exception):
@@ -61,6 +63,15 @@ def _load(path, kind, decode):
         raise OSError(f"cannot read {path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise UsageError(f"invalid {kind} file {path}: {exc}") from exc
+
+
+def _load_model(path, kind, purpose):
+    """Read a model file; a usage error unless it holds a ``kind`` model (see MODEL_KIND)."""
+    fom = _load(path, "model", io.model_from_payload)
+    found = MODEL_KIND[type(fom)]
+    if found != kind:
+        raise UsageError(f"{purpose} requires a model of kind {kind}, {path} holds one of kind {found}")
+    return fom
 
 
 def cmd_generate(args):
@@ -94,8 +105,11 @@ def cmd_generate(args):
 
 
 def cmd_sample(args):
-    fom = _load(args.model, "model", io.model_from_payload)
     parts = args.scheme.split()
+    if parts[:1] == ["gauss"]:  # the Gauss rule lies on the model interval
+        fom = _load_model(args.model, "stationary", "the gauss scheme")
+    else:
+        fom = _load(args.model, "model", io.model_from_payload)
     try:
         if parts[0] == "logspace":
             lo, hi, num = float(parts[1]), float(parts[2]), int(parts[3])
@@ -163,14 +177,13 @@ def cmd_fit(args):
     else:
         if not args.model:
             raise UsageError(f"--init {args.init} requires --model")
-        fom = _load(args.model, "model", io.model_from_payload)
+        structure = {"irka": "lti", "rb": "stationary"}[args.init]
+        if args.structure != structure:
+            raise UsageError(f"{args.init} initialization applies to the {structure} structure")
+        fom = _load_model(args.model, structure, f"--init {args.init}")
         if args.init == "irka":
-            if args.structure != "lti":
-                raise UsageError("irka initialization applies to the lti structure")
             inits = [irka_init(fom, args.order)]
-        elif args.init == "rb":
-            if args.structure != "stationary":
-                raise UsageError("rb initialization applies to the stationary structure")
+        else:
             a, b = fom.interval
             inits = [greedy_rb_init(fom, args.order, np.logspace(np.log10(a), np.log10(b), 20))]
 
@@ -213,7 +226,7 @@ def cmd_certify(args):
     else:
         if not args.model:
             raise UsageError(f"{args.family} certification requires --model")
-        fom = _load(args.model, "model", io.model_from_payload)
+        fom = _load_model(args.model, wanted, f"certificate family {args.family}")
         if args.family == "h2":
             cert = h2_residuals(fom, pr, **tol)
         elif args.family == "h2xl2":
@@ -271,7 +284,7 @@ def cmd_report(args):
     else:
         if not args.model:
             raise UsageError("the stationary report requires --model")
-        fom = _load(args.model, "model", io.model_from_payload)
+        fom = _load_model(args.model, "stationary", "the stationary report")
         interval = Interval(*fom.interval)
         grid = _report_grid(conj_poles, args.points, interval)
         t, t_hat = (modified_output_eval(model, interval, grid) for model in (fom, pr))

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .certify import Interval
 from .core import SampleSet
 from .spectral import PoleResidue2D, _check_wrt, _points, _time_domain
 
@@ -55,10 +56,13 @@ def _operator(entries, n):
 
 
 def _triplets(entries):
-    """COO triplets (rows, cols, values) of a dense array or of triplets."""
+    """COO triplets (rows, cols, values) of a dense array, a scipy sparse matrix or triplets."""
     if isinstance(entries, np.ndarray):
         rows, cols = np.nonzero(entries)
         return rows, cols, entries[rows, cols]
+    if hasattr(entries, "tocoo"):
+        coo = entries.tocoo()
+        return coo.row, coo.col, coo.data
     return tuple(np.asarray(t) for t in entries)
 
 
@@ -73,20 +77,21 @@ def _tridiagonal(n, kl, ku):
 def _band_layouts(n, *operators):
     """LAPACK band storage of (n, n) operators that share one band.
 
-    Returns (kl, ku, layouts, lower): kl and ku are the widest sub- and
-    super-diagonal over all operators, in their assembly order, and each
-    layout holds one operator (duplicate triplets summed) in the storage of
-    the kernel that ``BandedLU`` picks for the band.  A tridiagonal band
-    (``_tridiagonal``) is a (3, n) C-order array whose rows are the sub-,
-    main and super-diagonal, entry (i, j) at row 1 + j - i, column
-    min(i, j); the last column of the outer rows stays zero.  Any other band
-    is a (2 kl + ku + 1, n) Fortran-order array holding entry (i, j) at row
-    kl + ku + i - j of column j; its top kl rows stay zero for the fill-in of
-    ?gbtrf's row interchanges.  ``lower`` is None unless every operator of a
-    wider band is symmetric, bit for bit on each pair of mirrored diagonals
-    (a tridiagonal band is not tested); then it holds each operator's lower
-    band storage for band Cholesky, a (kl + 1, n) Fortran-order copy of the
-    layout's rows from kl + ku on (entry (i, j), i >= j, at row i - j).
+    This is the one place that stores a full-order operator's band and
+    decides whether it is symmetric.  Returns (kl, ku, layouts, lower): kl
+    and ku are the widest sub- and super-diagonal over all operators, in
+    their assembly order, and each layout holds one operator (duplicate
+    triplets summed) in the storage of the kernel that ``BandedLU`` picks
+    for the band.  A tridiagonal band (``_tridiagonal``) is a (3, n) C-order
+    array whose rows are the sub-, main and super-diagonal, entry (i, j) at
+    row 1 + j - i, column min(i, j); the last column of the outer rows stays
+    zero.  Any other band is a (2 kl + ku + 1, n) Fortran-order array
+    holding entry (i, j) at row kl + ku + i - j of column j; its top kl rows
+    stay zero for the fill-in of ?gbtrf's row interchanges.  ``lower`` is
+    None unless every operator is symmetric, bit for bit on each pair of
+    mirrored diagonals; then it holds each operator's lower band storage for
+    band Cholesky, a (kl + 1, n) Fortran-order array holding entry (i, j),
+    i >= j, at row i - j of column j.
     """
     triplets = [_triplets(op) for op in operators]
     offsets = np.concatenate([rows - cols for rows, cols, _ in triplets])
@@ -97,7 +102,9 @@ def _band_layouts(n, *operators):
             np.bincount((1 + cols - rows) * n + np.minimum(rows, cols), weights=values, minlength=3 * n).reshape(3, n)
             for rows, cols, values in triplets
         ]
-        return kl, ku, layouts, None
+        symmetric = all(np.array_equal(ab[0], ab[2]) for ab in layouts)
+        lower = [np.asfortranarray(ab[[1, 0]]) for ab in layouts] if symmetric else None
+        return kl, ku, layouts, lower
     ldab, main = 2 * kl + ku + 1, kl + ku
     layouts = [
         np.bincount(main + rows - cols + ldab * cols, weights=values, minlength=ldab * n).reshape(n, ldab).T
@@ -118,7 +125,7 @@ class BandedLU:
 
     - kl <= 1, ku <= 1 and n >= 3: the tridiagonal ?gttrf/?gttrs, which do
       the pivoted elimination of ?gbtrf without its per-column BLAS calls;
-    - a symmetric band (``lower`` given) at a real p: band Cholesky,
+    - any other symmetric band (``lower`` given) at a real p: band Cholesky,
       dpbtrf/dpbtrs on the (kl + 1, n) lower band.  If dpbtrf finds the
       operator not positive definite, the general band kernel factors it;
     - otherwise the general band ?gbtrf/?gbtrs, with partial pivoting.
@@ -219,11 +226,9 @@ class AffineLtiFom(_AffineFom):
     ``E_entries`` and ``A_entries`` are dense (n, n) arrays or COO triplets
     (rows, cols, values); ``E`` and ``A`` are the operators, built on first
     use (CSC for triplets), for products.  Every full-order solve goes
-    through ``factor``, one banded factorization in the assembly order whose
-    kernel ``BandedLU`` picks by band and symmetry: LAPACK's tridiagonal
-    ?gttrf when the band is at most one wide on each side and n >= 3
-    (Penzl), band Cholesky at a real shift when E and A are symmetric and
-    s E - A is positive definite there, the general band ?gbtrf otherwise.
+    through ``factor``, one banded factorization of s E - A in the assembly
+    order, whose LAPACK kernel ``BandedLU`` picks by band and symmetry
+    (Penzl: the tridiagonal ?gttrf).
     """
 
     E_entries: object
@@ -261,13 +266,10 @@ class AffineStationaryFom(_AffineFom):
     ``A1_entries`` and ``A2_entries`` are dense (n, n) arrays or COO
     triplets; ``A1`` and ``A2`` are the operators, built on first use, for
     products.  Every full-order solve goes through ``factor``, one banded
-    factorization in the assembly order whose kernel ``BandedLU`` picks by
-    band and symmetry: LAPACK's tridiagonal ?gttrf when the band is at most
-    one wide on each side and n >= 3; band Cholesky, dpbtrf on the
-    (kl + 1, n) lower band, at a real p when A1 and A2 are symmetric and
-    A1 + p A2 is positive definite (Poisson, kl = ku = 34); the general band
-    ?gbtrf otherwise (a complex p, a non-symmetric band, or an indefinite
-    operator after dpbtrf has failed).
+    factorization of A1 + p A2 in the assembly order, whose LAPACK kernel
+    ``BandedLU`` picks by band and symmetry (Poisson, kl = ku = 34: band
+    Cholesky at a real p, ?gbtrf at a complex one).  ``interval`` must be
+    finite with a < b, as ``certify.Interval`` checks.
     """
 
     A1_entries: object
@@ -275,6 +277,9 @@ class AffineStationaryFom(_AffineFom):
     B: np.ndarray
     C: np.ndarray
     interval: tuple = (0.1, 10.0)
+
+    def __post_init__(self):
+        Interval(*self.interval)
 
     @cached_property
     def A1(self):
@@ -286,11 +291,7 @@ class AffineStationaryFom(_AffineFom):
 
     @cached_property
     def bands(self):
-        """(kl, ku, (A1, A2), lower) as ``_band_layouts`` stores them, built on the first solve.
-
-        Whether A1 and A2 are symmetric is tested here, once, on the mirrored
-        diagonals of the band storage; a tridiagonal band skips the test.
-        """
+        """(kl, ku, (A1, A2), lower) as ``_band_layouts`` stores them, built on the first solve."""
         return _band_layouts(self.n, self.A1_entries, self.A2_entries)
 
     @property

@@ -201,36 +201,42 @@ def pole_residue_lti(E, A, B, C):
     return PoleResidue(poles=diag.eigenvalues, left_factors=left, right_factors=right)
 
 
-def _symmetric_eig_projections(a2, ab1, B, C):
+def _dense_lower(ab):
+    """The dense Fortran-order lower triangle of the matrix in lower band storage ``ab``."""
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    dense = np.zeros(n * n)  # entry (j + d, j) at d + (n + 1) j
+    for d in range(kd + 1):
+        dense[d :: n + 1][: n - d] = ab[d, : n - d]
+    return dense.reshape(n, n, order="F")
+
+
+def _symmetric_eig_projections(ab2, ab1, B, C):
     """Eigenvalues of A2 X = A1 X D and the projections C X, X^T B.
 
-    ``a2`` is a dense Fortran-order copy of A2 and ``ab1`` the lower band
-    storage of A1 (``_lower_band``); both are overwritten.  X holds
+    ``ab2`` and ``ab1`` are the lower band storage of A2 and A1
+    (``models._band_layouts``); ``ab1`` is overwritten.  X holds
     A1-orthonormal eigenvectors but is never formed.  With A1 = L L^T (band
     Cholesky), L^{-1} A2 L^{-T} = Q T Q^T (Householder tridiagonalization,
     Q kept as reflectors) and T = Z D Z^T, X = L^{-T} Q Z, so C X and X^T B
     need L^{-1} (a banded triangular solve) and Q^T applied to B and C^T
-    only.  L is expanded to a dense triangle only for the reduction to
-    standard form.  Returns (d, C X, X^T B) in ascending d, or None if A1 is
-    not positive definite or the tridiagonal eigensolver fails.
+    only.  L and A2 are expanded to dense lower triangles only for the
+    reduction to standard form.  Returns (d, C X, X^T B) in ascending d, or
+    None if A1 is not positive definite or the tridiagonal eigensolver fails.
     """
     from scipy.linalg import lapack
 
-    n, kd = a2.shape[0], ab1.shape[0] - 1
+    n = ab1.shape[1]
     Lb, info = lapack.dpbtrf(ab1, lower=1, overwrite_ab=1)
     if info != 0:
         return None
     P, _ = lapack.dtbtrs(Lb, np.hstack([B, C.T]), uplo="L")  # L^{-1} [B, C^T]
-    L = np.zeros(n * n)  # dense L in Fortran order: entry (j + d, j) at d + (n + 1) j
-    for d in range(kd + 1):
-        L[d :: n + 1][: n - d] = Lb[d, : n - d]
-    M, _ = lapack.dsygst(a2, L.reshape(n, n, order="F"), lower=1, overwrite_a=1)
-    del L
+    M, _ = lapack.dsygst(_dense_lower(ab2), _dense_lower(Lb), lower=1, overwrite_a=1)
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
     T, diag, off, tau, _ = lapack.dsytrd(M, lower=1, lwork=lwork, overwrite_a=1)
     if n > 1:  # P <- Q^T P; the reflectors lie below the subdiagonal of T
         lwork = int(lapack.dormqr("L", "T", T[1:, :-1], tau, P[1:], -1)[1][0])
         P[1:] = lapack.dormqr("L", "T", T[1:, :-1], tau, P[1:], lwork)[0]
+    del M, T  # the reflectors are applied: free them before dstevd allocates Z and its workspace
     d, Z, info = lapack.dstevd(diag, off if n > 1 else np.zeros(1))
     if info != 0:
         return None
@@ -286,60 +292,25 @@ def _pole_residue_affine_symmetric(d, cx, xb, constant, rank_rtol):
     return PoleResidue(poles=poles, left_factors=lefts, right_factors=rights, constant=constant.astype(complex))
 
 
-def _entries(op):
-    """Rows, columns and values of the stored entries of a sparse or dense matrix."""
-    if hasattr(op, "tocoo"):
-        coo = op.tocoo()
-        return coo.row, coo.col, coo.data
-    rows, cols = np.nonzero(op)
-    return rows, cols, op[rows, cols]
-
-
-def _dense_block(op, keep):
-    """Private Fortran-order dense copy of op[keep][:, keep]."""
-    block = op[np.ix_(keep, keep)]
-    return block.toarray(order="F") if hasattr(block, "toarray") else np.array(block, dtype=float, order="F")
-
-
-def _lower_band(op, keep):
-    """LAPACK lower band storage of the symmetric block op[keep][:, keep].
-
-    A (kd + 1, len(keep)) Fortran-order array holding entry (i, j), i >= j,
-    at row i - j of column j, with duplicate entries summed; kd is the widest
-    sub-diagonal of the block's sparsity pattern.  op is a sparse or dense
-    matrix; its upper triangle is not read.
-    """
-    rows, cols, values = _entries(op)
-    index = np.full(op.shape[0], -1)
-    index[keep] = np.arange(len(keep))
-    rows, cols = index[rows], index[cols]
-    lower = (cols >= 0) & (rows >= cols)
-    rows, cols, values = rows[lower], cols[lower], values[lower]
-    ldab, n = int((rows - cols).max(initial=0)) + 1, len(keep)
-    return np.bincount(rows - cols + ldab * cols, weights=values, minlength=ldab * n).reshape(n, ldab).T
-
-
-def _is_symmetric(op, tol):
-    return abs(op - op.T).max() <= tol
-
-
 def pole_residue_affine_singular(A1, A2, B, C):
     """Pole-residue form (with constant term) of C (A1 + p A2)^{-1} B.
 
-    A2 may be rank-deficient; its numerical rank is determined from the
-    singular values (eigenvalues on the symmetric path) at threshold
-    max(n) * eps times the largest.  Uses a low-rank update identity on A1;
-    symmetric pencils with A1 positive definite take a symmetric eigensolver
-    path that tolerates repeated eigenvalues and projects B and C without
-    forming the eigenvectors.  That path factors A1 on its band
-    (``_lower_band``) and makes no dense copy of it; an A1 whose band
-    Cholesky factorization fails falls back to the general path.  A1 and A2
-    may be dense arrays or scipy sparse matrices.  Indices i whose row and
-    column are zero in A2 and zero off the diagonal in A1 (a nonzero a1_ii)
-    are decoupled: they add C[:, i] B[i, :] / a1_ii to the constant term and
-    are left out of the eigenproblem.  The rest of A2 is densified once, and
-    so is A1 on the general path.
+    A1 and A2 may be dense arrays or scipy sparse matrices.  Indices i whose
+    row and column are zero in A2 and zero off the diagonal in A1 (a nonzero
+    a1_ii) are decoupled: they add C[:, i] B[i, :] / a1_ii to the constant
+    term and are left out of the eigenproblem.  The kept block is stored by
+    ``models._band_layouts``, which also decides whether A1 and A2 are
+    symmetric (bit for bit).  A symmetric pencil with A1 positive definite
+    takes a symmetric eigensolver path that tolerates repeated eigenvalues,
+    factors A1 on its band and projects B and C without forming the
+    eigenvectors; an A1 whose band Cholesky factorization fails falls back
+    to the general path.  The general path densifies the kept block and
+    uses a low-rank update identity on A1.  A2 may be rank-deficient; its
+    numerical rank is determined from the singular values (eigenvalues on
+    the symmetric path) at threshold max(n) * eps times the largest.
     """
+    from .models import _band_layouts, _triplets
+
     A1, A2 = (op if hasattr(op, "tocoo") else np.asarray(op, dtype=float) for op in (A1, A2))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -347,9 +318,9 @@ def pole_residue_affine_singular(A1, A2, B, C):
 
     diag = np.asarray(A1.diagonal(), dtype=float)
     coupled = diag == 0.0
-    rows, cols, _ = _entries(A2)
+    rows, cols, _ = _triplets(A2)
     coupled[rows] = coupled[cols] = True
-    rows, cols, _ = _entries(A1)
+    rows, cols, _ = _triplets(A1)
     off = rows != cols
     coupled[rows[off]] = coupled[cols[off]] = True
     keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
@@ -357,14 +328,24 @@ def pole_residue_affine_singular(A1, A2, B, C):
         raise ValueError("A2 is numerically zero; the map has no finite poles")
     constant = (C[:, drop] / diag[drop]) @ B[drop, :]
     B, C = B[keep], C[:, keep]
+    m, index = len(keep), np.full(A1.shape[0], -1)
+    index[keep] = np.arange(m)
 
-    sym_tol = 1e-12 * max(abs(A1).max(), abs(A2).max(), 1e-300)
-    if _is_symmetric(A1, sym_tol) and _is_symmetric(A2, sym_tol):
-        projected = _symmetric_eig_projections(_dense_block(A2, keep), _lower_band(A1, keep), B, C)
+    def kept(op):
+        """Triplets of op[keep][:, keep]; a decoupled index carries only its A1 diagonal entry."""
+        rows, cols, values = _triplets(op)
+        inside = index[rows] >= 0
+        return index[rows[inside]], index[cols[inside]], values[inside]
+
+    lower = _band_layouts(m, kept(A1), kept(A2))[3]
+    if lower is not None:
+        ab1, ab2 = lower
+        projected = _symmetric_eig_projections(ab2, ab1, B, C)
         if projected is not None:
             return _pole_residue_affine_symmetric(*projected, constant, rank_rtol)
 
-    A1, A2 = _dense_block(A1, keep), _dense_block(A2, keep)
+    A1, A2 = (np.bincount(rows * m + cols, weights=values, minlength=m * m).reshape(m, m)
+              for rows, cols, values in (kept(A1), kept(A2)))
     W, sigma, Zt = np.linalg.svd(A2)
     n2 = int(np.sum(sigma > rank_rtol * sigma[0]))
     if n2 == 0:

@@ -490,3 +490,35 @@ def test_cli_generate_rejects_empty_dimensions(tmp_path, capsys, argv, name):
     assert cli.main(["generate", *argv, "-o", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {name} must be at least 1")
     assert not path.exists()
+
+
+def test_cli_model_of_the_wrong_kind_is_usage_error(tmp_path, capsys):
+    # each command names the model kind it reads instead of failing on a missing attribute
+    def path(name):
+        return str(tmp_path / name)
+
+    cli.main(["generate", "random-lti", "--n", "6", "-o", path("lti.json")])
+    cli.main(["generate", "poisson", "--cells", "4", "-o", path("stationary.json")])
+    cli.main(["generate", "kron-parametric", "--s-terms", "2", "--xi-terms", "2", "-o", path("kron.json")])
+    cli.main(["sample", path("lti.json"), "--scheme", "logspace 0.1 1 4", "-o", path("ls.json")])
+    cli.main(["sample", path("stationary.json"), "--scheme", "gauss 4", "-o", path("gauss.json")])
+    rom = path("rom.json")
+    io.write_payload(rom, io.rom_to_payload(stationary_rom(np.eye(2), np.diag([0.5, 2.0]), np.ones((2, 1)),
+                                                           np.ones((1, 2)))))
+    out = path("out.json")
+    cases = [
+        (["fit", path("gauss.json"), "--structure", "stationary", "--init", "rb", "--model", path("lti.json"),
+          "-o", out], "stationary", "lti"),
+        (["fit", path("ls.json"), "--structure", "lti", "--init", "irka", "--model", path("stationary.json"),
+          "-o", out], "lti", "stationary"),
+        (["certify", rom, "--family", "stationary", "--model", path("lti.json")], "stationary", "lti"),
+        (["report", rom, "--model", path("lti.json")], "stationary", "lti"),
+        (["sample", path("lti.json"), "--scheme", "gauss 20", "-o", out], "stationary", "lti"),
+        (["sample", path("kron.json"), "--scheme", "gauss 20", "-o", out], "stationary", "kron"),
+    ]
+    capsys.readouterr()
+    for argv, wanted, found in cases:
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"requires a model of kind {wanted}, " in err and err.rstrip().endswith(f"holds one of kind {found}")
+    assert not (tmp_path / "out.json").exists()

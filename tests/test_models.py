@@ -468,3 +468,11 @@ make_poisson()
 print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg"))))
 """
     assert _run_python([], code).strip() == "[]"
+
+
+@pytest.mark.parametrize("interval", [(10.0, 1.0), (1.0, 1.0), (1.0, np.nan), (np.nan, 1.0), (0.1, np.inf)])
+def test_stationary_fom_checks_its_interval_on_construction(interval):
+    # the certificate's Interval check, not a later failure of the quadrature weights
+    with pytest.raises(ValueError, match="interval requires finite a < b"):
+        AffineStationaryFom(A1_entries=np.eye(3), A2_entries=np.eye(3), B=np.ones((3, 1)), C=np.ones((1, 3)),
+                            interval=interval)

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from l2rom import spectral
 from l2rom.core import ScalarFamily, StructuredRom, kron_rom, lti_rom, stationary_rom
+from l2rom.models import _band_layouts
 from l2rom.spectral import (
     DefectivePencilError,
     PoleResidue,
@@ -193,7 +194,8 @@ def test_symmetric_projections_match_dense_eigh(n, rank):
     # the tridiagonal route never forms X; check it against scipy's generalized
     # eigh through quantities that do not depend on the eigenvector basis
     a1, a2, b, c = _dense_symmetric_pencil(n, rank)
-    d, cx, xb = spectral._symmetric_eig_projections(a2.copy(order="F"), spectral._lower_band(a1, np.arange(n)), b, c)
+    ab1, ab2 = _band_layouts(n, a1, a2)[3]
+    d, cx, xb = spectral._symmetric_eig_projections(ab2, ab1, b, c)
     d_ref = scipy.linalg.eigh(a2, a1, eigvals_only=True)
     assert np.max(np.abs(d - d_ref)) <= 1e-13 * np.max(np.abs(d_ref))
     a1_inv_b = np.linalg.solve(a1, b)
@@ -207,7 +209,8 @@ def test_affine_singular_indefinite_a1_takes_general_path():
     a1 = q @ np.diag([3.0, 2.0, 1.0, -1.0, -2.0, -3.5]) @ q.T
     a1 = 0.5 * (a1 + a1.T)
     _, a2, b, c = _dense_symmetric_pencil(n, n)
-    assert spectral._symmetric_eig_projections(a2.copy(order="F"), spectral._lower_band(a1, np.arange(n)), b, c) is None
+    ab1, ab2 = _band_layouts(n, a1, a2)[3]
+    assert spectral._symmetric_eig_projections(ab2, ab1, b, c) is None
     pr = pole_residue_affine_singular(a1, a2, b, c)
     ps = np.array([0.3, 1.7, 6.0])
     for p, val in zip(ps, pr.evaluate(ps)):
@@ -215,14 +218,12 @@ def test_affine_singular_indefinite_a1_takes_general_path():
         assert np.max(np.abs(val - direct)) <= 1e-8 * np.max(np.abs(direct))
 
 
-def test_symmetric_poisson_form_takes_band_cholesky(monkeypatch):
-    # A1 of the kept block is factored on its band; no dense Cholesky runs
+def _count_lapack(monkeypatch, *names):
+    """Calls of the named scipy.linalg.lapack routines, counted from now on."""
     from scipy.linalg import lapack
 
-    from l2rom.models import make_poisson
-
-    counts = {"dpbtrf": 0, "dpotrf": 0}
-    for name in counts:
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         wrapped = getattr(lapack, name)
 
         def counting(*args, _name=name, _wrapped=wrapped, **kwargs):
@@ -230,11 +231,63 @@ def test_symmetric_poisson_form_takes_band_cholesky(monkeypatch):
             return _wrapped(*args, **kwargs)
 
         monkeypatch.setattr(lapack, name, counting)
+    return counts
+
+
+def test_symmetric_poisson_form_takes_band_cholesky(monkeypatch):
+    # A1 of the kept block is factored on its band; no dense Cholesky runs
+    from l2rom.models import make_poisson
+
+    counts = _count_lapack(monkeypatch, "dpbtrf", "dpotrf")
     fom = make_poisson(8)
     pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
     assert counts == {"dpbtrf": 1, "dpotrf": 0}
     ps = np.array([0.1, 1.7, 9.9])
     direct = fom.evaluate(ps)
+    assert np.max(np.abs(pr.evaluate(ps) - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+def _banded_stationary_fom(n, offsets, nudge=False):
+    """A symmetric positive definite A1 and a symmetric A2 on the band |i - j| <= max(offsets).
+
+    With ``nudge`` the entry (1, 0) of A1 is one ulp larger than its mirror (0, 1).
+    """
+    from l2rom.models import AffineStationaryFom
+
+    g = np.random.default_rng(19)
+    a1, a2 = np.diag(4.0 + g.random(n)), np.diag(1.0 + g.random(n))
+    for d in offsets:
+        for a in (a1, a2):
+            band = -0.5 * g.random(n - d)
+            a += np.diag(band, d) + np.diag(band, -d)
+    if nudge:
+        a1[1, 0] = np.nextafter(a1[1, 0], np.inf)
+    return AffineStationaryFom(A1_entries=a1, A2_entries=a2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
+
+
+def test_symmetric_tridiagonal_model_keeps_the_symmetric_form(monkeypatch):
+    # one symmetry rule: the tridiagonal band is tested too, so its lower band exists
+    fom = _banded_stationary_fom(7, [1])
+    assert fom.bands[:2] == (1, 1) and fom.bands[3] is not None
+    counts = _count_lapack(monkeypatch, "dpbtrf", "dgttrf")
+    pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
+    assert counts == {"dpbtrf": 1, "dgttrf": 0}
+    ps = np.array([0.1, 1.7, 9.9])
+    direct = fom.evaluate(ps)  # BandedLU still takes the tridiagonal kernel first
+    assert counts == {"dpbtrf": 1, "dgttrf": 3}
+    assert np.max(np.abs(pr.evaluate(ps) - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+def test_one_ulp_asymmetry_takes_the_general_paths(monkeypatch):
+    # "symmetric" is bit for bit: a nudged mirror entry leaves band Cholesky everywhere
+    fom = _banded_stationary_fom(9, [1, 2], nudge=True)
+    assert fom.bands[:2] == (2, 2) and fom.bands[3] is None
+    counts = _count_lapack(monkeypatch, "dpbtrf", "dgbtrf")
+    ps = np.array([0.1, 1.7, 9.9])
+    direct = fom.evaluate(ps)
+    assert counts == {"dpbtrf": 0, "dgbtrf": 3}
+    pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
+    assert counts["dpbtrf"] == 0
     assert np.max(np.abs(pr.evaluate(ps) - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
