@@ -1,7 +1,7 @@
 """Reduce a parametric Poisson model over its diffusion parameter.
 
-The full model solves (A1 + p A2) x = B on a 1089-node finite element mesh
-for p in [0.1, 10].  A greedy reduced-basis initializer seeds an order-2
+The full model solves (A1 + p A2) x = B for the 961 interior nodes of a
+32 x 32-cell finite element mesh, for p in [0.1, 10].  A greedy reduced-basis initializer seeds an order-2
 structured model, the fit minimizes the Gauss-quadrature L2 misfit, and the
 stationary interpolation conditions certify optimality at the reduced poles.
 The certificate integrates the full model's output over [0.1, 10] with a

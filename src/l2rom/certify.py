@@ -81,8 +81,8 @@ class Certificate:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown certificate family {self.family!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
 
     @property
     def max_residual(self):

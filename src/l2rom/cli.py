@@ -45,6 +45,11 @@ STATIONARY_REPORT_GAP = 0.02
 # picks H2_CT or H2_DT for h2
 FAMILY_STRUCTURE = {"h2": "lti", "h2xl2": "kron", "discrete-ls": "lti", "stationary": "stationary"}
 MODEL_KIND = {models.AffineLtiFom: "lti", models.AffineStationaryFom: "stationary", models.KronParametricFom: "kron"}
+# sample --scheme: the model kinds each scheme samples.  The gauss rule lies on
+# the stationary model's interval; logspace and circle need one parameter,
+# h2l2 two
+SCHEME_KINDS = {"logspace": ("lti", "stationary"), "circle": ("lti", "stationary"), "gauss": ("stationary",),
+                "h2l2": ("kron",)}
 
 
 class UsageError(Exception):
@@ -65,12 +70,12 @@ def _load(path, kind, decode):
         raise UsageError(f"invalid {kind} file {path}: {exc}") from exc
 
 
-def _load_model(path, kind, purpose):
-    """Read a model file; a usage error unless it holds a ``kind`` model (see MODEL_KIND)."""
+def _load_model(path, purpose, *kinds):
+    """Read a model file; a usage error unless it holds a model of one of ``kinds`` (see MODEL_KIND)."""
     fom = _load(path, "model", io.model_from_payload)
     found = MODEL_KIND[type(fom)]
-    if found != kind:
-        raise UsageError(f"{purpose} requires a model of kind {kind}, {path} holds one of kind {found}")
+    if found not in kinds:
+        raise UsageError(f"{purpose} requires a model of kind {' or '.join(kinds)}, {path} holds one of kind {found}")
     return fom
 
 
@@ -106,8 +111,8 @@ def cmd_generate(args):
 
 def cmd_sample(args):
     parts = args.scheme.split()
-    if parts[:1] == ["gauss"]:  # the Gauss rule lies on the model interval
-        fom = _load_model(args.model, "stationary", "the gauss scheme")
+    if parts and parts[0] in SCHEME_KINDS:
+        fom = _load_model(args.model, f"the {parts[0]} scheme", *SCHEME_KINDS[parts[0]])
     else:
         fom = _load(args.model, "model", io.model_from_payload)
     try:
@@ -180,7 +185,7 @@ def cmd_fit(args):
         structure = {"irka": "lti", "rb": "stationary"}[args.init]
         if args.structure != structure:
             raise UsageError(f"{args.init} initialization applies to the {structure} structure")
-        fom = _load_model(args.model, structure, f"--init {args.init}")
+        fom = _load_model(args.model, f"--init {args.init}", structure)
         if args.init == "irka":
             inits = [irka_init(fom, args.order)]
         else:
@@ -226,7 +231,7 @@ def cmd_certify(args):
     else:
         if not args.model:
             raise UsageError(f"{args.family} certification requires --model")
-        fom = _load_model(args.model, wanted, f"certificate family {args.family}")
+        fom = _load_model(args.model, f"certificate family {args.family}", wanted)
         if args.family == "h2":
             cert = h2_residuals(fom, pr, **tol)
         elif args.family == "h2xl2":
@@ -284,7 +289,7 @@ def cmd_report(args):
     else:
         if not args.model:
             raise UsageError("the stationary report requires --model")
-        fom = _load_model(args.model, "stationary", "the stationary report")
+        fom = _load_model(args.model, "the stationary report", "stationary")
         interval = Interval(*fom.interval)
         grid = _report_grid(conj_poles, args.points, interval)
         t, t_hat = (modified_output_eval(model, interval, grid) for model in (fom, pr))

@@ -267,7 +267,7 @@ class AffineStationaryFom(_AffineFom):
     triplets; ``A1`` and ``A2`` are the operators, built on first use, for
     products.  Every full-order solve goes through ``factor``, one banded
     factorization of A1 + p A2 in the assembly order, whose LAPACK kernel
-    ``BandedLU`` picks by band and symmetry (Poisson, kl = ku = 34: band
+    ``BandedLU`` picks by band and symmetry (Poisson, kl = ku = 32: band
     Cholesky at a real p, ?gbtrf at a complex one).  ``interval`` must be
     finite with a < b, as ``certify.Interval`` checks.
     """
@@ -388,30 +388,24 @@ def _q1_stiffness(cells, weight):
 def make_poisson(cells_per_side=32):
     """Parametric Poisson model: diffusion d(z, p) = z1 + p (1 - z1) on (0,1)^2.
 
-    Q1 finite elements on a uniform mesh; the state vector keeps all grid
-    nodes and the homogeneous Dirichlet condition is imposed by identity
-    rows in A1 and zero rows in A2 (and zero load) at boundary nodes.  The
-    default mesh gives n = 33^2 = 1089 unknowns with A2 of structural rank
-    31^2 = 961.  A1 carries the z1-weighted stiffness, A2 the
-    (1 - z1)-weighted one; B is the unit-load vector and C = B^T.  A1 and
-    A2 are given as COO triplets.
+    Q1 finite elements on a uniform mesh with a homogeneous Dirichlet
+    condition: the state vector holds the interior grid nodes only,
+    numbered row by row, so the default mesh gives n = 31^2 = 961 unknowns
+    and a band of kl = ku = cells_per_side.  A1 carries the z1-weighted
+    stiffness, A2 the (1 - z1)-weighted one, both of full rank; B is the
+    unit-load vector and C = B^T.  A1 and A2 are given as COO triplets.
     """
     if cells_per_side < 4:
         raise ValueError("cells_per_side must be at least 4")
     (rows, cols, d1), load, boundary = _q1_stiffness(cells_per_side, lambda z1: z1)
     (_, _, d2), _, _ = _q1_stiffness(cells_per_side, lambda z1: 1.0 - z1)
     interior = ~(boundary[rows] | boundary[cols])
-    rows, cols = rows[interior], cols[interior]
-    fixed = np.flatnonzero(boundary)
-    A1 = (
-        np.concatenate([rows, fixed]),
-        np.concatenate([cols, fixed]),
-        np.concatenate([d1[interior], np.ones(len(fixed))]),
+    index = np.cumsum(~boundary) - 1  # grid node -> unknown, for interior nodes
+    rows, cols = index[rows[interior]], index[cols[interior]]
+    B = load[~boundary, None]
+    return AffineStationaryFom(
+        A1_entries=(rows, cols, d1[interior]), A2_entries=(rows, cols, d2[interior]), B=B, C=B.T, interval=(0.1, 10.0)
     )
-    A2 = (rows, cols, d2[interior])
-    load[boundary] = 0.0
-    B = load[:, None]
-    return AffineStationaryFom(A1_entries=A1, A2_entries=A2, B=B, C=B.T, interval=(0.1, 10.0))
 
 
 def make_random_stable(n, n_i=1, n_o=1, seed=0, time_domain="ct"):

@@ -245,21 +245,21 @@ def _symmetric_eig_projections(ab2, ab1, B, C):
     return d, P[:, n_i:].T, P[:, :n_i]
 
 
-def _pole_residue_affine_symmetric(d, cx, xb, constant, rank_rtol):
+def _pole_residue_affine_symmetric(d, cx, xb, rank_rtol):
     """Symmetric-definite specialization of the affine pole-residue map.
 
     For symmetric A1 > 0 and symmetric A2 the generalized eigenproblem
     A2 X = A1 X D (eigenvalues ``d``, A1-orthonormal eigenvectors ``X``)
     stays stable when eigenvalues repeat; ``cx`` = C X and ``xb`` = X^T B.
     Residues of clustered poles are merged; each merged residue must remain
-    rank one to fit the c b^* representation.  ``constant`` is added to the
-    constant term.
+    rank one to fit the c b^* representation; the eigenvalues that are
+    numerically zero make the constant term.
     """
     d_scale = max(np.max(np.abs(d)), 1e-300)
     nonzero = np.abs(d) > rank_rtol * d_scale
     if not np.any(nonzero):
         raise ValueError("A2 is numerically zero; the map has no finite poles")
-    constant = constant + cx[:, ~nonzero] @ xb[~nonzero, :]
+    constant = cx[:, ~nonzero] @ xb[~nonzero, :]
 
     d_nz = d[nonzero]
     res_left = cx[:, nonzero] / d_nz  # residue of pole -1/d_i is (C x_i)(x_i^T B)/d_i
@@ -295,57 +295,33 @@ def _pole_residue_affine_symmetric(d, cx, xb, constant, rank_rtol):
 def pole_residue_affine_singular(A1, A2, B, C):
     """Pole-residue form (with constant term) of C (A1 + p A2)^{-1} B.
 
-    A1 and A2 may be dense arrays or scipy sparse matrices.  Indices i whose
-    row and column are zero in A2 and zero off the diagonal in A1 (a nonzero
-    a1_ii) are decoupled: they add C[:, i] B[i, :] / a1_ii to the constant
-    term and are left out of the eigenproblem.  The kept block is stored by
-    ``models._band_layouts``, which also decides whether A1 and A2 are
+    A1 and A2 may be dense arrays or scipy sparse matrices.  They are stored
+    by ``models._band_layouts``, which also decides whether they are
     symmetric (bit for bit).  A symmetric pencil with A1 positive definite
     takes a symmetric eigensolver path that tolerates repeated eigenvalues,
     factors A1 on its band and projects B and C without forming the
     eigenvectors; an A1 whose band Cholesky factorization fails falls back
-    to the general path.  The general path densifies the kept block and
-    uses a low-rank update identity on A1.  A2 may be rank-deficient; its
+    to the general path.  The general path densifies A1 and A2 and uses a
+    low-rank update identity on A1.  A2 may be rank-deficient; its
     numerical rank is determined from the singular values (eigenvalues on
-    the symmetric path) at threshold max(n) * eps times the largest.
+    the symmetric path) at threshold max(n) * eps times the largest, and
+    its null space goes into the constant term.
     """
-    from .models import _band_layouts, _triplets
+    from .models import _band_layouts
 
     A1, A2 = (op if hasattr(op, "tocoo") else np.asarray(op, dtype=float) for op in (A1, A2))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     rank_rtol = max(A2.shape) * np.finfo(float).eps
 
-    diag = np.asarray(A1.diagonal(), dtype=float)
-    coupled = diag == 0.0
-    rows, cols, _ = _triplets(A2)
-    coupled[rows] = coupled[cols] = True
-    rows, cols, _ = _triplets(A1)
-    off = rows != cols
-    coupled[rows[off]] = coupled[cols[off]] = True
-    keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
-    if len(keep) == 0:
-        raise ValueError("A2 is numerically zero; the map has no finite poles")
-    constant = (C[:, drop] / diag[drop]) @ B[drop, :]
-    B, C = B[keep], C[:, keep]
-    m, index = len(keep), np.full(A1.shape[0], -1)
-    index[keep] = np.arange(m)
-
-    def kept(op):
-        """Triplets of op[keep][:, keep]; a decoupled index carries only its A1 diagonal entry."""
-        rows, cols, values = _triplets(op)
-        inside = index[rows] >= 0
-        return index[rows[inside]], index[cols[inside]], values[inside]
-
-    lower = _band_layouts(m, kept(A1), kept(A2))[3]
+    lower = _band_layouts(A1.shape[0], A1, A2)[3]
     if lower is not None:
         ab1, ab2 = lower
         projected = _symmetric_eig_projections(ab2, ab1, B, C)
         if projected is not None:
-            return _pole_residue_affine_symmetric(*projected, constant, rank_rtol)
+            return _pole_residue_affine_symmetric(*projected, rank_rtol)
 
-    A1, A2 = (np.bincount(rows * m + cols, weights=values, minlength=m * m).reshape(m, m)
-              for rows, cols, values in (kept(A1), kept(A2)))
+    A1, A2 = (op.toarray() if hasattr(op, "toarray") else op for op in (A1, A2))
     W, sigma, Zt = np.linalg.svd(A2)
     n2 = int(np.sum(sigma > rank_rtol * sigma[0]))
     if n2 == 0:
@@ -364,7 +340,7 @@ def pole_residue_affine_singular(A1, A2, B, C):
     if np.any(np.abs(d) < 1e-14 * max(np.max(np.abs(d)), 1e-300)):
         raise ValueError("zero eigenvalue in the reduced coupling matrix (pole at infinity)")
 
-    constant = constant + C @ A1_inv_B - C_U @ np.linalg.solve(M, B_V)
+    constant = C @ A1_inv_B - C_U @ np.linalg.solve(M, B_V)
     T_inv_BV = np.linalg.solve(T, B_V)
     left = (C_U @ T).T  # row i: C_U T e_i
     right = np.conj(T_inv_BV / (d[:, None] ** 2))  # row i so that b_i^* = e_i^T T^{-1} B_V / d_i^2

@@ -7,7 +7,9 @@ mirrored-point formulas, the singular-coefficient pole-residue conversion,
 and the optimizer trace contract.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import scipy.integrate
@@ -222,11 +224,17 @@ def test_penzl_certifies_on_unit_weight_samples_at_positive_frequencies():
 def test_poisson_reproduction():
     start = time.monotonic()
     fom = make_poisson()
-    assert fom.n == 1089
+    assert fom.n == 961
     data = sample_stationary(fom, 60)
     init = greedy_rb_init(fom, 2, np.logspace(-1, 1, 20))
     trace = fit(init, data, FitOptions(max_iters=500))
     assert_trace_contract(trace)
+    # the same pipeline is the poisson-stationary benchmark workload: gate
+    # the final objective against the reference its check reads
+    spec = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "spec.json").read_text())
+    reference = spec["workloads"]["poisson-stationary"]["sizes"]["full"]["objective"]
+    final = trace.objectives[-1]
+    assert final <= reference * (1.0 + spec["objective_rtol"]), f"final objective {final!r}, reference {reference!r}"
     rom_pr = pole_residue(trace.rom)
     poles = np.sort(rom_pr.poles.real)
     # reported, not gated: mesh-dependent reference values -3.2777 and -0.30509

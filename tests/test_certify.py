@@ -53,8 +53,9 @@ def test_certificate_structure():
     assert cert.max_residual == 2e-8 and cert.passed
     with pytest.raises(ValueError):
         Certificate(family="H2", rows=(row,), tolerance=1e-6)
-    with pytest.raises(ValueError):
-        Certificate(family="H2_CT", rows=(row,), tolerance=0.0)
+    for tolerance in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Certificate(family="H2_CT", rows=(row,), tolerance=tolerance)
 
 
 def test_h2_ct_zero_residuals_on_self():

@@ -298,7 +298,7 @@ def test_cli_config_fills_defaults(tmp_path, capsys):
 
 def test_cli_generate_records_state_dimension(tmp_path):
     path = str(tmp_path / "m.json")
-    cases = ((["penzl"], 1006), (["poisson", "--cells", "8"], 81), (["random-lti", "--n", "7"], 7),
+    cases = ((["penzl"], 1006), (["poisson", "--cells", "8"], 49), (["random-lti", "--n", "7"], 7),
              (["kron-parametric"], None))
     for argv, n in cases:
         assert cli.main(["generate", *argv, "-o", path]) == 0
@@ -502,6 +502,8 @@ def test_cli_model_of_the_wrong_kind_is_usage_error(tmp_path, capsys):
     cli.main(["generate", "kron-parametric", "--s-terms", "2", "--xi-terms", "2", "-o", path("kron.json")])
     cli.main(["sample", path("lti.json"), "--scheme", "logspace 0.1 1 4", "-o", path("ls.json")])
     cli.main(["sample", path("stationary.json"), "--scheme", "gauss 4", "-o", path("gauss.json")])
+    # a frequency scheme samples any one-parameter model
+    assert cli.main(["sample", path("stationary.json"), "--scheme", "logspace 0.1 1 4", "-o", path("sls.json")]) == 0
     rom = path("rom.json")
     io.write_payload(rom, io.rom_to_payload(stationary_rom(np.eye(2), np.diag([0.5, 2.0]), np.ones((2, 1)),
                                                            np.ones((1, 2)))))
@@ -515,6 +517,9 @@ def test_cli_model_of_the_wrong_kind_is_usage_error(tmp_path, capsys):
         (["report", rom, "--model", path("lti.json")], "stationary", "lti"),
         (["sample", path("lti.json"), "--scheme", "gauss 20", "-o", out], "stationary", "lti"),
         (["sample", path("kron.json"), "--scheme", "gauss 20", "-o", out], "stationary", "kron"),
+        (["sample", path("lti.json"), "--scheme", "h2l2 4 4", "-o", out], "kron", "lti"),
+        (["sample", path("kron.json"), "--scheme", "logspace 0.1 1 4", "-o", out], "lti or stationary", "kron"),
+        (["sample", path("kron.json"), "--scheme", "circle 8", "-o", out], "lti or stationary", "kron"),
     ]
     capsys.readouterr()
     for argv, wanted, found in cases:

@@ -235,7 +235,7 @@ def _count_lapack(monkeypatch, *names):
 
 
 def test_symmetric_poisson_form_takes_band_cholesky(monkeypatch):
-    # A1 of the kept block is factored on its band; no dense Cholesky runs
+    # A1 is factored on its band; no dense Cholesky runs
     from l2rom.models import make_poisson
 
     counts = _count_lapack(monkeypatch, "dpbtrf", "dpotrf")
@@ -289,6 +289,32 @@ def test_one_ulp_asymmetry_takes_the_general_paths(monkeypatch):
     pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
     assert counts["dpbtrf"] == 0
     assert np.max(np.abs(pr.evaluate(ps) - direct)) <= 1e-10 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("nudge", [False, True])
+def test_decoupled_rows_go_to_the_constant_term(nudge):
+    # indices 0 and 5 are touched only by A1's diagonal (2 and 3; zero in A2)
+    # and carry B and C entries.  On the symmetric path they are zero
+    # eigenvalues, on the general path (after a one-ulp asymmetry) the null
+    # space of A2; either way they add C_i B_i / a_ii to the constant term
+    from l2rom.models import AffineStationaryFom
+
+    block = _banded_stationary_fom(7, [1, 2], nudge=nudge)
+    n, fixed = 9, [0, 5]
+    kept = np.ix_(np.delete(np.arange(n), fixed), np.delete(np.arange(n), fixed))
+    a1, a2 = np.zeros((n, n)), np.zeros((n, n))
+    a1[kept], a2[kept] = block.A1, block.A2
+    a1[fixed, fixed] = [2.0, 3.0]
+    g = np.random.default_rng(23)
+    b, c = g.standard_normal((n, 2)), g.standard_normal((3, n))
+    fom = AffineStationaryFom(A1_entries=a1, A2_entries=a2, B=b, C=c)
+    assert (fom.bands[3] is None) == nudge
+    pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
+    ps = np.array([0.1, 1.7, 9.9])
+    direct = np.stack([c @ np.linalg.solve(a1 + p * a2, b) for p in ps])
+    assert np.max(np.abs(pr.evaluate(ps) - direct)) <= 1e-10 * np.max(np.abs(direct))
+    constant = np.outer(c[:, 0], b[0]) / 2.0 + np.outer(c[:, 5], b[5]) / 3.0
+    assert np.max(np.abs(pr.constant_term() - constant)) <= 1e-12 * np.max(np.abs(constant))
 
 
 @pytest.mark.parametrize("time_domain", ["ct", "dt"])
