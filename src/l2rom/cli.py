@@ -111,10 +111,9 @@ def cmd_generate(args):
 
 def cmd_sample(args):
     parts = args.scheme.split()
-    if parts and parts[0] in SCHEME_KINDS:
-        fom = _load_model(args.model, f"the {parts[0]} scheme", *SCHEME_KINDS[parts[0]])
-    else:
-        fom = _load(args.model, "model", io.model_from_payload)
+    if not parts or parts[0] not in SCHEME_KINDS:
+        raise UsageError(f"unknown sampling scheme {args.scheme!r}; the schemes are {', '.join(SCHEME_KINDS)}")
+    fom = _load_model(args.model, f"the {parts[0]} scheme", *SCHEME_KINDS[parts[0]])
     try:
         if parts[0] == "logspace":
             lo, hi, num = float(parts[1]), float(parts[2]), int(parts[3])
@@ -124,10 +123,8 @@ def cmd_sample(args):
             data = models.sample_stationary(fom, int(parts[1]))
         elif parts[0] == "circle":
             data = models.sample_unit_circle(fom, int(parts[1]))
-        elif parts[0] == "h2l2":
-            data = models.sample_h2l2(fom, n_s=int(parts[1]), n_xi=int(parts[2]))
         else:
-            raise UsageError(f"unknown sampling scheme {parts[0]!r}")
+            data = models.sample_h2l2(fom, n_s=int(parts[1]), n_xi=int(parts[2]))
     except (IndexError, ValueError) as exc:
         raise UsageError(f"bad sampling scheme {args.scheme!r}: {exc}") from exc
     io.write_payload(args.out, io.samples_to_payload(data))

@@ -66,48 +66,28 @@ def _triplets(entries):
     return tuple(np.asarray(t) for t in entries)
 
 
-def _tridiagonal(n, kl, ku):
-    """Whether an (n, n) band of kl sub- and ku super-diagonals is factored by ?gttrf.
-
-    scipy's ?gttrf wrapper rejects n = 1 and n = 2, so those stay on ?gbtrf.
-    """
-    return kl <= 1 and ku <= 1 and n >= 3
-
-
 def _band_layouts(n, *operators):
-    """LAPACK band storage of (n, n) operators that share one band.
+    """LAPACK general band storage of (n, n) operators that share one band.
 
     This is the one place that stores a full-order operator's band and
     decides whether it is symmetric.  Returns (kl, ku, layouts, lower): kl
     and ku are the widest sub- and super-diagonal over all operators, in
     their assembly order, and each layout holds one operator (duplicate
-    triplets summed) in the storage of the kernel that ``BandedLU`` picks
-    for the band.  A tridiagonal band (``_tridiagonal``) is a (3, n) C-order
-    array whose rows are the sub-, main and super-diagonal, entry (i, j) at
-    row 1 + j - i, column min(i, j); the last column of the outer rows stays
-    zero.  Any other band is a (2 kl + ku + 1, n) Fortran-order array
-    holding entry (i, j) at row kl + ku + i - j of column j; its top kl rows
-    stay zero for the fill-in of ?gbtrf's row interchanges.  ``lower`` is
-    None unless every operator is symmetric, bit for bit on each pair of
-    mirrored diagonals; then it holds each operator's lower band storage for
-    band Cholesky, a (kl + 1, n) Fortran-order array holding entry (i, j),
-    i >= j, at row i - j of column j.
+    triplets summed) as a (2 kl + ku + 1, n) C-order array, entry (i, j) at
+    row kl + ku + i - j of column j (Golub & Van Loan, Matrix Computations,
+    4th ed., section 4.3); its top kl rows stay zero for the fill-in of
+    ?gbtrf's row interchanges.  ``lower`` is None unless every operator is
+    symmetric, bit for bit on each pair of mirrored diagonals; then it holds
+    each operator's lower band storage for band Cholesky, rows kl + ku
+    onward as a (kl + 1, n) Fortran-order array.
     """
     triplets = [_triplets(op) for op in operators]
     offsets = np.concatenate([rows - cols for rows, cols, _ in triplets])
     kl = int(offsets.max(initial=0))
     ku = int(-offsets.min(initial=0))
-    if _tridiagonal(n, kl, ku):
-        layouts = [
-            np.bincount((1 + cols - rows) * n + np.minimum(rows, cols), weights=values, minlength=3 * n).reshape(3, n)
-            for rows, cols, values in triplets
-        ]
-        symmetric = all(np.array_equal(ab[0], ab[2]) for ab in layouts)
-        lower = [np.asfortranarray(ab[[1, 0]]) for ab in layouts] if symmetric else None
-        return kl, ku, layouts, lower
     ldab, main = 2 * kl + ku + 1, kl + ku
     layouts = [
-        np.bincount(main + rows - cols + ldab * cols, weights=values, minlength=ldab * n).reshape(n, ldab).T
+        np.bincount((main + rows - cols) * n + cols, weights=values, minlength=ldab * n).reshape(ldab, n)
         for rows, cols, values in triplets
     ]
     symmetric = kl == ku and all(
@@ -120,35 +100,42 @@ def _band_layouts(n, *operators):
 class BandedLU:
     """A factored banded full-order operator K0 + p K1.
 
-    ``bands`` is (kl, ku, (K0, K1), lower) in the storage of
-    ``_band_layouts``.  The band and the point p pick the LAPACK kernel:
+    ``bands`` is (kl, ku, (K0, K1), lower) as ``_band_layouts`` stores them,
+    and the band and the point p pick the LAPACK kernel:
 
     - kl <= 1, ku <= 1 and n >= 3: the tridiagonal ?gttrf/?gttrs, which do
-      the pivoted elimination of ?gbtrf without its per-column BLAS calls;
+      the pivoted elimination of ?gbtrf without its per-column BLAS calls.
+      K0 + p K1 is formed on the band storage without its kl fill rows, and
+      ?gttrf reads its sub-, main and super-diagonal rows in place, a
+      diagonal that the band lacks (kl = 0 or ku = 0) as zeros; scipy's
+      ?gttrf wrapper rejects n = 1 and n = 2;
     - any other symmetric band (``lower`` given) at a real p: band Cholesky,
       dpbtrf/dpbtrs on the (kl + 1, n) lower band.  If dpbtrf finds the
       operator not positive definite, the general band kernel factors it;
-    - otherwise the general band ?gbtrf/?gbtrs, with partial pivoting.
+    - otherwise the general band ?gbtrf/?gbtrs, with partial pivoting, on a
+      Fortran-order copy that scipy makes.
 
-    K0 + p K1 is formed in the storage that the kernel reads and factored in
-    place, real or complex as p is.  ``solve(rhs)`` is the primal solve and
-    ``solve(rhs, trans="H")`` the adjoint one (the same solve on a Cholesky
-    factor); a complex right-hand side on a real factor is solved as its
-    real and imaginary parts.  An exactly singular operator raises
-    ``np.linalg.LinAlgError``.
+    K0 + p K1 is formed, real or complex as p is, and factored.
+    ``solve(rhs)`` is the primal solve and ``solve(rhs, trans="H")`` the
+    adjoint one (the same solve on a Cholesky factor); a complex right-hand
+    side on a real factor is solved as its real and imaginary parts.  An
+    exactly singular operator raises ``np.linalg.LinAlgError``.
     """
 
     def __init__(self, bands, p):
         from scipy.linalg import lapack
 
         kl, ku, (ab_0, ab_1), lower = bands
+        n = ab_0.shape[1]
         self.is_complex = np.iscomplexobj(p)
         prefix = "z" if self.is_complex else "d"
-        if _tridiagonal(ab_0.shape[1], kl, ku):
+        if kl <= 1 and ku <= 1 and n >= 3:
             gttrs = getattr(lapack, prefix + "gttrs")
-            ab = ab_0 + p * ab_1
+            ab = ab_0[kl:] + p * ab_1[kl:]  # the band's rows, without the fill rows; the main one is row ku
+            dl = ab[ku + 1, :-1] if kl else np.zeros(n - 1, ab.dtype)
+            du = ab[ku - 1, 1:] if ku else np.zeros(n - 1, ab.dtype)
             *factors, info = getattr(lapack, prefix + "gttrf")(
-                ab[0, :-1], ab[1], ab[2, :-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1
+                dl, ab[ku], du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
             )
             self._trs = lambda b, code: gttrs(*factors, b, trans="NTC"[code])[0]
         else:
@@ -227,8 +214,9 @@ class AffineLtiFom(_AffineFom):
     (rows, cols, values); ``E`` and ``A`` are the operators, built on first
     use (CSC for triplets), for products.  Every full-order solve goes
     through ``factor``, one banded factorization of s E - A in the assembly
-    order, whose LAPACK kernel ``BandedLU`` picks by band and symmetry
-    (Penzl: the tridiagonal ?gttrf).
+    order from the general band storage of ``bands``; ``BandedLU`` alone
+    picks the LAPACK kernel by band, symmetry and point (Penzl: the
+    tridiagonal ?gttrf, reading three rows of that storage in place).
     """
 
     E_entries: object
@@ -267,8 +255,8 @@ class AffineStationaryFom(_AffineFom):
     triplets; ``A1`` and ``A2`` are the operators, built on first use, for
     products.  Every full-order solve goes through ``factor``, one banded
     factorization of A1 + p A2 in the assembly order, whose LAPACK kernel
-    ``BandedLU`` picks by band and symmetry (Poisson, kl = ku = 32: band
-    Cholesky at a real p, ?gbtrf at a complex one).  ``interval`` must be
+    ``BandedLU`` picks by band, symmetry and point (Poisson, kl = ku = 32:
+    band Cholesky at a real p, ?gbtrf at a complex one).  ``interval`` must be
     finite with a < b, as ``certify.Interval`` checks.
     """
 

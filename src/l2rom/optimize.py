@@ -246,10 +246,12 @@ def fit(init, data, opts=None):
     ties the current one (a decrease below the objective's resolution) is
     taken only if the slope along it flattens,
     |g(x + t d).d| <= CURVATURE |g(x).d| (the strong-Wolfe curvature test);
-    otherwise the fit stops without taking it ("objective stagnated", not
-    converged).  The objective never rises.  Returns a FitTrace carrying
-    the final rom and the counts of objective and gradient evaluations and
-    of rejected trials.
+    otherwise the fit stops without taking it, not converged: "objective
+    resolution reached" when the slope itself is within the objective's
+    rounding, |g(x).d| <= N eps f(x) over N samples, and "objective
+    stagnated" when it is not.  The objective never rises.  Returns a
+    FitTrace carrying the final rom and the counts of objective and
+    gradient evaluations and of rejected trials.
     """
     if opts is None:
         opts = FitOptions()
@@ -308,8 +310,10 @@ def fit(init, data, opts=None):
 
         g_new = gradient(x_new)
         if not f_new < f_x and abs(np.dot(g_new, d)) > CURVATURE * abs(slope):
-            # a tie below the objective's resolution that does not flatten the slope either
-            trace.message = "objective stagnated"
+            # a tie that does not flatten the slope either; a slope within the
+            # rounding of a sum of N terms means the objective cannot see the step
+            at_resolution = abs(slope) <= len(data) * np.finfo(float).eps * f_x
+            trace.message = "objective resolution reached" if at_resolution else "objective stagnated"
             break
         s, y = x_new - x, g_new - g
         sy = np.dot(s, y)

@@ -51,14 +51,15 @@ def assert_trace_contract(trace):
 
     One objective and one gradient evaluation start the fit, each taken
     step costs one more of each plus its rejected trials (``backtracks``),
-    and a stagnated fit evaluated a trial and its gradient that it did not
+    and a fit that stopped on a tie ("objective stagnated" or "objective
+    resolution reached") evaluated a trial and its gradient that it did not
     take.
     """
     objs = np.asarray(trace.objectives)
     assert np.all(np.diff(objs) <= 1e-12 * max(objs[0], 1.0)), "objective not monotone"
     if trace.converged:
         assert trace.grad_norms[-1] <= 1e-8 * max(trace.grad_norms[0], 1e-300)
-    stagnated = trace.message == "objective stagnated"
+    stagnated = trace.message in ("objective stagnated", "objective resolution reached")
     assert trace.gradient_calls == trace.iterations + 1 + stagnated
     assert trace.objective_calls == trace.iterations + trace.backtracks + 1 + stagnated
 
@@ -262,6 +263,22 @@ def test_h2_conditions_discrete():
         assert_trace_contract(trace)
         cert = h2_residuals(fom, pole_residue(trace.rom), tolerance=1e-4)
         assert cert.family == "H2_DT" and cert.passed, f"n={n}: discrete H2 residual {cert.max_residual:.2e}"
+
+
+def test_fit_from_an_h2_optimal_start_stops_at_the_objective_resolution():
+    # IRKA starts these dt fits near the optimum, so grad_tol (relative to
+    # the initial gradient) lies below what the objective resolves: the
+    # tie that ends them has a slope within the rounding of the objective,
+    # and the stop says so while the fit certifies
+    fom = make_random_stable(20, seed=73, time_domain="dt")
+    data = sample_unit_circle(fom, 64)
+    for r in (2, 4):
+        trace = fit(irka_init(fom, r), data)
+        assert_trace_contract(trace)
+        assert trace.message == "objective resolution reached" and not trace.converged
+        assert trace.iterations > 0
+        cert = ls_residuals(data, pole_residue(trace.rom))
+        assert cert.passed, f"r={r}: DISCRETE_LS residual {cert.max_residual:.2e}"
 
 
 def test_h2l2_conditions():

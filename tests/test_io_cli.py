@@ -267,6 +267,20 @@ def test_cli_bad_usage(tmp_path):
                      "-o", str(tmp_path / "x.json")]) == 2
 
 
+def test_cli_blank_or_unknown_scheme_names_the_schemes(tmp_path, capsys):
+    # checked before the model is read: a missing model file is not reached
+    model = str(tmp_path / "m.json")
+    cli.main(["generate", "random-lti", "--n", "6", "-o", model])
+    for path in (model, str(tmp_path / "nope.json")):
+        for scheme in ("", "   ", "bogus 3"):
+            capsys.readouterr()
+            assert cli.main(["sample", path, "--scheme", scheme, "-o", str(tmp_path / "x.json")]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown sampling scheme {scheme!r}" in err
+            assert all(name in err for name in ("logspace", "gauss", "circle", "h2l2"))
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_cli_config_fills_defaults(tmp_path, capsys):
     model = str(tmp_path / "m.json")
     cfg = tmp_path / "cfg.json"

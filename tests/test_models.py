@@ -266,6 +266,19 @@ def _tridiagonal_fom(n):
     return AffineStationaryFom(A1_entries=A1, A2_entries=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
 
 
+def _bidiagonal_fom(n, offset):
+    """A1 + p A2 with A1 lower (offset 1) or upper (offset -1) bidiagonal
+    from triplets, so the tridiagonal kernel reads one diagonal as zeros;
+    the small diagonal makes the lower one interchange rows."""
+    g = np.random.default_rng(n)
+    i = np.arange(n - 1)
+    rows = np.concatenate([np.arange(n), i + max(offset, 0)])
+    cols = np.concatenate([np.arange(n), i + max(-offset, 0)])
+    A1 = (rows, cols, np.concatenate([0.1 * g.random(n), 1.0 + g.random(n - 1)]))
+    A2 = (np.arange(n), np.arange(n), 0.05 * g.random(n))
+    return AffineStationaryFom(A1_entries=A1, A2_entries=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
+
+
 def _symmetric_indefinite_fom(n=9):
     """A1 + p A2 with symmetric A1 and A2 on a band two wide: A1 + 2 A2 is
     indefinite, so band Cholesky fails there and the general band kernel
@@ -288,9 +301,11 @@ def _dense_pencil(fom):
 
 
 @pytest.mark.parametrize("name", ["penzl", "poisson", "random", "symmetric-indefinite", "tridiagonal-1",
-                                  "tridiagonal-2", "tridiagonal-3", "tridiagonal-40"])
+                                  "tridiagonal-2", "tridiagonal-3", "tridiagonal-40", "lower-bidiagonal",
+                                  "upper-bidiagonal", "diagonal"])
 def test_factored_solves_match_dense_oracle(name):
-    # penzl and tridiagonal-n (n >= 3): the tridiagonal kernel; poisson at
+    # penzl, tridiagonal-n (n >= 3), the bidiagonal bands and a diagonal one
+    # (n = 5, a missing diagonal read as zeros): the tridiagonal kernel; poisson at
     # its real point: band Cholesky; symmetric-indefinite at its real point:
     # band Cholesky fails, then the general band kernel; the complex points,
     # the dense random model (full band) and tridiagonal-n (n < 3): the
@@ -305,6 +320,14 @@ def test_factored_solves_match_dense_oracle(name):
         fom, points, band = make_poisson(cells_per_side=8), [1.7, 0.9 + 0.2j], (8, 8)
     elif name == "symmetric-indefinite":
         fom, points, band = _symmetric_indefinite_fom(), [2.0, 0.9 + 0.2j], (2, 2)
+    elif name.endswith("bidiagonal"):
+        offset = 1 if name == "lower-bidiagonal" else -1
+        fom, points, band = _bidiagonal_fom(5, offset), [1.7, 0.9 + 0.2j], (max(offset, 0), max(-offset, 0))
+    elif name == "diagonal":
+        g, i = np.random.default_rng(5), np.arange(5)
+        fom = AffineStationaryFom(A1_entries=(i, i, 1.0 + g.random(5)), A2_entries=(i, i, g.random(5)),
+                                  B=g.standard_normal((5, 2)), C=g.standard_normal((3, 5)))
+        points, band = [1.7, 0.9 + 0.2j], (0, 0)
     else:
         n = int(name.split("-")[1])
         fom, points, band = _tridiagonal_fom(n), [1.7, 0.9 + 0.2j], (min(n - 1, 1),) * 2
@@ -331,6 +354,28 @@ def test_factored_solves_match_dense_oracle(name):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("make", [make_penzl, lambda: make_poisson(8), lambda: _tridiagonal_fom(2),
+                                  lambda: _bidiagonal_fom(5, 1), lambda: _bidiagonal_fom(5, -1),
+                                  lambda: make_random_stable(6)])
+def test_bands_hold_every_operator_in_general_band_storage(make):
+    # one layout for every band: a (2 kl + ku + 1, n) C-order array with
+    # entry (i, j) at row kl + ku + i - j of column j and its top kl rows
+    # zero; a symmetric band keeps rows kl + ku onward as a Fortran copy
+    fom = make()
+    kl, ku, layouts, lower = fom.bands
+    operator, K1 = _dense_pencil(fom)
+    i, j = np.indices((fom.n, fom.n))
+    inside = (i - j <= kl) & (j - i <= ku)
+    for ab, K in zip(layouts, (operator(0.0), K1)):
+        assert ab.shape == (2 * kl + ku + 1, fom.n) and ab.flags.c_contiguous
+        assert not np.any(ab[:kl])
+        rebuilt = np.where(inside, ab[np.clip(kl + ku + i - j, 0, len(ab) - 1), j], 0.0)
+        assert np.allclose(rebuilt, K, rtol=0.0, atol=1e-14 * np.max(np.abs(K)))
+    if lower is not None:
+        for ab, band in zip(layouts, lower):
+            assert band.flags.f_contiguous and np.array_equal(band, ab[kl + ku:])
+
+
 def _record_kernel_calls(monkeypatch):
     """Record, in call order, the LAPACK factorization kernels called: ?gttrf, ?gbtrf and dpbtrf."""
     from scipy.linalg import lapack
@@ -350,6 +395,8 @@ def _record_kernel_calls(monkeypatch):
 @pytest.mark.parametrize("make, kernel", [(make_penzl, "gttrf"), (lambda: make_poisson(8), "gbtrf"),
                                           (lambda: _tridiagonal_fom(3), "gttrf"),
                                           (lambda: _tridiagonal_fom(2), "gbtrf"),
+                                          pytest.param(lambda: _bidiagonal_fom(5, 1), "gttrf", id="lower-bidiagonal"),
+                                          pytest.param(lambda: _bidiagonal_fom(5, -1), "gttrf", id="upper-bidiagonal"),
                                           (lambda: make_random_stable(6), "gbtrf"),
                                           (_symmetric_indefinite_fom, "gbtrf")])
 def test_band_picks_the_factorization_kernel(monkeypatch, make, kernel):

@@ -227,7 +227,7 @@ def test_fit_counts_its_evaluations(monkeypatch):
     # A(p), B(p) and C(p) are assembled once per trial: every gradient is
     # taken at the trial just evaluated and reuses its primal states
     assert calls["assemble"] == 3 * trace.objective_calls
-    stagnated = trace.message == "objective stagnated"
+    stagnated = trace.message in ("objective stagnated", "objective resolution reached")
     assert trace.gradient_calls == trace.iterations + 1 + stagnated
     assert trace.objective_calls == trace.iterations + trace.backtracks + 1 + stagnated
 
