@@ -29,7 +29,7 @@ from .certify import (
 )
 from .core import kron_rom, lti_rom, stationary_rom
 from .optimize import FitOptions, fit, greedy_rb_init, irka_init
-from .spectral import pole_residue, rom_structure
+from .spectral import pole_residue, rom_structure, stable
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -160,11 +160,14 @@ def cmd_fit(args):
         raise UsageError("reduced order must be positive")
     if args.structure == "kron" and (args.order_s <= 0 or args.order_xi <= 0):
         raise UsageError("reduced orders must be positive")
+    if args.restarts < 1 or (args.restarts > 1 and args.init != "random"):
+        raise UsageError(f"--restarts counts random starts: at least 1, and above 1 only with --init random; "
+                         f"got {args.restarts} with --init {args.init}")
     opts = FitOptions(max_iters=args.max_iters, grad_tol=args.tol)
     data = _load(args.samples, "samples", io.samples_from_payload)
 
     rng = np.random.default_rng(args.seed)
-    inits = []
+    fom = None
     if args.init == "file":
         if not args.init_file:
             raise UsageError("--init file requires --init-file")
@@ -175,7 +178,7 @@ def cmd_fit(args):
                              f"{args.init_file} holds a {found} rom")
         inits = [init]
     elif args.init == "random":
-        inits = [_random_rom(args.structure, args, data, rng) for _ in range(max(args.restarts, 1))]
+        inits = [_random_rom(args.structure, args, data, rng) for _ in range(args.restarts)]
     else:
         if not args.model:
             raise UsageError(f"--init {args.init} requires --model")
@@ -188,6 +191,8 @@ def cmd_fit(args):
         else:
             a, b = fom.interval
             inits = [greedy_rb_init(fom, args.order, np.logspace(np.log10(a), np.log10(b), 20))]
+    if fom is None and args.model and args.structure == "lti":  # for the stability report
+        fom = _load_model(args.model, "the stability report of an lti fit", "lti")
 
     best = None
     for init in inits:
@@ -204,6 +209,11 @@ def cmd_fit(args):
         pr = pole_residue(rom)
         if hasattr(pr, "poles"):
             print("poles:", np.array2string(np.sort_complex(pr.poles), precision=6))
+            if hasattr(fom, "time_domain"):  # an lti model
+                is_stable = bool(np.all(stable(pr.poles, fom.time_domain)))
+                print(f"stable: {is_stable}")
+                if not is_stable:
+                    print(f"warning: the fitted model is unstable in time domain {fom.time_domain}", file=sys.stderr)
         else:
             print("s-poles:", np.array2string(np.sort_complex(pr.s_poles), precision=6))
             print("xi-poles:", np.array2string(np.sort_complex(pr.xi_poles), precision=6))
@@ -332,12 +342,12 @@ def build_parser():
     fitp.add_argument("samples")
     fitp.add_argument("--structure", required=True, choices=("lti", "kron", "stationary"))
     fitp.add_argument("--init", default="random", choices=("irka", "rb", "random", "file"))
-    fitp.add_argument("--model", help="model file (for irka/rb initialization)")
+    fitp.add_argument("--model", help="model file (for irka/rb initialization and an lti fit's stability report)")
     fitp.add_argument("--init-file", help="rom file (for file initialization)")
     fitp.add_argument("--order", "-r", type=int, default=2)
     fitp.add_argument("--order-s", type=int, default=2)
     fitp.add_argument("--order-xi", type=int, default=2)
-    fitp.add_argument("--restarts", type=int, default=1)
+    fitp.add_argument("--restarts", type=int, default=1, help="random starts (for random initialization)")
     fitp.add_argument("--max-iters", type=int, default=500)
     fitp.add_argument("--tol", type=float, default=1e-8, help="relative gradient tolerance")
     fitp.add_argument("--seed", type=int, default=0)

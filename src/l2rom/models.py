@@ -40,37 +40,42 @@ __all__ = [
 ]
 
 
-def _operator(entries, n):
-    """An (n, n) full-order operator from a dense array or COO triplets.
+def _triplets(entries, n):
+    """COO triplets (rows, cols, values) of an (n, n) operator given dense or as triplets.
 
-    Triplets (rows, cols, values) become a CSC matrix with duplicates
-    summed.  scipy.sparse is imported here, on first use, so importing l2rom
-    and building a model do not pay for it.
+    Anything but an (n, n) ndarray or three 1-D arrays of one length with integer
+    indices in [0, n) raises ValueError, so that the band layout drops no entry.
     """
     if isinstance(entries, np.ndarray):
-        return entries
-    import scipy.sparse
-
-    rows, cols, values = entries
-    return scipy.sparse.csc_array((values, (rows, cols)), shape=(n, n))
-
-
-def _triplets(entries):
-    """COO triplets (rows, cols, values) of a dense array, a scipy sparse matrix or triplets."""
-    if isinstance(entries, np.ndarray):
+        if entries.shape != (n, n):
+            raise ValueError(f"a dense operator must be ({n}, {n}), got shape {entries.shape}")
         rows, cols = np.nonzero(entries)
         return rows, cols, entries[rows, cols]
-    if hasattr(entries, "tocoo"):
-        coo = entries.tocoo()
-        return coo.row, coo.col, coo.data
-    return tuple(np.asarray(t) for t in entries)
+    triplets = [np.asarray(t) for t in entries] if isinstance(entries, (tuple, list)) else []
+    if not (len(triplets) == 3 and all(t.ndim == 1 and len(t) == len(triplets[0]) for t in triplets)):
+        raise ValueError(f"an operator must be a dense ({n}, {n}) ndarray or COO triplets, three 1-D arrays of "
+                         f"one length, got {type(entries).__name__}")
+    rows, cols, values = triplets
+    index = np.concatenate([rows, cols])
+    if len(index) and not (index.dtype.kind in "iu" and 0 <= index.min() and index.max() < n):
+        raise ValueError(f"COO row and column indices must be integers in [0, {n})")
+    return rows.astype(np.intp), cols.astype(np.intp), values
+
+
+def _by_real_parts(apply, b):
+    """apply(b) for a real linear map of (n, k) arrays, a complex b mapped as its real and imaginary parts."""
+    if not np.iscomplexobj(b):
+        return apply(b)
+    x = apply(np.hstack([b.real, b.imag]))
+    return x[:, : b.shape[1]] + 1j * x[:, b.shape[1] :]
 
 
 def _band_layouts(n, *operators):
     """LAPACK general band storage of (n, n) operators that share one band.
 
-    This is the one place that stores a full-order operator's band and
-    decides whether it is symmetric.  Returns (kl, ku, layouts, lower): kl
+    This is the one reader of a full-order operator, a dense array or COO
+    triplets (``_triplets``): it stores the band for solves and products
+    and decides whether it is symmetric.  Returns (kl, ku, layouts, lower): kl
     and ku are the widest sub- and super-diagonal over all operators, in
     their assembly order, and each layout holds one operator (duplicate
     triplets summed) as a (2 kl + ku + 1, n) C-order array, entry (i, j) at
@@ -79,9 +84,9 @@ def _band_layouts(n, *operators):
     ?gbtrf's row interchanges.  ``lower`` is None unless every operator is
     symmetric, bit for bit on each pair of mirrored diagonals; then it holds
     each operator's lower band storage for band Cholesky, rows kl + ku
-    onward as a (kl + 1, n) Fortran-order array.
+    onward as a (kl + 1, n) Fortran-order copy that a factorization may overwrite.
     """
-    triplets = [_triplets(op) for op in operators]
+    triplets = [_triplets(op, n) for op in operators]
     offsets = np.concatenate([rows - cols for rows, cols, _ in triplets])
     kl = int(offsets.max(initial=0))
     ku = int(-offsets.min(initial=0))
@@ -93,7 +98,7 @@ def _band_layouts(n, *operators):
     symmetric = kl == ku and all(
         np.array_equal(ab[main - d, d:], ab[main + d, : n - d]) for ab in layouts for d in range(1, kl + 1)
     )
-    lower = [np.asfortranarray(ab[main:]) for ab in layouts] if symmetric else None
+    lower = [np.array(ab[main:], order="F") for ab in layouts] if symmetric else None
     return kl, ku, layouts, lower
 
 
@@ -157,12 +162,7 @@ class BandedLU:
         code = 0 if trans == "N" else 2 if self.is_complex else 1
         rhs = np.asarray(rhs)
         b = rhs.reshape(rhs.shape[0], -1)
-        if np.iscomplexobj(b) and not self.is_complex:
-            k = b.shape[1]
-            x = self._trs(np.hstack([b.real, b.imag]), code)
-            x = x[:, :k] + 1j * x[:, k:]
-        else:
-            x = self._trs(b, code)
+        x = self._trs(b, code) if self.is_complex else _by_real_parts(lambda part: self._trs(part, code), b)
         return x.reshape(rhs.shape)
 
 
@@ -170,8 +170,8 @@ class _AffineFom:
     """The protocol for y(p) = C K(p)^{-1} B with K(p) = K0 + p K1.
 
     A subclass provides ``bands``, K0 and K1 in band storage
-    (``_band_layouts``), and ``_slope``, the operator K1 for products.  Each
-    point costs one factorization, real or complex as the point is.
+    (``_band_layouts``), for solves and products.  Each point costs one
+    factorization, real or complex as the point is.
     """
 
     n_p = 1
@@ -192,17 +192,31 @@ class _AffineFom:
         """Factored K(p), for primal and adjoint solves at the point p (``BandedLU``)."""
         return BandedLU(self.bands, p)
 
+    def product(self, k, x):
+        """K_k x (k = 0 or 1) for a real or complex x of n rows, by BLAS dgbmv on rows kl onward of the layout.
+
+        scipy's dgbmv requires m >= kl + ku + 1, so a wider band (a dense
+        operator) is multiplied as m rows, cut to n: the layout is zero there.
+        """
+        from scipy.linalg import blas
+
+        kl, ku, layouts, _ = self.bands
+        band, n, m = np.asfortranarray(layouts[k][kl:]), self.n, max(self.n, kl + ku + 1)
+        y = _by_real_parts(lambda cols: np.column_stack([blas.dgbmv(m, n, kl, ku, 1.0, band, c)[:n] for c in cols.T]),
+                           x.reshape(n, -1))
+        return y.reshape(x.shape)
+
     def evaluate(self, points):
         """C K(p)^{-1} B at each of the N points, shape (N, n_o, n_i)."""
         return np.stack([self.C @ self.factor(p).solve(self.B) for p in _points(points, 1)[:, 0]])
 
     def partial(self, points, wrt=0):
-        """-C K(p)^{-1} K' K(p)^{-1} B at each of the N points, shape (N, n_o, n_i)."""
+        """-C K(p)^{-1} K1 K(p)^{-1} B at each of the N points, shape (N, n_o, n_i)."""
         _check_wrt(wrt, 1)
         out = []
         for p in _points(points, 1)[:, 0]:
             lu = self.factor(p)
-            out.append(-self.C @ lu.solve(self._slope @ lu.solve(self.B)))
+            out.append(-self.C @ lu.solve(self.product(1, lu.solve(self.B))))
         return np.stack(out)
 
 
@@ -210,17 +224,17 @@ class _AffineFom:
 class AffineLtiFom(_AffineFom):
     """E x' = A x + B u, y = C x, with transfer function C (sE - A)^{-1} B.
 
-    ``E_entries`` and ``A_entries`` are dense (n, n) arrays or COO triplets
-    (rows, cols, values); ``E`` and ``A`` are the operators, built on first
-    use (CSC for triplets), for products.  Every full-order solve goes
+    ``E`` and ``A`` are dense (n, n) arrays or COO triplets (rows, cols,
+    values), read only by ``_band_layouts``.  Every full-order solve goes
     through ``factor``, one banded factorization of s E - A in the assembly
-    order from the general band storage of ``bands``; ``BandedLU`` alone
-    picks the LAPACK kernel by band, symmetry and point (Penzl: the
-    tridiagonal ?gttrf, reading three rows of that storage in place).
+    order from the general band storage of ``bands``, and every product
+    with K0 = -A or K1 = E through ``product``; ``BandedLU`` alone picks the
+    LAPACK kernel by band, symmetry and point (Penzl: the tridiagonal
+    ?gttrf, reading three rows of that storage in place).
     """
 
-    E_entries: object
-    A_entries: object
+    E: object
+    A: object
     B: np.ndarray
     C: np.ndarray
     time_domain: str = "ct"  # or "dt"
@@ -229,39 +243,27 @@ class AffineLtiFom(_AffineFom):
         _time_domain(self.time_domain)
 
     @cached_property
-    def E(self):
-        return _operator(self.E_entries, self.n)
-
-    @cached_property
-    def A(self):
-        return _operator(self.A_entries, self.n)
-
-    @cached_property
     def bands(self):
         """(kl, ku, (-A, E), lower) as ``_band_layouts`` stores them, built on the first solve."""
-        rows, cols, values = _triplets(self.A_entries)
-        return _band_layouts(self.n, (rows, cols, -values), self.E_entries)
-
-    @property
-    def _slope(self):
-        return self.E
+        rows, cols, values = _triplets(self.A, self.n)
+        return _band_layouts(self.n, (rows, cols, -values), self.E)
 
 
 @dataclass(frozen=True)
 class AffineStationaryFom(_AffineFom):
     """(A1 + p A2) x = B, y = C x, over a real parameter interval [a, b].
 
-    ``A1_entries`` and ``A2_entries`` are dense (n, n) arrays or COO
-    triplets; ``A1`` and ``A2`` are the operators, built on first use, for
-    products.  Every full-order solve goes through ``factor``, one banded
-    factorization of A1 + p A2 in the assembly order, whose LAPACK kernel
-    ``BandedLU`` picks by band, symmetry and point (Poisson, kl = ku = 32:
-    band Cholesky at a real p, ?gbtrf at a complex one).  ``interval`` must be
-    finite with a < b, as ``certify.Interval`` checks.
+    ``A1`` and ``A2`` are dense (n, n) arrays or COO triplets, read only by
+    ``_band_layouts``.  Every full-order solve goes through ``factor``, one
+    banded factorization of A1 + p A2 in the assembly order, whose LAPACK
+    kernel ``BandedLU`` picks by band, symmetry and point (Poisson,
+    kl = ku = 32: band Cholesky at a real p, ?gbtrf at a complex one), and
+    every product through ``product``.  ``interval`` must be finite with
+    a < b, as ``certify.Interval`` checks.
     """
 
-    A1_entries: object
-    A2_entries: object
+    A1: object
+    A2: object
     B: np.ndarray
     C: np.ndarray
     interval: tuple = (0.1, 10.0)
@@ -270,21 +272,9 @@ class AffineStationaryFom(_AffineFom):
         Interval(*self.interval)
 
     @cached_property
-    def A1(self):
-        return _operator(self.A1_entries, self.n)
-
-    @cached_property
-    def A2(self):
-        return _operator(self.A2_entries, self.n)
-
-    @cached_property
     def bands(self):
         """(kl, ku, (A1, A2), lower) as ``_band_layouts`` stores them, built on the first solve."""
-        return _band_layouts(self.n, self.A1_entries, self.A2_entries)
-
-    @property
-    def _slope(self):
-        return self.A2
+        return _band_layouts(self.n, self.A1, self.A2)
 
 
 class KronParametricFom(PoleResidue2D):
@@ -324,7 +314,7 @@ def make_penzl():
     B = np.ones((n, 1))
     B[:6] = 10.0
     eye = (np.arange(n), np.arange(n), np.ones(n))
-    return AffineLtiFom(E_entries=eye, A_entries=(rows, cols, values), B=B, C=B.T)
+    return AffineLtiFom(E=eye, A=(rows, cols, values), B=B, C=B.T)
 
 
 # Bilinear Q1 reference element on [0, 1]^2, node order (0,0), (1,0), (0,1),
@@ -392,7 +382,7 @@ def make_poisson(cells_per_side=32):
     rows, cols = index[rows[interior]], index[cols[interior]]
     B = load[~boundary, None]
     return AffineStationaryFom(
-        A1_entries=(rows, cols, d1[interior]), A2_entries=(rows, cols, d2[interior]), B=B, C=B.T, interval=(0.1, 10.0)
+        A1=(rows, cols, d1[interior]), A2=(rows, cols, d2[interior]), B=B, C=B.T, interval=(0.1, 10.0)
     )
 
 
@@ -414,7 +404,7 @@ def make_random_stable(n, n_i=1, n_o=1, seed=0, time_domain="ct"):
         A = A * (0.9 / max(rho, 1e-12))
     B = rng.standard_normal((n, n_i))
     C = rng.standard_normal((n_o, n))
-    return AffineLtiFom(E_entries=np.eye(n), A_entries=A, B=B, C=C, time_domain=time_domain)
+    return AffineLtiFom(E=np.eye(n), A=A, B=B, C=C, time_domain=time_domain)
 
 
 def make_kron_parametric(r_s_terms, r_xi_terms, n_i=1, n_o=1, seed=0):

@@ -23,7 +23,7 @@ from .core import (
     lti_rom,
     stationary_rom,
 )
-from .spectral import mirror, pole_residue_lti, stable
+from .spectral import _dense_band, mirror, pole_residue_lti, stable
 
 __all__ = [
     "FitOptions",
@@ -371,10 +371,6 @@ def _orth(mat):
     return lapack.dorgqr(qr, tau, overwrite_a=1)[0]
 
 
-def _dense(op):
-    return op.toarray() if hasattr(op, "toarray") else np.asarray(op, dtype=float)
-
-
 def _krylov_start(fom, r):
     """Orthonormal basis of the order-r Krylov space of (-A)^{-1} E from (-A)^{-1} B 1.
 
@@ -385,7 +381,7 @@ def _krylov_start(fom, r):
     lu = fom.factor(0.0)
     basis = np.zeros((fom.n, r))
     for k in range(r):
-        q = lu.solve(fom.E @ basis[:, k - 1] if k else fom.B @ np.ones(fom.n_i))
+        q = lu.solve(fom.product(1, basis[:, k - 1]) if k else fom.B @ np.ones(fom.n_i))
         for _ in range(2):  # Gram-Schmidt, repeated for orthogonality to working precision
             q = q - basis[:, :k] @ (basis[:, :k].T @ q)
         basis[:, k] = q / np.linalg.norm(q)
@@ -444,7 +440,7 @@ def _irka_map(fom, B, C, state, time_domain):
             if paired:
                 cols.append(x.imag)
     v, w = _orth(np.column_stack(v_cols)), _orth(np.column_stack(w_cols))
-    reduced = w.T @ (fom.E @ v), w.T @ (fom.A @ v), w.T @ B, C @ v
+    reduced = w.T @ fom.product(1, v), -w.T @ fom.product(0, v), w.T @ B, C @ v
     pr = pole_residue_lti(*reduced)
     poles = pr.poles
     mirrored = np.where(stable(poles, time_domain), mirror(poles, time_domain), poles)  # unstable poles stay
@@ -486,9 +482,9 @@ def _aitken(image, residuals, r, time_domain):
 def irka_init(fom, r, max_iters=200):
     """Tangential rational Krylov fixed-point iteration for LTI systems.
 
-    ``fom`` exposes E, A, B, C, ``factor(s)``, the factored s E - A, and
-    ``time_domain``, "ct" or "dt" (``models.AffineLtiFom``), which sets the
-    mirror images and the stability test.  The first shifts are the mirror
+    ``fom`` is a ``models.AffineLtiFom``: ``factor(s)`` is the factored
+    s E - A, ``product`` multiplies by K0 = -A or K1 = E, and ``time_domain``,
+    "ct" or "dt", sets the mirror images and the stability test.  The first shifts are the mirror
     images of the poles of the Galerkin projection onto the Krylov space of
     (-A)^{-1} E at s = 0 (``_krylov_start``), so the result is
     deterministic.  Each step projects (Petrov-Galerkin) at the current
@@ -514,14 +510,15 @@ def irka_init(fom, r, max_iters=200):
         raise ValueError(f"the reduced order r must be at least 1, got {r}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    E, A, time_domain = fom.E, fom.A, fom.time_domain
+    time_domain = fom.time_domain
     B = np.atleast_2d(np.asarray(fom.B, dtype=float))
     C = np.atleast_2d(np.asarray(fom.C, dtype=float))
-    if r >= fom.n:
-        return lti_rom(_dense(E), _dense(A), B, C)
+    if r >= fom.n:  # the exact copy, densified from the band layouts of -A and E
+        kl, ku, (minus_a, e), _ = fom.bands
+        return lti_rom(_dense_band(e[kl:], ku), -_dense_band(minus_a[kl:], ku), B, C)
 
     v0 = _krylov_start(fom, r)
-    lam0 = np.linalg.eigvals(np.linalg.solve(v0.T @ (E @ v0), v0.T @ (A @ v0))).astype(complex)  # complex shifts
+    lam0 = np.linalg.eigvals(np.linalg.solve(v0.T @ fom.product(1, v0), -v0.T @ fom.product(0, v0))).astype(complex)
     n_i, n_o = B.shape[1], C.shape[0]
     state = np.concatenate([
         np.where(stable(lam0, time_domain), mirror(lam0, time_domain), lam0),
@@ -566,8 +563,8 @@ def irka_init(fom, r, max_iters=200):
 def greedy_rb_init(fom, r, candidates):
     """Greedy reduced-basis initializer for affine stationary systems.
 
-    ``fom`` exposes real A1, A2, B, C with the map y(p) = C (A1 + p A2)^{-1} B
-    and ``factor(p)``, the factored A1 + p A2 (``models.AffineStationaryFom``).
+    ``fom`` is a ``models.AffineStationaryFom``, y(p) = C (A1 + p A2)^{-1} B:
+    ``factor(p)`` is the factored A1 + p A2, ``product`` multiplies by A1 or A2.
     Each candidate costs one factorization and one solve, whose state is
     reused as the snapshot when the candidate is picked; snapshots are taken
     at the candidates maximizing the current output error; one-sided
@@ -575,7 +572,7 @@ def greedy_rb_init(fom, r, candidates):
     """
     if r < 1:
         raise ValueError(f"the reduced order r must be at least 1, got {r}")
-    a1, a2, b, c = fom.A1, fom.A2, np.atleast_2d(fom.B), np.atleast_2d(fom.C)
+    b, c = np.atleast_2d(fom.B), np.atleast_2d(fom.C)
     candidates = np.unique(np.asarray(candidates, dtype=float))
     if len(candidates) == 0:
         raise ValueError("at least one candidate parameter point is required")
@@ -589,8 +586,8 @@ def greedy_rb_init(fom, r, candidates):
         if basis is None:
             errs = np.max(np.abs(y_full), axis=(1, 2))
         else:
-            a1_r = basis.T @ (a1 @ basis)
-            a2_r = basis.T @ (a2 @ basis)
+            a1_r = basis.T @ fom.product(0, basis)
+            a2_r = basis.T @ fom.product(1, basis)
             b_r = basis.T @ b
             c_r = c @ basis
             y_red = np.stack(
@@ -615,4 +612,4 @@ def greedy_rb_init(fom, r, candidates):
             f"only {basis.shape[1]} independent snapshots found; reduced order lowered",
             stacklevel=2,
         )
-    return stationary_rom(basis.T @ (a1 @ basis), basis.T @ (a2 @ basis), basis.T @ b, c @ basis)
+    return stationary_rom(basis.T @ fom.product(0, basis), basis.T @ fom.product(1, basis), basis.T @ b, c @ basis)

@@ -201,13 +201,15 @@ def pole_residue_lti(E, A, B, C):
     return PoleResidue(poles=diag.eigenvalues, left_factors=left, right_factors=right)
 
 
-def _dense_lower(ab):
-    """The dense Fortran-order lower triangle of the matrix in lower band storage ``ab``."""
-    kd, n = ab.shape[0] - 1, ab.shape[1]
-    dense = np.zeros(n * n)  # entry (j + d, j) at d + (n + 1) j
-    for d in range(kd + 1):
-        dense[d :: n + 1][: n - d] = ab[d, : n - d]
-    return dense.reshape(n, n, order="F")
+def _dense_band(ab, ku):
+    """The dense Fortran-order (n, n) matrix of band storage ``ab``, entry (i, j) at row ku + i - j of column j."""
+    n = ab.shape[1]
+    dense = np.zeros((n, n), order="F")
+    flat = dense.reshape(-1, order="F")  # a view: entry (i, j) at i + n j
+    for row, d in enumerate(range(-ku, len(ab) - ku)):  # diagonal d = i - j starts at column j = max(-d, 0)
+        j = max(-d, 0)
+        flat[j * (n + 1) + d :: n + 1][: n - abs(d)] = ab[row, j : j + n - abs(d)]
+    return dense
 
 
 def _symmetric_eig_projections(ab2, ab1, B, C):
@@ -230,7 +232,7 @@ def _symmetric_eig_projections(ab2, ab1, B, C):
     if info != 0:
         return None
     P, _ = lapack.dtbtrs(Lb, np.hstack([B, C.T]), uplo="L")  # L^{-1} [B, C^T]
-    M, _ = lapack.dsygst(_dense_lower(ab2), _dense_lower(Lb), lower=1, overwrite_a=1)
+    M, _ = lapack.dsygst(_dense_band(ab2, 0), _dense_band(Lb, 0), lower=1, overwrite_a=1)
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
     T, diag, off, tau, _ = lapack.dsytrd(M, lower=1, lwork=lwork, overwrite_a=1)
     if n > 1:  # P <- Q^T P; the reflectors lie below the subdiagonal of T
@@ -295,33 +297,34 @@ def _pole_residue_affine_symmetric(d, cx, xb, rank_rtol):
 def pole_residue_affine_singular(A1, A2, B, C):
     """Pole-residue form (with constant term) of C (A1 + p A2)^{-1} B.
 
-    A1 and A2 may be dense arrays or scipy sparse matrices.  They are stored
+    A1 and A2 are dense (n, n) arrays or COO triplets, as in
+    ``models.AffineStationaryFom``, and n is read from B.  They are stored
     by ``models._band_layouts``, which also decides whether they are
     symmetric (bit for bit).  A symmetric pencil with A1 positive definite
     takes a symmetric eigensolver path that tolerates repeated eigenvalues,
     factors A1 on its band and projects B and C without forming the
     eigenvectors; an A1 whose band Cholesky factorization fails falls back
-    to the general path.  The general path densifies A1 and A2 and uses a
-    low-rank update identity on A1.  A2 may be rank-deficient; its
+    to the general path, which densifies the bands (``_dense_band``) and
+    uses a low-rank update identity on A1.  A2 may be rank-deficient; its
     numerical rank is determined from the singular values (eigenvalues on
-    the symmetric path) at threshold max(n) * eps times the largest, and
-    its null space goes into the constant term.
+    the symmetric path) at threshold n * eps times the largest, and its
+    null space goes into the constant term.
     """
     from .models import _band_layouts
 
-    A1, A2 = (op if hasattr(op, "tocoo") else np.asarray(op, dtype=float) for op in (A1, A2))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    rank_rtol = max(A2.shape) * np.finfo(float).eps
+    n = B.shape[0]
+    rank_rtol = n * np.finfo(float).eps
 
-    lower = _band_layouts(A1.shape[0], A1, A2)[3]
+    kl, ku, layouts, lower = _band_layouts(n, A1, A2)
     if lower is not None:
         ab1, ab2 = lower
         projected = _symmetric_eig_projections(ab2, ab1, B, C)
         if projected is not None:
             return _pole_residue_affine_symmetric(*projected, rank_rtol)
 
-    A1, A2 = (op.toarray() if hasattr(op, "toarray") else op for op in (A1, A2))
+    A1, A2 = (_dense_band(ab[kl:], ku) for ab in layouts)
     W, sigma, Zt = np.linalg.svd(A2)
     n2 = int(np.sum(sigma > rank_rtol * sigma[0]))
     if n2 == 0:

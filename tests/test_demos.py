@@ -87,3 +87,18 @@ def test_benchmark_cli_steps_parse(monkeypatch):
                 workload.WORKLOADS[name](size, 0, bench).run()
     assert not unparsed, unparsed
     assert parsed and len(parsed) % 4 == 0 and set(parsed) == {"generate", "sample", "fit", "certify"}
+
+
+def test_benchmark_library_pipelines_pass_their_checks(monkeypatch):
+    # poisson-stationary and kron-h2l2 call l2rom's library directly, with
+    # names (fom.A1, fom.evaluator, ...) that only a benchmark run would
+    # otherwise read.  Each runs at its smoke size and must pass its checks.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # the workload imports its tracing module
+    spec = importlib.util.spec_from_file_location("perfbench_workload", ROOT / "perfbench" / "workload.py")
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    bench = workload.load_spec()
+    for name in ("poisson-stationary", "kron-h2l2"):
+        pipeline = workload.WORKLOADS[name](bench["workloads"][name]["sizes"]["smoke"], 0, bench)
+        failures, _ = pipeline.check(pipeline.run())
+        assert not failures, (name, failures)

@@ -191,6 +191,41 @@ def test_cli_irka_takes_the_time_domain_from_the_model(tmp_path):
     assert payload["passed"] is True
 
 
+def test_cli_fit_reports_stability_in_the_model_time_domain(tmp_path, capsys):
+    # poles 0.5 and -0.3 are stable in discrete time and unstable in
+    # continuous time.  An unstable result is reported and warned about, not
+    # refused: it can be a genuine optimum of the discrete problem
+    rom_path, samples, out = (str(tmp_path / f"{name}.json") for name in ("init", "s", "r"))
+    io.write_payload(rom_path, io.rom_to_payload(lti_rom(np.eye(2), np.diag([0.5, -0.3]), np.ones((2, 1)),
+                                                         np.ones((1, 2)))))
+    model = str(tmp_path / "m.json")
+    for dt, is_stable in ((["--dt"], True), ([], False)):
+        cli.main(["generate", "random-lti", "--n", "6", *dt, "-o", model])
+        cli.main(["sample", model, "--scheme", "logspace 0.1 1 4", "-o", samples])
+        capsys.readouterr()
+        assert cli.main(["fit", samples, "--structure", "lti", "--init", "file", "--init-file", rom_path,
+                         "--model", model, "--max-iters", "0", "-o", out]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert f"stable: {is_stable}" in stdout.splitlines()
+        assert ("the fitted model is unstable in time domain" in stderr) != is_stable
+
+
+def test_cli_fit_rejects_restarts_it_would_ignore(tmp_path, capsys):
+    model, samples, rom = (str(tmp_path / f"{name}.json") for name in ("m", "s", "r"))
+    cli.main(["generate", "random-lti", "--n", "6", "-o", model])
+    cli.main(["sample", model, "--scheme", "logspace 0.1 1 4", "-o", samples])
+    argv = ["fit", samples, "--structure", "lti", "--model", model, "-o", rom]
+    for extra in (["--restarts", "0"], ["--restarts", "-1"], ["--restarts", "7", "--init", "irka"],
+                  ["--restarts", "2", "--init", "file", "--init-file", rom]):
+        capsys.readouterr()
+        assert cli.main([*argv, *extra]) == 2, extra
+        assert "--restarts" in capsys.readouterr().err
+    assert cli.main(["fit", samples, "--structure", "stationary", "--init", "rb", "--restarts", "3",
+                     "-o", rom]) == 2
+    assert "--restarts" in capsys.readouterr().err
+    assert cli.main([*argv, "--restarts", "2", "--max-iters", "3"]) == 0
+
+
 def test_cli_pipeline_lti(tmp_path, capsys):
     model = str(tmp_path / "model.json")
     samples = str(tmp_path / "samples.json")

@@ -54,7 +54,7 @@ def test_penzl_structure():
     assert fom.n == 1006
     assert fom.n_i == fom.n_o == 1
     # spiral blocks at frequencies 100, 200, 400; tail -1..-1000
-    A = fom.A.toarray()
+    A = _dense(fom.A, fom.n)
     lam = np.linalg.eigvals(A[:6, :6])
     assert np.allclose(np.sort(np.abs(lam.imag)), [100, 100, 200, 200, 400, 400])
     assert np.allclose(lam.real, -1.0)
@@ -109,7 +109,7 @@ def test_partials_match_central_difference(make, points, bound):
 def test_poisson_dimensions_and_rank():
     fom = make_poisson()
     assert fom.n == 961
-    A1, A2 = fom.A1.toarray(), fom.A2.toarray()
+    A1, A2 = _dense(fom.A1, fom.n), _dense(fom.A2, fom.n)
     assert np.linalg.matrix_rank(A2) == 961
     # both coefficients symmetric, A1 positive definite
     assert np.max(np.abs(A1 - A1.T)) <= 1e-12
@@ -231,7 +231,7 @@ def test_poisson_assembly_matches_element_loop():
     A2, _, _ = _q1_stiffness_loop(cells, lambda z1: 1.0 - z1)
     interior = np.ix_(~boundary, ~boundary)
     fom = make_poisson(cells_per_side=cells)
-    for got, want in ((fom.A1.toarray(), A1[interior]), (fom.A2.toarray(), A2[interior]),
+    for got, want in ((_dense(fom.A1, fom.n), A1[interior]), (_dense(fom.A2, fom.n), A2[interior]),
                       (fom.B, load[~boundary, None])):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -250,8 +250,13 @@ def test_poisson_assembly_matches_element_loop():
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
-def _dense(op):
-    return op.toarray() if hasattr(op, "toarray") else op
+def _dense(op, n):
+    """The dense (n, n) operator of a dense array or COO triplets, duplicates summed."""
+    if isinstance(op, np.ndarray):
+        return op
+    dense = np.zeros((n, n))
+    np.add.at(dense, (op[0], op[1]), op[2])
+    return dense
 
 
 def _tridiagonal_fom(n):
@@ -263,7 +268,7 @@ def _tridiagonal_fom(n):
     cols = np.concatenate([np.arange(n), i, i + 1])
     A1 = (rows, cols, np.concatenate([0.1 * g.random(n), 1.0 + g.random(2 * (n - 1))]))
     A2 = (np.arange(n), np.arange(n), 0.05 * g.random(n))
-    return AffineStationaryFom(A1_entries=A1, A2_entries=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
+    return AffineStationaryFom(A1=A1, A2=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
 
 
 def _bidiagonal_fom(n, offset):
@@ -276,7 +281,7 @@ def _bidiagonal_fom(n, offset):
     cols = np.concatenate([np.arange(n), i + max(-offset, 0)])
     A1 = (rows, cols, np.concatenate([0.1 * g.random(n), 1.0 + g.random(n - 1)]))
     A2 = (np.arange(n), np.arange(n), 0.05 * g.random(n))
-    return AffineStationaryFom(A1_entries=A1, A2_entries=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
+    return AffineStationaryFom(A1=A1, A2=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
 
 
 def _symmetric_indefinite_fom(n=9):
@@ -290,14 +295,16 @@ def _symmetric_indefinite_fom(n=9):
     first, second = 0.3 * g.random(n - 1), 0.2 * g.random(n - 2)
     A1 = (rows, cols, np.concatenate([np.where(i % 3, 2.0, -2.0), first, first, second, second]))
     A2 = (i, i, 0.1 + 0.1 * g.random(n))
-    return AffineStationaryFom(A1_entries=A1, A2_entries=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
+    return AffineStationaryFom(A1=A1, A2=A2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
 
 
 def _dense_pencil(fom):
     """K(p) as a dense matrix function, and the dense dK/dp."""
     if isinstance(fom, AffineStationaryFom):
-        return lambda p: fom.A1.toarray() + p * fom.A2.toarray(), fom.A2.toarray()
-    return lambda p: p * _dense(fom.E) - _dense(fom.A), _dense(fom.E)
+        A1, A2 = _dense(fom.A1, fom.n), _dense(fom.A2, fom.n)
+        return lambda p: A1 + p * A2, A2
+    E, A = _dense(fom.E, fom.n), _dense(fom.A, fom.n)
+    return lambda p: p * E - A, E
 
 
 @pytest.mark.parametrize("name", ["penzl", "poisson", "random", "symmetric-indefinite", "tridiagonal-1",
@@ -325,7 +332,7 @@ def test_factored_solves_match_dense_oracle(name):
         fom, points, band = _bidiagonal_fom(5, offset), [1.7, 0.9 + 0.2j], (max(offset, 0), max(-offset, 0))
     elif name == "diagonal":
         g, i = np.random.default_rng(5), np.arange(5)
-        fom = AffineStationaryFom(A1_entries=(i, i, 1.0 + g.random(5)), A2_entries=(i, i, g.random(5)),
+        fom = AffineStationaryFom(A1=(i, i, 1.0 + g.random(5)), A2=(i, i, g.random(5)),
                                   B=g.standard_normal((5, 2)), C=g.standard_normal((3, 5)))
         points, band = [1.7, 0.9 + 0.2j], (0, 0)
     else:
@@ -431,7 +438,7 @@ def test_real_point_on_a_symmetric_band_takes_band_cholesky(monkeypatch, make, k
 def _singular_tridiagonal_fom():
     """A1 + p A2 = [[1, 1, 0], [1, 1, 0], [0, 0, 1 + p]], singular at every p."""
     rows, cols = np.array([0, 0, 1, 1, 2]), np.array([0, 1, 0, 1, 2])
-    return AffineStationaryFom(A1_entries=(rows, cols, np.ones(5)), A2_entries=(np.array([2]), np.array([2]), np.ones(1)),
+    return AffineStationaryFom(A1=(rows, cols, np.ones(5)), A2=(np.array([2]), np.array([2]), np.ones(1)),
                                B=np.ones((3, 1)), C=np.ones((1, 3)))
 
 
@@ -440,7 +447,7 @@ def _singular_symmetric_fom():
     symmetric on a band two wide and singular at every p."""
     rows, cols = np.divmod(np.arange(9), 3)
     rows, cols = np.append(rows, 3), np.append(cols, 3)
-    return AffineStationaryFom(A1_entries=(rows, cols, np.ones(10)), A2_entries=(np.array([3]), np.array([3]), np.ones(1)),
+    return AffineStationaryFom(A1=(rows, cols, np.ones(10)), A2=(np.array([3]), np.array([3]), np.ones(1)),
                                B=np.ones((4, 1)), C=np.ones((1, 4)))
 
 
@@ -452,8 +459,8 @@ def test_singular_full_order_operator_raises():
     n = 4
     diag = (np.arange(n), np.arange(n), np.array([1.0, 2.0, 0.0, 1.0]))
     singular = [
-        (AffineStationaryFom(A1_entries=diag, A2_entries=diag, B=np.ones((n, 1)), C=np.ones((1, n))), 1.5),
-        (AffineStationaryFom(A1_entries=np.diag([1.0, 0.0]), A2_entries=np.eye(2), B=np.ones((2, 1)),
+        (AffineStationaryFom(A1=diag, A2=diag, B=np.ones((n, 1)), C=np.ones((1, n))), 1.5),
+        (AffineStationaryFom(A1=np.diag([1.0, 0.0]), A2=np.eye(2), B=np.ones((2, 1)),
                              C=np.ones((1, 2))), 0.0),
         (_singular_tridiagonal_fom(), 1.5),
         (_singular_symmetric_fom(), 1.5),
@@ -475,9 +482,11 @@ def _run_python(args, code):
 def test_model_validation_survives_optimized_mode():
     code = """
 import numpy as np
+import scipy.sparse
 from l2rom.models import (AffineLtiFom, AffineStationaryFom, make_kron_parametric, make_poisson, make_random_stable,
                           sample_frequency_response, sample_h2l2)
 from l2rom.optimize import greedy_rb_init, irka_init
+from l2rom.spectral import pole_residue_affine_singular
 
 class NanFom:
     def evaluate(self, points):
@@ -488,6 +497,11 @@ rows, cols = np.array([0, 0, 1, 1, 2]), np.array([0, 1, 0, 1, 2])
 tridiagonal = AffineStationaryFom((rows, cols, np.ones(5)), (rows, cols, np.zeros(5)), np.ones((3, 1)), np.ones((1, 3)))
 rows, cols = np.divmod(np.arange(9), 3)  # symmetric, band two wide: band Cholesky fails, then ?gbtrf
 symmetric = AffineStationaryFom((rows, cols, np.ones(9)), (rows, cols, np.zeros(9)), np.ones((3, 1)), np.ones((1, 3)))
+
+def with_a1(a1):  # an n = 4 model whose A1 is malformed: its first solve raises
+    return lambda: AffineStationaryFom(a1, np.eye(4), np.ones((4, 1)), np.ones((1, 4))).evaluate([1.0])
+
+diagonal = (np.arange(4), np.arange(4), np.ones(4))
 for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
              lambda: sample_frequency_response(NanFom(), [1.0, 2.0]),
              lambda: sample_frequency_response(fom, []),
@@ -502,33 +516,52 @@ for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
              lambda: make_kron_parametric(2, 2, n_o=0),
              lambda: sample_h2l2(make_kron_parametric(2, 2), n_s=0, n_xi=4),
              lambda: tridiagonal.factor(1.5),
-             lambda: symmetric.factor(1.5)):
+             lambda: symmetric.factor(1.5),
+             with_a1((np.r_[diagonal[0], 1], np.r_[diagonal[1], 4], np.ones(5))),  # an entry at (1, n)
+             with_a1((np.r_[diagonal[0], 4], np.r_[diagonal[1], 4], np.ones(5))),  # an entry at (n, n)
+             with_a1((diagonal[0], diagonal[1], np.ones(3))),  # triplets of unequal length
+             with_a1((diagonal[0] - 1.0, diagonal[1], np.ones(4))),  # float indices
+             with_a1(np.eye(5)),  # a dense operator of the wrong size
+             with_a1(scipy.sparse.eye_array(4)),
+             lambda: pole_residue_affine_singular(np.eye(5), np.eye(5), np.ones((4, 1)), np.ones((1, 4)))):
     try:
         make()
     except ValueError:  # np.linalg.LinAlgError is a ValueError
         print("raised")
 """
-    assert _run_python(["-O"], code).split() == ["raised"] * 15
+    assert _run_python(["-O"], code).split() == ["raised"] * 22
 
 
 def test_building_models_does_not_import_scipy_sparse():
     # scipy.sparse and scipy.linalg cost set-up time; the operators are
-    # built, and scipy imported, on the first solve
+    # built, and scipy imported, on the first solve.  No pipeline imports
+    # scipy.sparse: the band layout stores every full-order operator
     code = """
 import sys
+import numpy as np
 import l2rom
 import l2rom.cli
-from l2rom.models import make_penzl, make_poisson
-make_penzl()
-make_poisson()
+from l2rom.certify import Interval, ls_residuals, stationary_residuals
+from l2rom.models import make_penzl, make_poisson, sample_frequency_response, sample_stationary
+from l2rom.optimize import fit, greedy_rb_init, irka_init
+from l2rom.spectral import pole_residue, pole_residue_affine_singular
+penzl = make_penzl()
+poisson = make_poisson()
 print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg"))))
+data = sample_frequency_response(penzl, np.logspace(0, 4, 50))
+ls_residuals(data, pole_residue(fit(irka_init(penzl, 2), data).rom))
+data = sample_stationary(poisson, 60)
+rom = fit(greedy_rb_init(poisson, 2, np.logspace(-1, 1, 20)), data).rom
+fom_pr = pole_residue_affine_singular(poisson.A1, poisson.A2, poisson.B, poisson.C)
+stationary_residuals(fom_pr, pole_residue(rom), Interval(*poisson.interval))
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
 """
-    assert _run_python([], code).strip() == "[]"
+    assert _run_python([], code).split() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("interval", [(10.0, 1.0), (1.0, 1.0), (1.0, np.nan), (np.nan, 1.0), (0.1, np.inf)])
 def test_stationary_fom_checks_its_interval_on_construction(interval):
     # the certificate's Interval check, not a later failure of the quadrature weights
     with pytest.raises(ValueError, match="interval requires finite a < b"):
-        AffineStationaryFom(A1_entries=np.eye(3), A2_entries=np.eye(3), B=np.ones((3, 1)), C=np.ones((1, 3)),
+        AffineStationaryFom(A1=np.eye(3), A2=np.eye(3), B=np.ones((3, 1)), C=np.ones((1, 3)),
                             interval=interval)

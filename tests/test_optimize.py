@@ -459,7 +459,7 @@ def test_irka_rejects_unstable_model():
     # a system with all poles in the right half-plane projects onto unstable reduced models
     n = 6
     a = np.random.default_rng(1).standard_normal((n, n)) + 3.0 * np.eye(n)
-    fom = AffineLtiFom(E_entries=np.eye(n), A_entries=a, B=np.ones((n, 1)), C=np.ones((1, n)))
+    fom = AffineLtiFom(E=np.eye(n), A=a, B=np.ones((n, 1)), C=np.ones((1, n)))
     with pytest.raises(ValueError, match="unstable"):
         irka_init(fom, 2)
 

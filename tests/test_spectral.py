@@ -218,6 +218,18 @@ def test_affine_singular_indefinite_a1_takes_general_path():
         assert np.max(np.abs(val - direct)) <= 1e-8 * np.max(np.abs(direct))
 
 
+def test_affine_singular_general_path_reads_the_unfactored_band():
+    # band Cholesky fails on A1 = diag(4, -2, 3) after overwriting its first
+    # entry; the general path densifies the band layouts, so it must have
+    # factored a copy of them
+    a1, a2 = np.diag([4.0, -2.0, 3.0]), np.diag([1.0, 2.0, 0.5])
+    b = np.array([[1.0], [2.0], [3.0]])
+    pr = pole_residue_affine_singular(a1, a2, b, b.T)
+    ps = np.array([0.3, 1.7])
+    direct = np.stack([b.T @ np.linalg.solve(a1 + p * a2, b) for p in ps])
+    assert np.max(np.abs(pr.evaluate(ps) - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def _count_lapack(monkeypatch, *names):
     """Calls of the named scipy.linalg.lapack routines, counted from now on."""
     from scipy.linalg import lapack
@@ -262,7 +274,7 @@ def _banded_stationary_fom(n, offsets, nudge=False):
             a += np.diag(band, d) + np.diag(band, -d)
     if nudge:
         a1[1, 0] = np.nextafter(a1[1, 0], np.inf)
-    return AffineStationaryFom(A1_entries=a1, A2_entries=a2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
+    return AffineStationaryFom(A1=a1, A2=a2, B=g.standard_normal((n, 2)), C=g.standard_normal((3, n)))
 
 
 def test_symmetric_tridiagonal_model_keeps_the_symmetric_form(monkeypatch):
@@ -307,7 +319,7 @@ def test_decoupled_rows_go_to_the_constant_term(nudge):
     a1[fixed, fixed] = [2.0, 3.0]
     g = np.random.default_rng(23)
     b, c = g.standard_normal((n, 2)), g.standard_normal((3, n))
-    fom = AffineStationaryFom(A1_entries=a1, A2_entries=a2, B=b, C=c)
+    fom = AffineStationaryFom(A1=a1, A2=a2, B=b, C=c)
     assert (fom.bands[3] is None) == nudge
     pr = pole_residue_affine_singular(fom.A1, fom.A2, fom.B, fom.C)
     ps = np.array([0.1, 1.7, 9.9])
