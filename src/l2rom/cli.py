@@ -50,6 +50,15 @@ MODEL_KIND = {models.AffineLtiFom: "lti", models.AffineStationaryFom: "stationar
 # h2l2 two
 SCHEME_KINDS = {"logspace": ("lti", "stationary"), "circle": ("lti", "stationary"), "gauss": ("stationary",),
                 "h2l2": ("kron",)}
+# generate: the flag that sets each parameter of a model's maker (io.MODEL_MAKERS);
+# --dt sets random-lti's time_domain to "dt", its absence to "ct"
+MAKER_FLAGS = {
+    "penzl": {},
+    "poisson": {"cells_per_side": "cells"},
+    "random-lti": {"n": "n", "n_i": "inputs", "n_o": "outputs", "seed": "seed", "time_domain": "dt"},
+    "kron-parametric": {"r_s_terms": "s_terms", "r_xi_terms": "xi_terms", "n_i": "inputs", "n_o": "outputs",
+                        "seed": "seed"},
+}
 
 
 class UsageError(Exception):
@@ -80,27 +89,9 @@ def _load_model(path, purpose, *kinds):
 
 
 def cmd_generate(args):
-    params = {}
-    if args.model == "penzl":
-        pass
-    elif args.model == "poisson":
-        params["cells_per_side"] = args.cells
-    elif args.model == "random-lti":
-        params = {
-            "n": args.n,
-            "n_i": args.inputs,
-            "n_o": args.outputs,
-            "seed": args.seed,
-            "time_domain": "dt" if args.dt else "ct",
-        }
-    elif args.model == "kron-parametric":
-        params = {
-            "r_s_terms": args.s_terms,
-            "r_xi_terms": args.xi_terms,
-            "n_i": args.inputs,
-            "n_o": args.outputs,
-            "seed": args.seed,
-        }
+    params = {param: getattr(args, flag) for param, flag in MAKER_FLAGS[args.model].items()}
+    if "time_domain" in params:
+        params["time_domain"] = "dt" if params["time_domain"] else "ct"
     fom = io.model_from_payload(io.model_to_payload(args.model, params))
     n = getattr(fom, "n", None)  # the kron-parametric map has no state dimension
     payload = io.model_to_payload(args.model, params, meta={} if n is None else {"n": int(n)})

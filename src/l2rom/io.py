@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 
+from . import models
 from .certify import Certificate, CertificateRow
 from .core import SampleSet, ScalarFamily, StructuredRom, kron_rom
 
@@ -32,7 +33,14 @@ __all__ = [
 
 FORMAT_VERSION = 1
 KINDS = ("model", "samples", "rom", "certificate", "trace")
-MODEL_NAMES = ("penzl", "poisson", "random-lti", "kron-parametric")
+# model files: the name of each model and its maker
+MODEL_MAKERS = {
+    "penzl": models.make_penzl,
+    "poisson": models.make_poisson,
+    "random-lti": models.make_random_stable,
+    "kron-parametric": models.make_kron_parametric,
+}
+MODEL_NAMES = tuple(MODEL_MAKERS)
 # Largest difference between the stored A-terms of a kron rom file and the
 # Kronecker products of its factors, relative to the largest stored entry.
 KRON_TERMS_RTOL = 1e-12
@@ -220,19 +228,10 @@ def model_to_payload(name, params, meta=None):
 
 def model_from_payload(payload):
     """Reconstruct the full-order model object described by a model file."""
-    from . import models
-
     name = payload["name"]
-    params = payload.get("params", {})
-    builders = {
-        "penzl": models.make_penzl,
-        "poisson": models.make_poisson,
-        "random-lti": models.make_random_stable,
-        "kron-parametric": models.make_kron_parametric,
-    }
-    if name not in builders:
+    if name not in MODEL_MAKERS:
         raise ValueError(f"unknown model {name!r}")
-    return builders[name](**params)
+    return MODEL_MAKERS[name](**payload.get("params", {}))
 
 
 def trace_to_payload(trace):

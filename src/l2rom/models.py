@@ -459,20 +459,18 @@ def _symmetrize_factors(s_poles, xi_poles, left, right):
     return left_s, right_s
 
 
-def sample_frequency_response(fom, freqs, weights=None):
-    """Sample H(i w) once per frequency w, at twice its weight (default 1).
+def sample_frequency_response(fom, freqs):
+    """Sample H(i w) once per frequency w, each sample at weight 2.
 
     A real model's misfit at -i w equals that at i w, so this is the L2
-    objective of the samples at +-i w; DISCRETE_LS doubles the measure itself.
+    objective of the unit-weight samples at +-i w; DISCRETE_LS doubles the
+    measure itself.
     """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size == 0:
         raise ValueError("freqs must hold at least one frequency")
-    weights = np.ones_like(freqs) if weights is None else np.asarray(weights, dtype=float)
-    if len(weights) != len(freqs):
-        raise ValueError("freqs and weights must have the same length")
     points = (1j * freqs)[:, None]
-    return SampleSet(points=points, values=fom.evaluate(points), weights=2.0 * weights)
+    return SampleSet(points=points, values=fom.evaluate(points), weights=np.full_like(freqs, 2.0))
 
 
 def _circle_rule(num):

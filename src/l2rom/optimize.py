@@ -51,10 +51,12 @@ LBFGS_MEMORY = 10
 # Gate of irka_init's Aitken extrapolation: the most the two latest
 # contraction-rate estimates may differ, relative to the latest, and the
 # least cosine between the last two fixed-point residuals.  The iteration
-# stops when the shifts move by at most IRKA_TOL relative to their largest.
+# stops when the shifts move by at most IRKA_TOL relative to their largest,
+# or with a RuntimeWarning after IRKA_MAX_ITERS map evaluations.
 AITKEN_RATE_RTOL = 0.1
 AITKEN_ALIGNMENT = 0.99
 IRKA_TOL = 1e-10
+IRKA_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -479,7 +481,7 @@ def _aitken(image, residuals, r, time_domain):
     return state if np.all(stable(mirror(state[:r], time_domain), time_domain)) else None
 
 
-def irka_init(fom, r, max_iters=200):
+def irka_init(fom, r):
     """Tangential rational Krylov fixed-point iteration for LTI systems.
 
     ``fom`` is a ``models.AffineLtiFom``: ``factor(s)`` is the factored
@@ -502,14 +504,12 @@ def irka_init(fom, r, max_iters=200):
     extrapolation; otherwise the iteration resumes from the plain iterate
     and extrapolates no more in this call.
 
-    Stopping at ``max_iters`` emits a RuntimeWarning; an unstable final
-    iterate (a pole in the closed right half-plane, or on or outside the
-    unit circle for "dt") raises ValueError.
+    Stopping after IRKA_MAX_ITERS map evaluations emits a RuntimeWarning;
+    an unstable final iterate (a pole in the closed right half-plane, or on
+    or outside the unit circle for "dt") raises ValueError.
     """
     if r < 1:
         raise ValueError(f"the reduced order r must be at least 1, got {r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     time_domain = fom.time_domain
     B = np.atleast_2d(np.asarray(fom.B, dtype=float))
     C = np.atleast_2d(np.asarray(fom.C, dtype=float))
@@ -529,7 +529,7 @@ def irka_init(fom, r, max_iters=200):
     residuals = []  # F(z) - z of consecutive plain steps
     extrapolate = True
     fallback = None  # the plain iterate and |F(z) - z| before an extrapolation
-    for _ in range(max_iters):
+    for _ in range(IRKA_MAX_ITERS):
         reduced, poles, image = _irka_map(fom, B, C, state, time_domain)
         residual = image - state
         if fallback is not None:
@@ -550,8 +550,8 @@ def irka_init(fom, r, max_iters=200):
             state = jump
     else:
         warnings.warn(
-            f"irka_init stopped at max_iters={max_iters} with relative shift "
-            f"movement {move / scale:.3e} (tol {IRKA_TOL:.1e})",
+            f"irka_init stopped after IRKA_MAX_ITERS={IRKA_MAX_ITERS} map evaluations "
+            f"with relative shift movement {move / scale:.3e} (tol {IRKA_TOL:.1e})",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -566,9 +566,14 @@ def greedy_rb_init(fom, r, candidates):
     ``fom`` is a ``models.AffineStationaryFom``, y(p) = C (A1 + p A2)^{-1} B:
     ``factor(p)`` is the factored A1 + p A2, ``product`` multiplies by A1 or A2.
     Each candidate costs one factorization and one solve, whose state is
-    reused as the snapshot when the candidate is picked; snapshots are taken
-    at the candidates maximizing the current output error; one-sided
-    Galerkin projection.
+    reused as the snapshot when the candidate is picked.  The output errors
+    start as max|y(p)| over the candidates.  Each of min(r, number of
+    candidates) passes picks the unpicked candidate of largest error,
+    re-orthonormalizes the basis with its snapshot (a QR that drops
+    directions below 1e-12 of the largest), projects (one-sided Galerkin)
+    and measures every candidate's reduced output error in one batched
+    solve.  Returns the last projection, with a UserWarning when it has
+    fewer than r independent snapshots.
     """
     if r < 1:
         raise ValueError(f"the reduced order r must be at least 1, got {r}")
@@ -580,36 +585,22 @@ def greedy_rb_init(fom, r, candidates):
     states = [fom.factor(p).solve(b) for p in candidates]
     y_full = np.stack([c @ x for x in states])
 
-    basis = None
+    errs = np.max(np.abs(y_full), axis=(1, 2))
+    basis = np.zeros((fom.n, 0))
     chosen = []
-    for _ in range(r):
-        if basis is None:
-            errs = np.max(np.abs(y_full), axis=(1, 2))
-        else:
-            a1_r = basis.T @ fom.product(0, basis)
-            a2_r = basis.T @ fom.product(1, basis)
-            b_r = basis.T @ b
-            c_r = c @ basis
-            y_red = np.stack(
-                [c_r @ np.linalg.solve(a1_r + p * a2_r, b_r) for p in candidates]
-            )
-            errs = np.max(np.abs(y_full - y_red), axis=(1, 2))
+    for _ in range(min(r, len(candidates))):
         errs[chosen] = -1.0
-        pick = int(np.argmax(errs))
-        snapshot = states[pick]
-        chosen.append(pick)
-        cols = snapshot if basis is None else np.hstack([basis, snapshot])
-        q, rr = np.linalg.qr(cols)
+        chosen.append(int(np.argmax(errs)))
+        q, rr = np.linalg.qr(np.hstack([basis, states[chosen[-1]]]))
         keep = np.abs(np.diag(rr)) > 1e-12 * max(np.max(np.abs(np.diag(rr))), 1e-300)
-        new_basis = q[:, keep]
-        if basis is not None and new_basis.shape[1] == basis.shape[1]:
-            continue  # snapshot already in span
-        basis = new_basis
-        if len(chosen) >= len(candidates):
-            break
+        basis = q[:, keep]
+        a1_r, a2_r = basis.T @ fom.product(0, basis), basis.T @ fom.product(1, basis)
+        b_r, c_r = basis.T @ b, c @ basis
+        y_red = c_r @ np.linalg.solve(a1_r + candidates[:, None, None] * a2_r, b_r[None])
+        errs = np.max(np.abs(y_full - y_red), axis=(1, 2))
     if basis.shape[1] < r:
         warnings.warn(
             f"only {basis.shape[1]} independent snapshots found; reduced order lowered",
             stacklevel=2,
         )
-    return stationary_rom(basis.T @ fom.product(0, basis), basis.T @ fom.product(1, basis), basis.T @ b, c @ basis)
+    return stationary_rom(a1_r, a2_r, b_r, c_r)

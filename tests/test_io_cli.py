@@ -255,7 +255,8 @@ def test_cli_pipeline_lti(tmp_path, capsys):
     assert cli.main(["fit", samples, "--structure", "lti", "--init", "irka", "--model", model,
                      "-r", "1", "-o", rom]) == 0
     assert cli.main(["report", rom, "--samples", samples, "-o", report]) == 0
-    text = open(report).read()
+    with open(report) as handle:
+        text = handle.read()
     assert text.startswith("# columns: z T(z) That(z) T(z)-That(z)\n")
     assert "# conj-pole" in text
 
@@ -373,7 +374,8 @@ def test_cli_report_evaluates_rom_once(tmp_path, monkeypatch):
     argv = ["report", rom, "--samples", samples, "--points", "50", "-o", report]
     assert cli.main(argv) == 0
     assert calls == [4]  # the rom at the 4 sample points, once
-    assert sum(not line.startswith("#") for line in open(report)) == 50
+    with open(report) as handle:
+        assert sum(not line.startswith("#") for line in handle) == 50
 
 
 _SAMPLES = {"kind": "samples", "version": 1, "points": [[[1.0, 0.0]], [[2.0, 0.0]]],

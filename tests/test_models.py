@@ -147,11 +147,10 @@ def test_sample_frequency_response_closure():
     # misfit at -iw is the same, so the objective is that of the closed set
     fom = make_random_stable(6, seed=3)
     freqs = np.logspace(0, 2, 5)
-    weights = np.linspace(1.0, 2.0, 5)
-    data = sample_frequency_response(fom, freqs, weights)
+    data = sample_frequency_response(fom, freqs)
     assert len(data) == 5
     assert np.array_equal(data.points[:, 0], 1j * freqs)
-    assert np.array_equal(data.weights, 2.0 * weights)
+    assert np.array_equal(data.weights, np.full(5, 2.0))
     assert np.array_equal(data.values, fom.evaluate(1j * freqs))
 
 

@@ -270,13 +270,17 @@ def test_irka_produces_good_siso_approximant():
 
 def test_greedy_rb_interpolates_snapshot():
     fom = make_poisson(cells_per_side=8)
-    rom = greedy_rb_init(fom, 1, [1.0])
-    # a one-snapshot Galerkin rom reproduces the output at the snapshot point
-    y_red = rom.C_terms[0][1] @ np.linalg.solve(
-        rom.A_terms[0][1] + 1.0 * rom.A_terms[1][1], rom.B_terms[0][1]
-    )
-    y_full = fom.evaluate([1.0])[0]
-    assert np.max(np.abs(y_red - y_full)) <= 1e-10 * np.max(np.abs(y_full))
+    for r, candidates in ((1, [1.0]), (3, np.logspace(-1, 1, 20))):
+        rom = greedy_rb_init(fom, r, candidates)
+        # a Galerkin rom reproduces the output at every snapshot point it holds
+        matched = 0
+        for p in candidates:
+            y_red = rom.C_terms[0][1] @ np.linalg.solve(
+                rom.A_terms[0][1] + p * rom.A_terms[1][1], rom.B_terms[0][1]
+            )
+            y_full = fom.evaluate([p])[0]
+            matched += np.max(np.abs(y_red - y_full)) <= 1e-10 * np.max(np.abs(y_full))
+        assert matched >= r
 
 
 def test_greedy_rb_duplicate_candidates_warn():
@@ -319,10 +323,11 @@ def test_fit_frequency_data_round_trip():
     assert trace.objectives[-1] <= trace.objectives[0]
 
 
-def test_irka_warns_when_stopped_at_max_iters():
+def test_irka_warns_when_stopped_at_max_iters(monkeypatch):
     fom = make_penzl()
-    with pytest.warns(RuntimeWarning, match="max_iters=1"):
-        irka_init(fom, 2, max_iters=1)
+    monkeypatch.setattr(optimize, "IRKA_MAX_ITERS", 1)
+    with pytest.warns(RuntimeWarning, match="IRKA_MAX_ITERS=1 map evaluations"):
+        irka_init(fom, 2)
 
 
 class _PerturbedSolves:
