@@ -15,8 +15,12 @@ answer the same protocol.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -38,6 +42,39 @@ __all__ = [
     "sample_stationary",
     "sample_h2l2",
 ]
+
+
+@cache
+def _kernels(name):
+    """scipy's compiled f2py module ``name``: ``"_flapack"`` (LAPACK) or ``"_fblas"`` (BLAS).
+
+    The only way l2rom reaches a kernel, bound once per process.  Importing
+    the scipy.linalg package for a dozen kernels would cost some 0.2 s and
+    24 MiB with scipy 1.17.1 (its array-API layer and what that pulls in),
+    against 4 MiB for ``_flapack`` alone.  A module already in
+    ``sys.modules`` (the caller imported scipy.linalg) is reused.  Otherwise
+    ``import scipy``, which is cheap and sets up the DLL search path on
+    Windows, and the extension file is loaded from scipy's ``linalg``
+    directory; ``importlib.util.find_spec`` would import the package.
+    Loading it registers it in ``sys.modules`` (CPython does so for these
+    single-phase extension modules), so a later import of scipy.linalg finds
+    this module object.  The package then never gets the attribute
+    ``scipy.linalg._flapack``; scipy reaches the module through from-imports
+    only, which look in ``sys.modules``.  Every scipy >= 1.10 ships both
+    modules; a missing one raises ImportError.
+    """
+    full_name = "scipy.linalg." + name
+    module = sys.modules.get(full_name)
+    if module is None:
+        import scipy
+
+        linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full_name)
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no compiled module {full_name}", name=full_name)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 def _triplets(entries, n):
@@ -112,13 +149,16 @@ class BandedLU:
       the pivoted elimination of ?gbtrf without its per-column BLAS calls.
       K0 + p K1 is formed on the band storage without its kl fill rows, and
       ?gttrf reads its sub-, main and super-diagonal rows in place, a
-      diagonal that the band lacks (kl = 0 or ku = 0) as zeros; scipy's
+      diagonal that the band lacks (kl = 0 or ku = 0) as zeros; the
       ?gttrf wrapper rejects n = 1 and n = 2;
     - any other symmetric band (``lower`` given) at a real p: band Cholesky,
       dpbtrf/dpbtrs on the (kl + 1, n) lower band.  If dpbtrf finds the
       operator not positive definite, the general band kernel factors it;
     - otherwise the general band ?gbtrf/?gbtrs, with partial pivoting, on a
-      Fortran-order copy that scipy makes.
+      Fortran-order copy that the f2py wrapper makes.
+
+    The kernels are scipy's compiled LAPACK wrappers (``_kernels``), called
+    without the scipy.linalg package.
 
     K0 + p K1 is formed, real or complex as p is, and factored.
     ``solve(rhs)`` is the primal solve and ``solve(rhs, trans="H")`` the
@@ -128,8 +168,7 @@ class BandedLU:
     """
 
     def __init__(self, bands, p):
-        from scipy.linalg import lapack
-
+        lapack = _kernels("_flapack")
         kl, ku, (ab_0, ab_1), lower = bands
         n = ab_0.shape[1]
         self.is_complex = np.iscomplexobj(p)
@@ -195,11 +234,12 @@ class _AffineFom:
     def product(self, k, x):
         """K_k x (k = 0 or 1) for a real or complex x of n rows, by BLAS dgbmv on rows kl onward of the layout.
 
-        scipy's dgbmv requires m >= kl + ku + 1, so a wider band (a dense
-        operator) is multiplied as m rows, cut to n: the layout is zero there.
+        dgbmv is scipy's compiled BLAS wrapper (``_kernels``), called without
+        the scipy.linalg package.  It requires m >= kl + ku + 1, so a wider
+        band (a dense operator) is multiplied as m rows, cut to n: the layout
+        is zero there.
         """
-        from scipy.linalg import blas
-
+        blas = _kernels("_fblas")
         kl, ku, layouts, _ = self.bands
         band, n, m = np.asfortranarray(layouts[k][kl:]), self.n, max(self.n, kl + ku + 1)
         y = _by_real_parts(lambda cols: np.column_stack([blas.dgbmv(m, n, kl, ku, 1.0, band, c)[:n] for c in cols.T]),

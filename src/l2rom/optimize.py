@@ -23,6 +23,7 @@ from .core import (
     lti_rom,
     stationary_rom,
 )
+from .models import _kernels
 from .spectral import _dense_band, mirror, pole_residue_lti, stable
 
 __all__ = [
@@ -367,8 +368,7 @@ def _conjugate_leads(shifts):
 
 def _orth(mat):
     """Orthonormal basis of the columns of a real (n, k) ``mat``, k <= n: the Q of its Householder QR."""
-    from scipy.linalg import lapack
-
+    lapack = _kernels("_flapack")
     qr, tau, _, _ = lapack.dgeqrf(mat)
     return lapack.dorgqr(qr, tau, overwrite_a=1)[0]
 

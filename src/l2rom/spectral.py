@@ -225,8 +225,9 @@ def _symmetric_eig_projections(ab2, ab1, B, C):
     reduction to standard form.  Returns (d, C X, X^T B) in ascending d, or
     None if A1 is not positive definite or the tridiagonal eigensolver fails.
     """
-    from scipy.linalg import lapack
+    from .models import _kernels
 
+    lapack = _kernels("_flapack")
     n = ab1.shape[1]
     Lb, info = lapack.dpbtrf(ab1, lower=1, overwrite_ab=1)
     if info != 0:
@@ -236,9 +237,11 @@ def _symmetric_eig_projections(ab2, ab1, B, C):
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
     T, diag, off, tau, _ = lapack.dsytrd(M, lower=1, lwork=lwork, overwrite_a=1)
     if n > 1:  # P <- Q^T P; the reflectors lie below the subdiagonal of T
-        lwork = int(lapack.dormqr("L", "T", T[1:, :-1], tau, P[1:], -1)[1][0])
-        P[1:] = lapack.dormqr("L", "T", T[1:, :-1], tau, P[1:], lwork)[0]
-    del M, T  # the reflectors are applied: free them before dstevd allocates Z and its workspace
+        reflectors = np.asfortranarray(T[1:, :-1])  # one contiguous copy, for the workspace query and the apply
+        del M, T
+        lwork = int(lapack.dormqr("L", "T", reflectors, tau, P[1:], -1)[1][0])
+        P[1:] = lapack.dormqr("L", "T", reflectors, tau, P[1:], lwork)[0]
+        del reflectors  # applied: freed before dstevd allocates Z and its workspace
     d, Z, info = lapack.dstevd(diag, off if n > 1 else np.zeros(1))
     if info != 0:
         return None

@@ -384,8 +384,9 @@ def test_bands_hold_every_operator_in_general_band_storage(make):
 
 def _record_kernel_calls(monkeypatch):
     """Record, in call order, the LAPACK factorization kernels called: ?gttrf, ?gbtrf and dpbtrf."""
-    from scipy.linalg import lapack
+    from l2rom.models import _kernels
 
+    lapack = _kernels("_flapack")
     calls = []
     for name in ("dgttrf", "zgttrf", "dgbtrf", "zgbtrf", "dpbtrf"):
         wrapped = getattr(lapack, name)
@@ -532,9 +533,11 @@ for make in (lambda: AffineLtiFom(fom.E, fom.A, fom.B, fom.C, time_domain="xt"),
 
 
 def test_building_models_does_not_import_scipy_sparse():
-    # scipy.sparse and scipy.linalg cost set-up time; the operators are
-    # built, and scipy imported, on the first solve.  No pipeline imports
-    # scipy.sparse: the band layout stores every full-order operator
+    # scipy.sparse and scipy.linalg cost set-up time and memory; the
+    # operators are built, and scipy's compiled kernels loaded, on the first
+    # solve.  No pipeline imports scipy.sparse (the band layout stores every
+    # full-order operator) or the scipy.linalg package: models._kernels
+    # loads its compiled LAPACK and BLAS modules alone
     code = """
 import sys
 import numpy as np
@@ -553,9 +556,48 @@ data = sample_stationary(poisson, 60)
 rom = fit(greedy_rb_init(poisson, 2, np.logspace(-1, 1, 20)), data).rom
 fom_pr = pole_residue_affine_singular(poisson.A1, poisson.A2, poisson.B, poisson.C)
 stationary_residuals(fom_pr, pole_residue(rom), Interval(*poisson.interval))
-print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg"))))
 """
-    assert _run_python([], code).split() == ["[]", "[]"]
+    assert _run_python([], code).splitlines() == ["[]", "['scipy.linalg._fblas', 'scipy.linalg._flapack']"]
+
+
+def test_kernels_reuse_the_modules_of_an_imported_scipy_linalg():
+    code = """
+import sys
+import scipy.linalg
+from l2rom.models import _kernels, make_penzl
+make_penzl().evaluate([1.0j])
+for name in ("_flapack", "_fblas"):
+    print(_kernels(name) is sys.modules["scipy.linalg." + name] is getattr(scipy.linalg, name))
+"""
+    assert _run_python([], code).split() == ["True", "True"]
+
+
+def test_a_missing_kernel_module_raises_import_error_naming_it():
+    from l2rom.models import _kernels
+
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._fnothing"):
+        _kernels.__wrapped__("_fnothing")
+
+
+def test_scipy_linalg_imports_after_the_first_solve():
+    # the package then reaches the loaded modules through from-imports
+    code = """
+import sys
+import numpy as np
+from l2rom.models import _kernels, make_poisson
+fom = make_poisson(8)
+fom.evaluate([2.0])
+print("scipy.linalg" in sys.modules)
+import scipy.linalg
+flapack = _kernels("_flapack")
+ab = fom.bands[3][0] + 2.0 * fom.bands[3][1]
+ours, theirs = flapack.dpbtrf(ab, lower=1), scipy.linalg.lapack.dpbtrf(ab, lower=1)
+print(sys.modules["scipy.linalg._flapack"] is flapack, ours[1] == theirs[1] == 0, np.array_equal(ours[0], theirs[0]))
+a = np.diag([2.0, 3.0]) + 1.0
+print(np.allclose(scipy.linalg.eigh(a, eigvals_only=True), np.linalg.eigvalsh(a)))
+"""
+    assert _run_python([], code).split() == ["False", "True", "True", "True", "True"]
 
 
 @pytest.mark.parametrize("interval", [(10.0, 1.0), (1.0, 1.0), (1.0, np.nan), (np.nan, 1.0), (0.1, np.inf)])

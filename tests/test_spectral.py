@@ -231,9 +231,10 @@ def test_affine_singular_general_path_reads_the_unfactored_band():
 
 
 def _count_lapack(monkeypatch, *names):
-    """Calls of the named scipy.linalg.lapack routines, counted from now on."""
-    from scipy.linalg import lapack
+    """Calls of the named LAPACK routines of l2rom's kernel module, counted from now on."""
+    from l2rom.models import _kernels
 
+    lapack = _kernels("_flapack")
     counts = dict.fromkeys(names, 0)
     for name in names:
         wrapped = getattr(lapack, name)
