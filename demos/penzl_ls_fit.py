@@ -11,7 +11,7 @@ Run:  python3 demos/penzl_ls_fit.py
 
 import numpy as np
 
-from l2rom import FitOptions, fit, irka_init, ls_residuals, pole_residue
+from l2rom import fit, irka_init, ls_residuals, pole_residue
 from l2rom.models import make_penzl, sample_frequency_response
 
 fom = make_penzl()
@@ -21,7 +21,7 @@ data = sample_frequency_response(fom, np.logspace(0, 4, 50))
 print(f"sampled {len(data)} points on the imaginary axis")
 
 init = irka_init(fom, 2)
-trace = fit(init, data, FitOptions(max_iters=500))
+trace = fit(init, data)
 print(f"fit: {trace.iterations} iterations, objective {trace.objectives[-1]:.3e}, "
       f"converged: {trace.converged} ({trace.message})")
 

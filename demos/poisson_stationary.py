@@ -14,7 +14,6 @@ Run:  python3 demos/poisson_stationary.py
 import numpy as np
 
 from l2rom import (
-    FitOptions,
     Interval,
     fit,
     greedy_rb_init,
@@ -28,7 +27,7 @@ print(f"mesh unknowns: {fom.n}, parameter interval: {fom.interval}")
 
 data = sample_stationary(fom, 60)
 init = greedy_rb_init(fom, 2, np.logspace(-1, 1, 20))
-trace = fit(init, data, FitOptions(max_iters=500))
+trace = fit(init, data)
 print(f"fit: {trace.iterations} iterations, objective {trace.objectives[-1]:.3e}")
 
 rom_pr = pole_residue(trace.rom)

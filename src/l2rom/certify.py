@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _points, mirror, stable
+from .spectral import _guard_pole_distance, _points, mirror, stable
 
 __all__ = [
     "Certificate",
@@ -213,10 +213,7 @@ def _cauchy_sum(nodes, weights, vals, points, order):
     """
     nodes = np.concatenate([np.conj(nodes), nodes])
     diffs = nodes - points[:, None]  # (M, 2N)
-    scale = max(np.max(np.abs(nodes)), 1.0)
-    near = np.min(np.abs(diffs), axis=1) < 1e-12 * scale
-    if np.any(near):
-        raise ValueError(f"evaluation point {points[np.argmax(near)]} coincides with a data node")
+    _guard_pole_distance(diffs, nodes, points, "a data node")
     coeff = 0.5 * np.concatenate([weights, weights]) / diffs ** (1 + order)
     return np.einsum("mn,noi->moi", coeff, np.concatenate([vals, np.conj(vals)]))
 
@@ -253,9 +250,9 @@ def ls_residuals(data, rom_pr, tolerance=1e-6):
 def _interval_rule(interval, n):
     """n-node Gauss-Legendre nodes and weights for the Lebesgue measure on [a, b].
 
-    When 0 < a the rule is Gauss-Legendre in u = ln t (weights dt = t du):
-    poles on the negative axis then lie at Im u = pi, far from
-    [ln a, ln b], and the rule converges geometrically.
+    When 0 < a the rule is Gauss-Legendre in u = ln t (weights dt = t du): poles on the negative
+    axis then lie at Im u = pi, far from [ln a, ln b], and the rule converges geometrically.
+    ``models.sample_stationary`` and ``models.sample_h2l2`` sample this rule too.
     """
     x, w = np.polynomial.legendre.leggauss(n)
     a, b = interval.a, interval.b

@@ -339,8 +339,8 @@ def build_parser():
     fitp.add_argument("--order-s", type=int, default=2)
     fitp.add_argument("--order-xi", type=int, default=2)
     fitp.add_argument("--restarts", type=int, default=1, help="random starts (for random initialization)")
-    fitp.add_argument("--max-iters", type=int, default=500)
-    fitp.add_argument("--tol", type=float, default=1e-8, help="relative gradient tolerance")
+    fitp.add_argument("--max-iters", type=int, default=FitOptions.max_iters)
+    fitp.add_argument("--tol", type=float, default=FitOptions.grad_tol, help="relative gradient tolerance")
     fitp.add_argument("--seed", type=int, default=0)
     fitp.add_argument("--out", "-o", required=True)
     fitp.add_argument("--trace", help="trace output path (default: OUT.trace)")

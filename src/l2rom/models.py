@@ -24,7 +24,7 @@ from importlib.util import module_from_spec
 
 import numpy as np
 
-from .certify import Interval
+from .certify import Interval, _interval_rule
 from .core import SampleSet
 from .spectral import PoleResidue2D, _check_wrt, _points, _time_domain
 
@@ -529,13 +529,13 @@ def sample_unit_circle(fom, num):
 
 
 def sample_stationary(fom, num_nodes):
-    """Gauss-Legendre quadrature of the Lebesgue measure on the model interval."""
+    """The STATIONARY certificate's Gauss rule of the Lebesgue measure on the model interval.
+
+    ``certify._interval_rule``: Gauss-Legendre in u = ln t when 0 < a (Poisson's [0.1, 10]), in t otherwise.
+    """
     if num_nodes < 2:
         raise ValueError("node count must be at least 2")
-    a, b = fom.interval
-    nodes, weights = np.polynomial.legendre.leggauss(num_nodes)
-    nodes = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    weights = 0.5 * (b - a) * weights
+    nodes, weights = _interval_rule(Interval(*fom.interval), num_nodes)
     values = fom.evaluate(nodes)  # real nodes: real factorizations
     return SampleSet(points=nodes.astype(complex)[:, None], values=values, weights=weights)
 
@@ -544,14 +544,13 @@ def sample_h2l2(fom, n_s=96, n_xi=64):
     """Quadrature of the product measure (imaginary axis) x (unit circle).
 
     The infinite frequency integral is mapped through omega = tan(t) and
-    discretized with Gauss-Legendre; the circle uses the uniform trapezoid
+    discretized with the Gauss-Legendre rule of t on [-pi/2, pi/2]
+    (``certify._interval_rule``); the circle uses the uniform trapezoid
     rule.  Weights absorb the 1/(4 pi^2) normalization.
     """
     _check_positive(n_s=n_s)
     xi, w_xi = _circle_rule(n_xi)
-    t_nodes, t_weights = np.polynomial.legendre.leggauss(n_s)
-    t_nodes = 0.5 * np.pi * t_nodes
-    t_weights = 0.5 * np.pi * t_weights
+    t_nodes, t_weights = _interval_rule(Interval(-0.5 * np.pi, 0.5 * np.pi), n_s)
     omega = np.tan(t_nodes)
     w_s = t_weights / np.cos(t_nodes) ** 2 / (2.0 * np.pi)
 

@@ -24,7 +24,7 @@ from .core import (
     stationary_rom,
 )
 from .models import _kernels
-from .spectral import _dense_band, mirror, pole_residue_lti, stable
+from .spectral import mirror, pole_residue_lti, stable
 
 __all__ = [
     "FitOptions",
@@ -62,7 +62,7 @@ IRKA_MAX_ITERS = 200
 
 @dataclass(frozen=True)
 class FitOptions:
-    max_iters: int = 200
+    max_iters: int = 500
     grad_tol: float = 1e-8  # relative to the initial gradient norm
 
     def __post_init__(self):
@@ -484,19 +484,19 @@ def _aitken(image, residuals, r, time_domain):
 def irka_init(fom, r):
     """Tangential rational Krylov fixed-point iteration for LTI systems.
 
-    ``fom`` is a ``models.AffineLtiFom``: ``factor(s)`` is the factored
-    s E - A, ``product`` multiplies by K0 = -A or K1 = E, and ``time_domain``,
-    "ct" or "dt", sets the mirror images and the stability test.  The first shifts are the mirror
-    images of the poles of the Galerkin projection onto the Krylov space of
-    (-A)^{-1} E at s = 0 (``_krylov_start``), so the result is
-    deterministic.  Each step projects (Petrov-Galerkin) at the current
-    shifts sigma, in tangential directions from the residue factors, and
-    maps the iterate z (shifts and unit directions) to F(z): the mirror
-    images g of the reduced poles, matched to sigma, and their residue
-    factors (``_irka_map``).  Each real shift or conjugate pair costs one
-    factorization, a primal and an adjoint solve.  The iteration stops when
-    max|g - sigma| <= IRKA_TOL max|g| and returns the order-r LTI StructuredRom
-    projected at sigma.
+    ``fom`` is a ``models.AffineLtiFom``: ``factor(s)`` is the factored s E - A,
+    ``product`` multiplies by K0 = -A or K1 = E, and ``time_domain``, "ct" or
+    "dt", sets the mirror images and the stability test.  For r >= n the result
+    is the model itself, E and A read through ``product``.  The first shifts are
+    the mirror images of the poles of the Galerkin projection onto the Krylov
+    space of (-A)^{-1} E at s = 0 (``_krylov_start``), so the result is
+    deterministic.  Each step projects (Petrov-Galerkin) at the current shifts
+    sigma, in tangential directions from the residue factors, and maps the
+    iterate z (shifts and unit directions) to F(z): the mirror images g of the
+    reduced poles, matched to sigma, and their residue factors (``_irka_map``).
+    Each real shift or conjugate pair costs one factorization, a primal and an
+    adjoint solve.  The iteration stops when max|g - sigma| <= IRKA_TOL max|g|
+    and returns the order-r LTI StructuredRom projected at sigma.
 
     A plain step takes z <- F(z).  When three plain steps contract at a
     steady rate, one step extrapolates instead (``_aitken``).  The next
@@ -513,9 +513,9 @@ def irka_init(fom, r):
     time_domain = fom.time_domain
     B = np.atleast_2d(np.asarray(fom.B, dtype=float))
     C = np.atleast_2d(np.asarray(fom.C, dtype=float))
-    if r >= fom.n:  # the exact copy, densified from the band layouts of -A and E
-        kl, ku, (minus_a, e), _ = fom.bands
-        return lti_rom(_dense_band(e[kl:], ku), -_dense_band(minus_a[kl:], ku), B, C)
+    if r >= fom.n:  # the exact copy: E = K1 and A = -K0 times the identity
+        eye = np.eye(fom.n)
+        return lti_rom(fom.product(1, eye), -fom.product(0, eye), B, C)
 
     v0 = _krylov_start(fom, r)
     lam0 = np.linalg.eigvals(np.linalg.solve(v0.T @ fom.product(1, v0), -v0.T @ fom.product(0, v0))).astype(complex)

@@ -401,12 +401,15 @@ def pole_residue(rom):
     raise ValueError("rom has an unrecognized operator structure")
 
 
-def _guard_pole_distance(diffs, poles, points):
-    """Raise if a row of diffs (one point's offsets from the poles) nearly vanishes."""
+def _guard_pole_distance(diffs, poles, points, what="a pole"):
+    """Raise if a row of diffs (one point's offsets from the poles) nearly vanishes.
+
+    Pole-residue forms share it with ``certify._cauchy_sum``, whose nodes are its poles (``what`` "a data node").
+    """
     scale = max(np.max(np.abs(poles)), 1.0)
     near = np.min(np.abs(diffs), axis=1) < POLE_EVAL_SEPARATION * scale
     if np.any(near):
-        raise ValueError(f"evaluation point {points[np.argmax(near)]} coincides with a pole")
+        raise ValueError(f"evaluation point {points[np.argmax(near)]} coincides with {what}")
 
 
 def pole_residue_eval(pr, points, order=0, wrt=0):

@@ -165,16 +165,18 @@ def test_sample_unit_circle_closure_and_weights():
 
 
 def test_sample_stationary_gauss_exactness():
-    # the quadrature underlying the stationary sampler integrates
-    # polynomials up to degree 2n-1 exactly on [a, b]
+    # on 0 < a the sampler is Gauss-Legendre in u = ln t with dt = t du, so
+    # it integrates (ln t)^k / t, a polynomial of degree k in u, exactly for
+    # k <= 2n - 1, and its weights sum to the length of [a, b]
     fom = make_poisson(cells_per_side=8)
     data = sample_stationary(fom, 10)
     a, b = fom.interval
     nodes = data.points[:, 0].real
-    for deg in (0, 3, 7, 15):
-        quad = np.sum(data.weights * nodes**deg)
-        exact = (b ** (deg + 1) - a ** (deg + 1)) / (deg + 1)
-        assert abs(quad - exact) <= 1e-10 * abs(exact)
+    for k in (0, 3, 7, 15, 19):
+        terms = data.weights * np.log(nodes) ** k / nodes
+        exact = (np.log(b) ** (k + 1) - np.log(a) ** (k + 1)) / (k + 1)
+        assert abs(np.sum(terms) - exact) <= 1e-12 * np.sum(np.abs(terms))
+    assert abs(np.sum(data.weights) - (b - a)) <= 1e-12 * (b - a)
 
 
 def test_sample_h2l2_quadrature_oracle():
@@ -317,7 +319,9 @@ def test_factored_solves_match_dense_oracle(name):
     # the dense random model (full band) and tridiagonal-n (n < 3): the
     # general band kernel.  evaluate/partial run on a batch of a real and a
     # complex point, and each point's factor (real or complex) solves real and
-    # complex right-hand sides, primal and adjoint.
+    # complex right-hand sides, primal and adjoint.  product(k, x) multiplies
+    # real, complex and 1-D x by K0 and K1; random and tridiagonal-2
+    # (kl + ku + 1 > n) take dgbmv's m >= kl + ku + 1 rows, cut to n.
     if name == "penzl":
         fom, points, band = make_penzl(), [0.3 + 150.0j, 2.0], (1, 1)
     elif name == "random":
@@ -351,6 +355,8 @@ def test_factored_solves_match_dense_oracle(name):
         for rhs in (real_rhs, complex_rhs, complex_rhs[:, 0]):
             cases.append((lu.solve(rhs), np.linalg.solve(K, rhs)))
             cases.append((lu.solve(rhs, trans="H"), np.linalg.solve(K.conj().T, rhs)))
+    for rhs in (real_rhs, complex_rhs, complex_rhs[:, 0]):
+        cases += [(fom.product(0, rhs), operator(0) @ rhs), (fom.product(1, rhs), dK @ rhs)]
     # a real point is factored real: the same bits as the real factor's solve
     real = np.array([p for p in points if np.isreal(p)], dtype=float)
     assert not np.iscomplexobj(fom.evaluate(real))
