@@ -63,13 +63,13 @@ class Interval:
 
 @dataclass(frozen=True)
 class CertificateRow:
-    """Residuals of one interpolation condition instance."""
+    """Residuals of one interpolation condition instance; a NaN among them fails the certificate."""
 
     label: str
     residuals: tuple  # of (condition name, relative residual)
 
     def max_residual(self):
-        return max(v for _, v in self.residuals)
+        return float(np.max([v for _, v in self.residuals]))
 
 
 @dataclass(frozen=True)
@@ -86,39 +86,45 @@ class Certificate:
 
     @property
     def max_residual(self):
-        return max(row.max_residual() for row in self.rows)
+        return float(np.max([row.max_residual() for row in self.rows]))
 
     @property
     def passed(self):
         return bool(self.max_residual <= self.tolerance)
 
 
+def _norms(x):
+    """The norm of each x[m], its square summed as np.linalg.norm sums one array: real parts, then imaginary."""
+    x = np.reshape(x, (len(x), 1, -1))
+    return np.sqrt(sum(part @ np.swapaxes(part, 1, 2) for part in (x.real, x.imag)))[:, 0, 0]
+
+
 def _rel(diff, ref):
-    return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), NORM_FLOOR))
+    """One relative residual |diff[m]| / |ref[m]| per interpolation point m."""
+    return _norms(diff) / np.maximum(_norms(ref), NORM_FLOOR)
+
+
+def _rows(labels, **columns):
+    """One CertificateRow per label; each keyword is a condition name and its residuals, one per label."""
+    table = zip(*([(name, float(v)) for v in col] for name, col in columns.items()))
+    return tuple(CertificateRow(label, residuals) for label, residuals in zip(labels, table))
+
+
+def _tangential(left, right, h, h_hat):
+    """The "right" and "left" columns at M points: (h - h_hat) b_m against h b_m, c_m^* (h - h_hat) against c_m^* h.
+
+    ``left``, ``right`` hold c_m, b_m, (M, n_o) and (M, n_i); ``h`` (reference side), ``h_hat`` are (M, n_o, n_i).
+    """
+    b, c = right[:, :, None], left.conj()[:, None]
+    diff = h - h_hat
+    return {"right": _rel(diff @ b, h @ b), "left": _rel(c @ diff, c @ h)}
 
 
 def _hermite_rows(left, right, h, h_hat, hd, hd_hat):
-    """Right, left and bitangential Hermite residuals, one row per pole k.
-
-    ``left[k]``, ``right[k]`` are c_k, b_k; ``h``, ``hd`` (reference side) and
-    ``h_hat``, ``hd_hat`` (reduced side) are the values and first derivatives
-    at the k-th interpolation point, each (r, n_o, n_i).
-    """
-    rows = []
-    for k in range(len(left)):
-        b, c = right[k], left[k].conj()
-        diff = h[k] - h_hat[k]
-        rows.append(
-            CertificateRow(
-                label=f"k={k}",
-                residuals=(
-                    ("right", _rel(diff @ b, h[k] @ b)),
-                    ("left", _rel(c @ diff, c @ h[k])),
-                    ("hermite", _rel(c @ (hd[k] - hd_hat[k]) @ b, c @ hd[k] @ b)),
-                ),
-            )
-        )
-    return tuple(rows)
+    """Rows k=0, 1, ...: the ``_tangential`` columns and "hermite", c_k^* (hd - hd_hat) b_k against c_k^* hd b_k."""
+    b, c = right[:, :, None], left.conj()[:, None]
+    hermite = _rel(c @ (hd - hd_hat) @ b, c @ hd @ b)
+    return _rows([f"k={k}" for k in range(len(left))], **_tangential(left, right, h, h_hat), hermite=hermite)
 
 
 def h2_residuals(fom, rom_pr, tolerance=None):
@@ -139,8 +145,7 @@ def h2_residuals(fom, rom_pr, tolerance=None):
     if not np.all(stable(rom_pr.poles, time_domain)):
         raise ValueError(f"the {family} certificate requires poles {region}")
     sig = mirror(rom_pr.poles, time_domain)
-    h, h_hat = fom.evaluate(sig), rom_pr.evaluate(sig)
-    hd, hd_hat = fom.partial(sig), rom_pr.partial(sig)
+    (h, hd), (h_hat, hd_hat) = ((model.evaluate(sig), model.partial(sig)) for model in (fom, rom_pr))
     rows = _hermite_rows(rom_pr.left_factors, rom_pr.right_factors, h, h_hat, hd, hd_hat)
     return Certificate(family=family, rows=rows, tolerance=default_tolerance if tolerance is None else tolerance)
 
@@ -148,101 +153,76 @@ def h2_residuals(fom, rom_pr, tolerance=None):
 def h2l2_residuals(fom, rom2d, tolerance=1e-4):
     """Two-variable interpolation residuals at (-conj lambda_k, 1/conj pi_l).
 
-    Per pole pair: right and left tangential conditions; per s-pole the
+    Per pole pair (k, l): right and left tangential conditions; per s-pole the
     pi-weighted sum of c_kj^* dH/ds b_kj over j; per xi-pole the sum of
     c_il^* dH/dxi b_il over i.  ``fom`` is any object with ``evaluate`` and
     ``partial(points, wrt)`` at (N, 2) points (s, xi), as for h2_residuals;
     the ``PoleResidue2D`` ``rom2d`` is evaluated through the same methods.
     """
-    lam = rom2d.s_poles
-    pi = rom2d.xi_poles
+    lam, pi = rom2d.s_poles, rom2d.xi_poles
     if not np.all(stable(lam, "ct")):
         raise ValueError("s-poles must lie in the open left half-plane")
     eta = mirror(pi, "dt")
     if not np.all(stable(eta, "dt")):
         raise ValueError("xi-poles must lie outside the closed unit disk")
-    sig = mirror(lam, "ct")
-
     r_s, r_xi = len(lam), len(pi)
-    pts = np.stack([np.repeat(sig, r_xi), np.tile(eta, r_s)], axis=1)  # pair (k, l) is row k * r_xi + l
+    pts = np.stack([np.repeat(mirror(lam, "ct"), r_xi), np.tile(eta, r_s)], axis=1)  # pair (k, l) is row k * r_xi + l
+    c, b = (factors.reshape(r_s * r_xi, -1) for factors in (rom2d.left_factors, rom2d.right_factors))
 
-    def grid(vals):
-        return vals.reshape(r_s, r_xi, *vals.shape[1:])
+    def bitangential(model, wrt):  # c_kl^* dH/dp_wrt b_kl, shape (r_s, r_xi)
+        return np.einsum("mo,moi,mi->m", c.conj(), model.partial(pts, wrt=wrt), b).reshape(r_s, r_xi)
 
-    h, h_hat = grid(fom.evaluate(pts)), grid(rom2d.evaluate(pts))
-    hs, hs_hat = grid(fom.partial(pts, wrt=0)), grid(rom2d.partial(pts, wrt=0))
-    hxi, hxi_hat = grid(fom.partial(pts, wrt=1)), grid(rom2d.partial(pts, wrt=1))
-    b = rom2d.right_factors
-    c = rom2d.left_factors.conj()
-
-    def bitangential(vals):  # c_kl^* vals[k, l] b_kl, shape (r_s, r_xi)
-        return np.einsum("klo,kloi,kli->kl", c, vals, b)
-
-    rows = []
-    for k in range(r_s):
-        for l in range(r_xi):
-            diff = h[k, l] - h_hat[k, l]
-            rows.append(
-                CertificateRow(
-                    label=f"k={k},l={l}",
-                    residuals=(
-                        ("right", _rel(diff @ b[k, l], h[k, l] @ b[k, l])),
-                        ("left", _rel(c[k, l] @ diff, c[k, l] @ h[k, l])),
-                    ),
-                )
-            )
-    lhs, rhs = bitangential(hs) @ eta, bitangential(hs_hat) @ eta
-    for k in range(r_s):
-        rows.append(
-            CertificateRow(label=f"s-sum k={k}", residuals=(("hermite-s", _rel(lhs[k] - rhs[k], lhs[k])),))
-        )
-    lhs, rhs = bitangential(hxi).sum(axis=0), bitangential(hxi_hat).sum(axis=0)
-    for l in range(r_xi):
-        rows.append(
-            CertificateRow(label=f"xi-sum l={l}", residuals=(("hermite-xi", _rel(lhs[l] - rhs[l], lhs[l])),))
-        )
-    return Certificate(family="H2xL2", rows=tuple(rows), tolerance=tolerance)
+    s_sum, s_sum_hat = (bitangential(model, 0) @ eta for model in (fom, rom2d))
+    xi_sum, xi_sum_hat = (bitangential(model, 1).sum(axis=0) for model in (fom, rom2d))
+    h, h_hat = fom.evaluate(pts), rom2d.evaluate(pts)
+    rows = (
+        _rows([f"k={k},l={l}" for k in range(r_s) for l in range(r_xi)], **_tangential(c, b, h, h_hat))
+        + _rows([f"s-sum k={k}" for k in range(r_s)], **{"hermite-s": _rel(s_sum - s_sum_hat, s_sum)})
+        + _rows([f"xi-sum l={l}" for l in range(r_xi)], **{"hermite-xi": _rel(xi_sum - xi_sum_hat, xi_sum)})
+    )
+    return Certificate(family="H2xL2", rows=rows, tolerance=tolerance)
 
 
-def _cauchy_sum(nodes, weights, vals, points, order):
-    """sum w V / (conj p - z)^(1 + order) over the conjugate-doubled measure, at each of M points z.
+def _cauchy_sums(nodes, weights, vals, points):
+    """T and T' at each of M points z: sum w V / (conj p - z)^(1 + order) over the conjugate-doubled measure.
 
     Node p (weight w, value V) and its mirror conj p (value conj V) carry
     w / 2 each.  A real model's misfit is the same at both, so this holds
-    for any sample set; a closed set keeps its own sums.  Returns (M, n_o, n_i).
+    for any sample set; a closed set keeps its own sums.  Returns the sums
+    of order 0 and 1, each (M, n_o, n_i).
     """
     nodes = np.concatenate([np.conj(nodes), nodes])
     diffs = nodes - points[:, None]  # (M, 2N)
     _guard_pole_distance(diffs, nodes, points, "a data node")
-    coeff = 0.5 * np.concatenate([weights, weights]) / diffs ** (1 + order)
-    return np.einsum("mn,noi->moi", coeff, np.concatenate([vals, np.conj(vals)]))
+    weights = 0.5 * np.concatenate([weights, weights])
+    vals = np.concatenate([vals, np.conj(vals)])
+    return tuple(np.einsum("mn,noi->moi", weights / diffs ** (1 + order), vals) for order in (0, 1))
 
 
 def modified_ls_tf_eval(data, rom_pr, points, order=0):
     """Evaluate T (rom_pr None) or That at M points z, shape (M, n_o, n_i).
 
     T(z) = sum_i rho_i H_i / (conj s_i - z) over the conjugate-doubled
-    samples (``_cauchy_sum``); That replaces H_i by the rom transfer function
+    samples (``_cauchy_sums``); That replaces H_i by the rom transfer function
     at the data nodes, evaluated once per call; order 1 gives the derivative.
     On a closed imaginary-axis set T(z) = G(-z), G(s) = sum_i rho_i H_i / (s - s_i).
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     vals = data.values if rom_pr is None else rom_pr.evaluate(data.points)
-    return _cauchy_sum(data.points[:, 0], data.weights, vals, _points(points, 1)[:, 0], order)
+    return _cauchy_sums(data.points[:, 0], data.weights, vals, _points(points, 1)[:, 0])[order]
 
 
 def ls_residuals(data, rom_pr, tolerance=1e-6):
     """Hermite interpolation residuals of That against T at conj(lambda_k).
 
-    The reduced model is evaluated at the data nodes once, and T, That and
-    their derivatives are summed at all r conjugate poles in one call each.
+    The reduced model is evaluated at the data nodes once, and T, T' and
+    That, That' are summed at all r conjugate poles in one call per side.
     """
     z = np.conj(rom_pr.poles)
-    nodes = data.points[:, 0]
-    rom_at_nodes = rom_pr.evaluate(data.points)
-    t, td = (_cauchy_sum(nodes, data.weights, data.values, z, order) for order in (0, 1))
-    t_hat, td_hat = (_cauchy_sum(nodes, data.weights, rom_at_nodes, z, order) for order in (0, 1))
+    (t, td), (t_hat, td_hat) = (
+        _cauchy_sums(data.points[:, 0], data.weights, vals, z) for vals in (data.values, rom_pr.evaluate(data.points))
+    )
     rows = _hermite_rows(rom_pr.left_factors, rom_pr.right_factors, t, t_hat, td, td_hat)
     return Certificate(family="DISCRETE_LS", rows=rows, tolerance=tolerance)
 
@@ -263,10 +243,14 @@ def _interval_rule(interval, n):
     return t, 0.5 * (hi - lo) * w * t
 
 
+def _is_real(values):
+    """True when max |Im z| <= 1e-8 max(max |z|, 1) over the values: real up to rounding."""
+    return bool(np.max(np.abs(np.imag(values))) <= 1e-8 * max(np.max(np.abs(values)), 1.0))
+
+
 def _real_outside(values, interval, what):
     """The values as a real array; ValueError unless real and outside [a, b] widened by the margin."""
-    values = np.asarray(values)
-    if np.max(np.abs(np.imag(values))) > 1e-8 * max(np.max(np.abs(values)), 1.0):
+    if not _is_real(values):
         raise ValueError(f"{what} must be real for the stationary certificate")
     values = np.real(values)
     margin = STATIONARY_POLE_MARGIN * (interval.b - interval.a)
@@ -279,7 +263,7 @@ def _modified_outputs(models, interval, points):
     """Y and Y' of each model at the M real points, shape (len(models), 2, M, n_o, n_i).
 
     Y(s) = int_a^b H(t) / (t - s) dt and Y'(s) = int_a^b H(t) / (t - s)^2 dt
-    are T and T' (``_cauchy_sum``) of the rules of STATIONARY_RULE_NODES in
+    are T and T' (``_cauchy_sums``) of the rules of STATIONARY_RULE_NODES in
     turn (conj t = t on real nodes), with H from ``model.evaluate``; each
     rule is built once and shared by the models.  The sums of the first rule
     that agrees with its predecessor to STATIONARY_RULE_RTOL at every point
@@ -288,10 +272,7 @@ def _modified_outputs(models, interval, points):
     previous = None
     for n in STATIONARY_RULE_NODES:
         nodes, weights = _interval_rule(interval, n)
-        sums = np.array([
-            [_cauchy_sum(nodes, weights, vals, points, order) for order in (0, 1)]
-            for vals in (model.evaluate(nodes) for model in models)
-        ])
+        sums = np.array([_cauchy_sums(nodes, weights, model.evaluate(nodes), points) for model in models])
         if previous is not None:
             change = np.linalg.norm(sums - previous, axis=(-2, -1))
             if np.all(change <= STATIONARY_RULE_RTOL * np.linalg.norm(sums, axis=(-2, -1))):
@@ -306,10 +287,9 @@ def _modified_outputs(models, interval, points):
 def modified_output_eval(model, interval, points, order=0):
     """Modified stationary output Y (order 0) or Y' (order 1) at M real points.
 
-    Y(s) = int_a^b H(t) / (t - s) dt for the model's H, evaluated through
-    ``model.evaluate``: a full-order model, or a ``PoleResidue`` form of the
-    full-order or the reduced model.  The points must lie outside [a, b];
-    returns (M, n_o, n_i).
+    Y(s) = int_a^b H(t) / (t - s) dt for the H of any model with ``evaluate``
+    (full-order, or a ``PoleResidue`` form of either side).  The points must
+    lie outside [a, b]; returns (M, n_o, n_i).
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")

@@ -20,6 +20,7 @@ import numpy as np
 from . import io, models
 from .certify import (
     Interval,
+    _is_real,
     h2_residuals,
     h2l2_residuals,
     ls_residuals,
@@ -274,7 +275,7 @@ def cmd_report(args):
         raise UsageError(f"reports exist for lti (discrete-ls) and stationary roms, found {structure}")
     pr = pole_residue(rom)
     # the grid is real, so it holds the interpolation points conj(lambda_k) only of real poles
-    if np.max(np.abs(pr.poles.imag)) > 1e-8 * max(np.max(np.abs(pr.poles)), 1.0):
+    if not _is_real(pr.poles):
         raise UsageError("the report draws T on the real axis and needs real reduced poles, found "
                          + np.array2string(np.sort_complex(pr.poles), precision=6))
     conj_poles = np.sort(pr.poles.real)

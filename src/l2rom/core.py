@@ -118,15 +118,21 @@ class StructuredRom:
     kron: KronStructure | None = None
 
     def __post_init__(self):
+        """Every term is real, finite and of its group's shape: A (r, r), B (r, n_i), C (n_o, r)."""
         r = self.r
-        for fam, mat in self.A_terms + self.B_terms + self.C_terms:
-            if np.iscomplexobj(mat):
-                raise ValueError("STROM matrices must be real-valued")
-            if fam.n_p != self.n_p:
-                raise ValueError("all scalar families must share the same arity")
-        for _, mat in self.A_terms:
-            if mat.shape != (r, r):
-                raise ValueError("A-term matrices must be square of size r")
+        n_i, n_o = np.shape(self.B_terms[0][1])[-1], np.shape(self.C_terms[0][1])[0]
+        shapes = {"A": (r, r), "B": (r, n_i), "C": (n_o, r)}
+        for group, terms in (("A", self.A_terms), ("B", self.B_terms), ("C", self.C_terms)):
+            for k, (fam, mat) in enumerate(terms):
+                what = f"{group}-term {k}"
+                if np.iscomplexobj(mat):
+                    raise ValueError(f"{what}: STROM matrices must be real-valued")
+                if fam.n_p != self.n_p:
+                    raise ValueError(f"{what}: all scalar families must share the same arity")
+                if np.shape(mat) != shapes[group]:
+                    raise ValueError(f"{what} has shape {np.shape(mat)}, expected {shapes[group]}")
+                if not np.all(np.isfinite(mat)):
+                    raise ValueError(f"{what} must be finite")
         if self.kron is not None:
             ks = self.kron
             if ks.r_s * ks.r_xi != r:
@@ -170,27 +176,33 @@ def batch_states(rom, pts):
         _assemble(_term_table(terms, pts), np.stack([mat for _, mat in terms]))
         for terms in (rom.A_terms, rom.B_terms, rom.C_terms)
     )
+    x = _solve_batch(ops, rhs, pts)
+    x_d = _solve_batch(np.conj(np.swapaxes(ops, -1, -2)), np.conj(np.swapaxes(cops, -1, -2)), pts)
+    return x, x_d, cops @ x
+
+
+def _solve_batch(ops, rhs, pts):
+    """np.linalg.solve of the (N, r, r) stack ``ops``; SingularOperatorError(pts) unless every solve is finite."""
     try:
         x = np.linalg.solve(ops, rhs)
-        x_d = np.linalg.solve(np.conj(np.swapaxes(ops, -1, -2)), np.conj(np.swapaxes(cops, -1, -2)))
     except np.linalg.LinAlgError as exc:
         raise SingularOperatorError(pts) from exc
-    y = cops @ x
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x_d))):
+    if not np.all(np.isfinite(x)):
         raise SingularOperatorError(pts)
-    return x, x_d, y
+    return x
 
 
 @dataclass(frozen=True)
 class SampleSet:
     """Weighted parameter/output samples defining a discrete measure."""
 
-    points: np.ndarray  # (N, n_p) complex
+    points: np.ndarray  # (N, n_p) complex; a 1-D or 0-d array holds one-coordinate points
     values: np.ndarray  # (N, n_o, n_i) complex
     weights: np.ndarray  # (N,) positive real
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=complex)))
+        points = np.asarray(self.points, dtype=complex)
+        object.__setattr__(self, "points", points.reshape(-1, 1) if points.ndim < 2 else points)
         values = np.asarray(self.values, dtype=complex)
         if values.ndim == 1:
             values = values[:, None, None]

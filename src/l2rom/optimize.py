@@ -18,6 +18,7 @@ from .core import (
     SingularOperatorError,
     StructuredRom,
     _assemble,
+    _solve_batch,
     _term_table,
     kron_rom,
     lti_rom,
@@ -151,12 +152,7 @@ class _Misfit:
                 a_mats = np.einsum("iab,jcd->ijacbd", [e, a], [e_xi, a_xi]).reshape(4, r, r)
             t_a, t_b, t_c = self._tables
             ops, cops = _assemble(t_a, a_mats), _assemble(t_c, vec[c0:].reshape(-1, n_o, r))
-            try:
-                x = np.linalg.solve(ops, _assemble(t_b, vec[b0:c0].reshape(-1, r, n_i)))
-            except np.linalg.LinAlgError as exc:
-                raise SingularOperatorError(self.data.points) from exc
-            if not np.all(np.isfinite(x)):
-                raise SingularOperatorError(self.data.points)
+            x = _solve_batch(ops, _assemble(t_b, vec[b0:c0].reshape(-1, r, n_i)), self.data.points)
             self._last = (vec.copy(), ops, cops, x, cops @ x - self.data.values)
         return self._last[1:]
 
@@ -168,10 +164,7 @@ class _Misfit:
     def gradient(self, vec):
         """The packed gradient at ``vec``."""
         ops, cops, x, err = self._states(vec)
-        try:
-            x_d = np.linalg.solve(np.conj(np.swapaxes(ops, -1, -2)), np.conj(np.swapaxes(cops, -1, -2)))
-        except np.linalg.LinAlgError as exc:
-            raise SingularOperatorError(self.data.points) from exc
+        x_d = _solve_batch(np.conj(np.swapaxes(ops, -1, -2)), np.conj(np.swapaxes(cops, -1, -2)), self.data.points)
         n = len(err)
         x_h = np.conj(np.swapaxes(x, -1, -2))
         left = x_d @ err

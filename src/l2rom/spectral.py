@@ -404,7 +404,7 @@ def pole_residue(rom):
 def _guard_pole_distance(diffs, poles, points, what="a pole"):
     """Raise if a row of diffs (one point's offsets from the poles) nearly vanishes.
 
-    Pole-residue forms share it with ``certify._cauchy_sum``, whose nodes are its poles (``what`` "a data node").
+    Pole-residue forms share it with ``certify._cauchy_sums``, whose nodes are its poles (``what`` "a data node").
     """
     scale = max(np.max(np.abs(poles)), 1.0)
     near = np.min(np.abs(diffs), axis=1) < POLE_EVAL_SEPARATION * scale

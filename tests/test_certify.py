@@ -22,7 +22,7 @@ from l2rom.models import (
     sample_stationary,
     sample_unit_circle,
 )
-from l2rom import certify, spectral
+from l2rom import certify, io, spectral
 from l2rom.optimize import FitOptions, fit, greedy_rb_init, irka_init
 from l2rom.spectral import (
     PoleResidue,
@@ -56,6 +56,24 @@ def test_certificate_structure():
     for tolerance in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             Certificate(family="H2_CT", rows=(row,), tolerance=tolerance)
+
+
+@pytest.mark.parametrize("row, position", [(0, 0), (0, 1), (0, 2), (1, 2)])
+def test_a_nan_residual_fails_the_certificate(tmp_path, row, position):
+    # a NaN anywhere fails the verdict, also where a max over Python floats would skip it
+    table = [[1e-12, 2e-12, 3e-12], [4e-12, 5e-12, 6e-12]]
+    table[row][position] = np.nan
+    rows = tuple(
+        CertificateRow(label=f"k={k}", residuals=tuple(zip(("right", "left", "hermite"), values)))
+        for k, values in enumerate(table)
+    )
+    cert = Certificate(family="H2_CT", rows=rows, tolerance=1e-6)
+    path = tmp_path / "cert.json"
+    io.write_payload(path, io.certificate_to_payload(cert))
+    back = io.certificate_from_payload(io.read_payload(path, expect_kind="certificate"))
+    for c in (cert, back):
+        assert np.isnan(c.max_residual) and np.isnan(c.rows[row].max_residual())
+        assert not c.passed
 
 
 def test_h2_ct_zero_residuals_on_self():

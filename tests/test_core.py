@@ -55,6 +55,23 @@ def test_rom_rejects_nonsquare_a_terms():
         )
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"B": [np.ones((3, 1))]}, r"B-term 0 has shape \(3, 1\), expected \(2, 1\)"),
+    ({"B": [np.ones((2, 1)), np.ones((2, 2))]}, r"B-term 1 has shape \(2, 2\), expected \(2, 1\)"),
+    ({"C": [np.ones((1, 3))]}, r"C-term 0 has shape \(1, 3\), expected \(1, 2\)"),
+    ({"C": [np.ones((1, 2)), np.ones((3, 2))]}, r"C-term 1 has shape \(3, 2\), expected \(1, 2\)"),
+    ({"A": [np.eye(2), np.array([[-1.0, np.nan], [0.0, -2.0]])]}, "A-term 1 must be finite"),
+    ({"B": [np.array([[1.0], [np.inf]])]}, "B-term 0 must be finite"),
+])
+def test_rom_rejects_misshapen_or_non_finite_terms(bad, message):
+    # each check is a ValueError naming the term, so python -O keeps it
+    fam = ScalarFamily.constant(1.0)
+    mats = {"A": [np.eye(2), -np.diag([1.0, 2.0])], "B": [np.ones((2, 1))], "C": [np.ones((1, 2))], **bad}
+    terms = [tuple((fam, mat) for mat in mats[group]) for group in "ABC"]
+    with pytest.raises(ValueError, match=message):
+        StructuredRom(*terms)
+
+
 def test_batch_states_scalar_lti():
     # y(s) = c b / (s e - a) with scalars
     e, a, b, c = 2.0, -3.0, 4.0, 5.0
@@ -104,6 +121,14 @@ def test_sample_set_validation():
         SampleSet(pts, vals, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         SampleSet(pts, vals, np.ones(2))
+
+
+def test_sample_set_takes_1d_points_as_one_coordinate_points():
+    data = SampleSet(points=np.array([1j, 2j, 3j]), values=np.ones(3), weights=np.ones(3))
+    assert data.points.shape == (3, 1) and data.n_p == 1
+    assert np.array_equal(data.points[:, 0], [1j, 2j, 3j])
+    single = SampleSet(points=np.array(2j), values=np.ones(1), weights=np.ones(1))
+    assert single.points.shape == (1, 1) and single.points[0, 0] == 2j
 
 
 @pytest.mark.parametrize("field", ["points", "values", "weights"])

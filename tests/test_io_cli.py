@@ -156,6 +156,24 @@ def test_cli_fit_init_file_must_match_structure(tmp_path, capsys):
     assert "(outputs, inputs) (1, 2) differ from the samples' (1, 1)" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_rom_file_with_misshapen_terms(tmp_path, capsys):
+    model = str(tmp_path / "m.json")
+    samples = str(tmp_path / "s.json")
+    rom = str(tmp_path / "rom.json")
+    cli.main(["generate", "random-lti", "--n", "6", "-o", model])
+    cli.main(["sample", model, "--scheme", "logspace 0.1 1 4", "-o", samples])
+    payload = io.rom_to_payload(lti_rom(np.eye(2), -np.diag([1.0, 2.0]), np.ones((2, 1)), np.ones((1, 2))))
+    payload["B_terms"][0]["matrix"] = np.ones((3, 1)).tolist()
+    io.write_payload(rom, payload)
+    capsys.readouterr()
+    for argv in (["certify", rom, "--family", "discrete-ls", "--samples", samples],
+                 ["fit", samples, "--structure", "lti", "--init", "file", "--init-file", rom,
+                  "-o", str(tmp_path / "r.json")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid rom file {rom}") and "B-term 0 has shape (3, 1)" in err
+
+
 def test_cli_fit_takes_its_dimensions_from_the_samples(tmp_path):
     model = str(tmp_path / "m.json")
     samples = str(tmp_path / "s.json")
