@@ -204,9 +204,9 @@ class SampleSet:
         points = np.asarray(self.points, dtype=complex)
         object.__setattr__(self, "points", points.reshape(-1, 1) if points.ndim < 2 else points)
         values = np.asarray(self.values, dtype=complex)
-        if values.ndim == 1:
-            values = values[:, None, None]
-        object.__setattr__(self, "values", values)
+        if values.ndim not in (1, 3):
+            raise ValueError(f"values have shape {values.shape}; expected (N,) or (N, n_o, n_i)")
+        object.__setattr__(self, "values", values[:, None, None] if values.ndim == 1 else values)
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if len(self.points) != len(self.values) or len(self.points) != len(self.weights):
             raise ValueError("points, values and weights must have equal length")

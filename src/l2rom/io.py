@@ -64,12 +64,15 @@ def _encode_real_array(arr):
 def write_payload(path, payload):
     """Atomically write a JSON payload; the envelope is validated first.
 
+    The text is strict JSON (RFC 8259): a NaN or infinite number raises
+    ValueError.  Certificates write theirs as null (``certificate_to_payload``).
+
     The temporary file is created with mode 0o666 under the process umask,
     as open(path, "w") would create it, and renamed over ``path``.
     """
     if payload.get("kind") not in KINDS:
         raise ValueError(f"payload kind must be one of {KINDS}")
-    text = json.dumps(dict(payload, version=FORMAT_VERSION)) + "\n"
+    text = json.dumps(dict(payload, version=FORMAT_VERSION), allow_nan=False) + "\n"
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -187,25 +190,31 @@ def rom_from_payload(payload):
     return rom
 
 
+def _finite_or_null(value):
+    return float(value) if np.isfinite(value) else None
+
+
 def certificate_to_payload(cert):
+    """The certificate file; a non-finite residual, and so ``max_residual``, is written as null."""
     return {
         "kind": "certificate",
         "family": cert.family,
         "tolerance": cert.tolerance,
         "passed": cert.passed,
-        "max_residual": cert.max_residual,
+        "max_residual": _finite_or_null(cert.max_residual),
         "rows": [
-            {"label": row.label, "residuals": [[name, val] for name, val in row.residuals]}
+            {"label": row.label, "residuals": [[name, _finite_or_null(val)] for name, val in row.residuals]}
             for row in cert.rows
         ],
     }
 
 
 def certificate_from_payload(payload):
+    """Decode a certificate file; a null residual reads back as NaN, which fails the certificate."""
     rows = tuple(
         CertificateRow(
             label=row["label"],
-            residuals=tuple((name, float(val)) for name, val in row["residuals"]),
+            residuals=tuple((name, np.nan if val is None else float(val)) for name, val in row["residuals"]),
         )
         for row in payload["rows"]
     )

@@ -360,10 +360,19 @@ def _conjugate_leads(shifts):
 
 
 def _orth(mat):
-    """Orthonormal basis of the columns of a real (n, k) ``mat``, k <= n: the Q of its Householder QR."""
+    """The Q of the Householder QR (LAPACK dgeqrf, dorgqr) of a real (n, k) ``mat`` and the diagonal of its R.
+
+    Q has min(n, k) orthonormal columns; a small diagonal entry marks a column that the ones before it nearly span.
+    """
     lapack = _kernels("_flapack")
     qr, tau, _, _ = lapack.dgeqrf(mat)
-    return lapack.dorgqr(qr, tau, overwrite_a=1)[0]
+    diag = np.diag(qr).copy()  # np.diag is a view, and dorgqr overwrites qr
+    return lapack.dorgqr(qr[:, : len(tau)], tau, overwrite_a=1)[0], diag
+
+
+def _project(fom, w, v):
+    """The projection (W^T K0 V, W^T K1 V, W^T B, C V) of ``fom`` onto the bases ``w`` and ``v``."""
+    return w.T @ fom.product(0, v), w.T @ fom.product(1, v), w.T @ fom.B, fom.C @ v
 
 
 def _krylov_start(fom, r):
@@ -371,15 +380,13 @@ def _krylov_start(fom, r):
 
     Its columns span the moments of the transfer function at s = 0, the
     rational Krylov space of one factorization of -A (``fom.factor(0)``)
-    and r solves.
+    and r solves, each orthonormalized into the basis by ``_orth``.
     """
     lu = fom.factor(0.0)
-    basis = np.zeros((fom.n, r))
+    basis = np.zeros((fom.n, 0))
     for k in range(r):
-        q = lu.solve(fom.product(1, basis[:, k - 1]) if k else fom.B @ np.ones(fom.n_i))
-        for _ in range(2):  # Gram-Schmidt, repeated for orthogonality to working precision
-            q = q - basis[:, :k] @ (basis[:, :k].T @ q)
-        basis[:, k] = q / np.linalg.norm(q)
+        q = lu.solve(fom.product(1, basis[:, -1]) if k else fom.B @ np.ones(fom.n_i))
+        basis = _orth(np.column_stack([basis, q]))[0]
     return basis
 
 
@@ -415,9 +422,9 @@ def _split(state, n_i, n_o):
 def _irka_map(fom, B, C, state, time_domain):
     """One evaluation of the IRKA fixed-point map.
 
-    Petrov-Galerkin projection onto the real bases of the primal and
-    adjoint solves at the shifts of ``state``, in its tangential
-    directions; each real shift or conjugate pair costs one factorization.
+    Petrov-Galerkin projection (``_project``) onto the orthonormalized real
+    bases of the primal and adjoint solves at the shifts of ``state``, in its
+    tangential directions; each real shift or conjugate pair costs one factorization.
     Returns the reduced (E, A, B, C), its poles and the image iterate: the
     mirrored poles, matched to the shifts (``_nearest_order``), with their
     right and left residue factors (``_unit_aligned``).
@@ -434,8 +441,8 @@ def _irka_map(fom, B, C, state, time_domain):
             cols.append(x.real)
             if paired:
                 cols.append(x.imag)
-    v, w = _orth(np.column_stack(v_cols)), _orth(np.column_stack(w_cols))
-    reduced = w.T @ fom.product(1, v), -w.T @ fom.product(0, v), w.T @ B, C @ v
+    k0, k1, b_r, c_r = _project(fom, _orth(np.column_stack(w_cols))[0], _orth(np.column_stack(v_cols))[0])
+    reduced = k1, -k0, b_r, c_r
     pr = pole_residue_lti(*reduced)
     poles = pr.poles
     mirrored = np.where(stable(poles, time_domain), mirror(poles, time_domain), poles)  # unstable poles stay
@@ -480,7 +487,7 @@ def irka_init(fom, r):
     ``fom`` is a ``models.AffineLtiFom``: ``factor(s)`` is the factored s E - A,
     ``product`` multiplies by K0 = -A or K1 = E, and ``time_domain``, "ct" or
     "dt", sets the mirror images and the stability test.  For r >= n the result
-    is the model itself, E and A read through ``product``.  The first shifts are
+    is the model itself, projected onto the identity (``_project``).  The first shifts are
     the mirror images of the poles of the Galerkin projection onto the Krylov
     space of (-A)^{-1} E at s = 0 (``_krylov_start``), so the result is
     deterministic.  Each step projects (Petrov-Galerkin) at the current shifts
@@ -503,16 +510,14 @@ def irka_init(fom, r):
     """
     if r < 1:
         raise ValueError(f"the reduced order r must be at least 1, got {r}")
-    time_domain = fom.time_domain
-    B = np.atleast_2d(np.asarray(fom.B, dtype=float))
-    C = np.atleast_2d(np.asarray(fom.C, dtype=float))
-    if r >= fom.n:  # the exact copy: E = K1 and A = -K0 times the identity
-        eye = np.eye(fom.n)
-        return lti_rom(fom.product(1, eye), -fom.product(0, eye), B, C)
+    time_domain, n_i, n_o = fom.time_domain, fom.n_i, fom.n_o
+    if r >= fom.n:  # the exact copy: E = K1 and A = -K0, projected onto the identity
+        k0, k1, b, c = _project(fom, np.eye(fom.n), np.eye(fom.n))
+        return lti_rom(k1, -k0, b, c)
 
     v0 = _krylov_start(fom, r)
-    lam0 = np.linalg.eigvals(np.linalg.solve(v0.T @ fom.product(1, v0), -v0.T @ fom.product(0, v0))).astype(complex)
-    n_i, n_o = B.shape[1], C.shape[0]
+    k0, k1, _, _ = _project(fom, v0, v0)
+    lam0 = np.linalg.eigvals(np.linalg.solve(k1, -k0)).astype(complex)
     state = np.concatenate([
         np.where(stable(lam0, time_domain), mirror(lam0, time_domain), lam0),
         np.full(r * n_i, 1.0 / np.sqrt(n_i)),
@@ -523,7 +528,7 @@ def irka_init(fom, r):
     extrapolate = True
     fallback = None  # the plain iterate and |F(z) - z| before an extrapolation
     for _ in range(IRKA_MAX_ITERS):
-        reduced, poles, image = _irka_map(fom, B, C, state, time_domain)
+        reduced, poles, image = _irka_map(fom, fom.B, fom.C, state, time_domain)
         residual = image - state
         if fallback is not None:
             (plain, before), fallback = fallback, None
@@ -562,21 +567,20 @@ def greedy_rb_init(fom, r, candidates):
     reused as the snapshot when the candidate is picked.  The output errors
     start as max|y(p)| over the candidates.  Each of min(r, number of
     candidates) passes picks the unpicked candidate of largest error,
-    re-orthonormalizes the basis with its snapshot (a QR that drops
-    directions below 1e-12 of the largest), projects (one-sided Galerkin)
-    and measures every candidate's reduced output error in one batched
-    solve.  Returns the last projection, with a UserWarning when it has
-    fewer than r independent snapshots.
+    re-orthonormalizes the basis with its snapshot (``_orth``, dropping a
+    column whose R diagonal is below 1e-12 of the largest), projects
+    (one-sided Galerkin, ``_project``) and measures every candidate's
+    reduced output error in one batched solve.  Returns the last projection,
+    with a UserWarning when it has fewer than r independent snapshots.
     """
     if r < 1:
         raise ValueError(f"the reduced order r must be at least 1, got {r}")
-    b, c = np.atleast_2d(fom.B), np.atleast_2d(fom.C)
     candidates = np.unique(np.asarray(candidates, dtype=float))
     if len(candidates) == 0:
         raise ValueError("at least one candidate parameter point is required")
 
-    states = [fom.factor(p).solve(b) for p in candidates]
-    y_full = np.stack([c @ x for x in states])
+    states = [fom.factor(p).solve(fom.B) for p in candidates]
+    y_full = np.stack([fom.C @ x for x in states])
 
     errs = np.max(np.abs(y_full), axis=(1, 2))
     basis = np.zeros((fom.n, 0))
@@ -584,16 +588,11 @@ def greedy_rb_init(fom, r, candidates):
     for _ in range(min(r, len(candidates))):
         errs[chosen] = -1.0
         chosen.append(int(np.argmax(errs)))
-        q, rr = np.linalg.qr(np.hstack([basis, states[chosen[-1]]]))
-        keep = np.abs(np.diag(rr)) > 1e-12 * max(np.max(np.abs(np.diag(rr))), 1e-300)
-        basis = q[:, keep]
-        a1_r, a2_r = basis.T @ fom.product(0, basis), basis.T @ fom.product(1, basis)
-        b_r, c_r = basis.T @ b, c @ basis
+        q, diag = _orth(np.hstack([basis, states[chosen[-1]]]))
+        basis = q[:, np.abs(diag) > 1e-12 * max(np.max(np.abs(diag)), 1e-300)]
+        a1_r, a2_r, b_r, c_r = _project(fom, basis, basis)
         y_red = c_r @ np.linalg.solve(a1_r + candidates[:, None, None] * a2_r, b_r[None])
         errs = np.max(np.abs(y_full - y_red), axis=(1, 2))
     if basis.shape[1] < r:
-        warnings.warn(
-            f"only {basis.shape[1]} independent snapshots found; reduced order lowered",
-            stacklevel=2,
-        )
+        warnings.warn(f"only {basis.shape[1]} independent snapshots found; reduced order lowered", stacklevel=2)
     return stationary_rom(a1_r, a2_r, b_r, c_r)

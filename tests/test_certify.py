@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -70,6 +72,13 @@ def test_a_nan_residual_fails_the_certificate(tmp_path, row, position):
     cert = Certificate(family="H2_CT", rows=rows, tolerance=1e-6)
     path = tmp_path / "cert.json"
     io.write_payload(path, io.certificate_to_payload(cert))
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+    # strict JSON: the NaN residual and the maximum are written as null
+    strict = json.loads(path.read_text(), parse_constant=reject)
+    assert strict["max_residual"] is None and strict["rows"][row]["residuals"][position][1] is None
     back = io.certificate_from_payload(io.read_payload(path, expect_kind="certificate"))
     for c in (cert, back):
         assert np.isnan(c.max_residual) and np.isnan(c.rows[row].max_residual())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,15 @@ def test_sample_set_takes_1d_points_as_one_coordinate_points():
     assert np.array_equal(data.points[:, 0], [1j, 2j, 3j])
     single = SampleSet(points=np.array(2j), values=np.ones(1), weights=np.ones(1))
     assert single.points.shape == (1, 1) and single.points[0, 0] == 2j
+
+
+@pytest.mark.parametrize("shape", [(), (3, 2), (3, 1, 1, 1)], ids=["0-d", "N-by-k", "4-d"])
+def test_sample_set_rejects_values_of_another_shape(shape):
+    # (N,) and (N, n_o, n_i) are the only layouts: n_o and n_i read the last two axes
+    assert SampleSet(np.ones(3), np.ones(3), np.ones(3)).values.shape == (3, 1, 1)
+    assert SampleSet(np.ones(3), np.ones((3, 2, 4)), np.ones(3)).values.shape == (3, 2, 4)
+    with pytest.raises(ValueError, match=rf"values have shape {re.escape(str(shape))}; expected \(N,\) or"):
+        SampleSet(np.ones(3), np.ones(shape), np.ones(3))
 
 
 @pytest.mark.parametrize("field", ["points", "values", "weights"])

@@ -406,9 +406,11 @@ _SAMPLES = {"kind": "samples", "version": 1, "points": [[[1.0, 0.0]], [[2.0, 0.0
         ("samples", [1, 2], "JSON object"),
         ("samples", {key: val for key, val in _SAMPLES.items() if key != "values"}, "values"),
         ("samples", dict(_SAMPLES, weights=[1.0, float("nan")]), "must be finite"),
+        ("samples", dict(_SAMPLES, values=[[[1.0, 0.0], [2.0, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]),
+         "values have shape (2, 2); expected (N,) or (N, n_o, n_i)"),
         ("rom", {"kind": "rom", "version": 1, "n_p": 1, "A_terms": [], "C_terms": []}, "B_terms"),
     ],
-    ids=["not-an-object", "no-values", "nan-weight", "rom-no-B_terms"],
+    ids=["not-an-object", "no-values", "nan-weight", "values-2d", "rom-no-B_terms"],
 )
 def test_cli_malformed_file_is_usage_error(tmp_path, capsys, kind, payload, message):
     path = tmp_path / f"{kind}.json"
@@ -596,3 +598,25 @@ def test_cli_model_of_the_wrong_kind_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"requires a model of kind {wanted}, " in err and err.rstrip().endswith(f"holds one of kind {found}")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_kron_and_stationary_random_starts(tmp_path, capsys):
+    model, samples, rom, cert = (str(tmp_path / f"{name}.json") for name in ("m", "s", "r", "c"))
+    assert cli.main(["generate", "kron-parametric", "--s-terms", "3", "--xi-terms", "2", "--inputs", "2",
+                     "--outputs", "2", "-o", model]) == 0
+    assert cli.main(["sample", model, "--scheme", "h2l2 16 8", "-o", samples]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", samples, "--structure", "kron", "--order-s", "2", "--order-xi", "2",
+                     "--max-iters", "50", "-o", rom]) == 0
+    out = capsys.readouterr().out
+    assert "s-poles:" in out and "xi-poles:" in out
+    assert cli.main(["certify", rom, "--family", "h2xl2", "--model", model, "-o", cert]) in (0, 1)
+    assert io.read_payload(cert, expect_kind="certificate")["family"] == "H2xL2"
+    # the h2l2 scheme needs both grid sizes
+    assert cli.main(["sample", model, "--scheme", "h2l2 16", "-o", samples]) == 2
+    assert "bad sampling scheme 'h2l2 16'" in capsys.readouterr().err
+    # a random stationary start needs no model
+    assert cli.main(["generate", "poisson", "--cells", "4", "-o", model]) == 0
+    assert cli.main(["sample", model, "--scheme", "gauss 20", "-o", samples]) == 0
+    assert cli.main(["fit", samples, "--structure", "stationary", "--init", "random", "-o", rom]) == 0
+    assert spectral.rom_structure(io.rom_from_payload(io.read_payload(rom, expect_kind="rom"))) == "stationary"

@@ -9,6 +9,7 @@ from l2rom.certify import h2_residuals
 from l2rom.core import SampleSet, SingularOperatorError, batch_states, kron_rom, lti_rom, stationary_rom
 from l2rom.models import (
     AffineLtiFom,
+    AffineStationaryFom,
     make_kron_parametric,
     make_penzl,
     make_poisson,
@@ -292,6 +293,18 @@ def test_greedy_rb_duplicate_candidates_warn():
     assert any("independent snapshots" in str(w.message) for w in caught)
 
 
+def test_greedy_rb_drops_a_dependent_snapshot():
+    # every state (1 + p)^{-1} a^{-1} B is parallel to the first: two of the three passes drop their snapshot
+    a = np.diag(np.arange(1.0, 7.0))
+    fom = AffineStationaryFom(A1=a, A2=a, B=np.ones((6, 1)), C=np.ones((1, 6)))
+    with pytest.warns(UserWarning, match="only 1 independent snapshots found"):
+        rom = greedy_rb_init(fom, 3, np.logspace(-1, 1, 5))
+    assert rom.r == 1
+    p = 2.0
+    y_red = rom.C_terms[0][1] @ np.linalg.solve(rom.A_terms[0][1] + p * rom.A_terms[1][1], rom.B_terms[0][1])
+    assert np.allclose(y_red, fom.evaluate([p])[0], rtol=1e-12, atol=0)
+
+
 def test_greedy_rb_accuracy_on_poisson():
     fom = make_poisson(cells_per_side=8)
     rom = greedy_rb_init(fom, 3, np.logspace(-1, 1, 20))
@@ -303,6 +316,31 @@ def test_greedy_rb_accuracy_on_poisson():
         y_full = fom.evaluate([p])[0]
         rel.append(np.max(np.abs(y_red - y_full)) / np.max(np.abs(y_full)))
     assert max(rel) <= 1e-2
+
+
+def test_fit_returns_its_start_when_no_step_decreases(monkeypatch):
+    data = axis_samples(small_lti(seed=3))
+    init = small_lti(seed=4)
+    start = optimize._pack_rom(init)
+    # every point but the start reads one higher, so the line search halves its step below MIN_STEP
+    monkeypatch.setattr(optimize._Misfit, "value", lambda self, vec: 1.0 + float(not np.array_equal(vec, start)))
+    trace = fit(init, data)
+    assert trace.message == "line search failed; returning best iterate"
+    assert not trace.converged and trace.iterations == 0 and trace.objectives == [1.0]
+    assert np.array_equal(optimize._pack_rom(trace.rom), start)
+
+
+def test_fit_replaces_an_ascent_direction_by_steepest_descent(monkeypatch):
+    # a direction along the gradient resets the curvature memory and steps along -g instead
+    data = axis_samples(small_lti(seed=3))
+    init = small_lti(seed=4)
+    traces = []
+    for sign in (1.0, -1.0):
+        monkeypatch.setattr(optimize, "_lbfgs_direction", lambda grad, pairs, sign=sign: sign * grad)
+        traces.append(fit(init, data, FitOptions(max_iters=5)))
+    ascent, descent = traces
+    assert ascent.iterations == 5 and np.all(np.diff(ascent.objectives) < 0)
+    assert ascent.objectives == descent.objectives
 
 
 def test_fit_improves_stationary_objective():
