@@ -21,7 +21,6 @@ from .spectral import (
     DefectivePencilError,
     PoleResidue,
     PoleResidue2D,
-    diagonalize_pencil,
     kron_pole_residue,
     pole_residue,
     pole_residue_affine_singular,
@@ -63,7 +62,6 @@ __all__ = [
     "DefectivePencilError",
     "PoleResidue",
     "PoleResidue2D",
-    "diagonalize_pencil",
     "kron_pole_residue",
     "pole_residue",
     "pole_residue_affine_singular",

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -53,9 +53,11 @@ def _kernels(name):
     24 MiB with scipy 1.17.1 (its array-API layer and what that pulls in),
     against 4 MiB for ``_flapack`` alone.  A module already in
     ``sys.modules`` (the caller imported scipy.linalg) is reused.  Otherwise
-    ``import scipy``, which is cheap and sets up the DLL search path on
-    Windows, and the extension file is loaded from scipy's ``linalg``
-    directory; ``importlib.util.find_spec`` would import the package.
+    the extension file is loaded from the ``linalg`` directory of the scipy
+    package, which ``importlib.util.find_spec("scipy")`` locates without
+    importing anything (``find_spec`` of the submodule would import both
+    packages).  scipy itself is imported only on Windows, where its import
+    sets up the DLL search path.
     Loading it registers it in ``sys.modules`` (CPython does so for these
     single-phase extension modules), so a later import of scipy.linalg finds
     this module object.  The package then never gets the attribute
@@ -66,12 +68,13 @@ def _kernels(name):
     full_name = "scipy.linalg." + name
     module = sys.modules.get(full_name)
     if module is None:
-        import scipy
-
-        linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-        spec = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full_name)
+        if sys.platform == "win32":
+            import scipy  # noqa: F401
+        package = find_spec("scipy")  # None if scipy is missing
+        linalg_dir = package and os.path.join(package.submodule_search_locations[0], "linalg")
+        spec = linalg_dir and FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full_name)
         if spec is None:
-            raise ImportError(f"scipy {scipy.__version__} has no compiled module {full_name}", name=full_name)
+            raise ImportError(f"cannot find scipy's compiled module {full_name}", name=full_name)
         module = module_from_spec(spec)
         spec.loader.exec_module(module)
     return module

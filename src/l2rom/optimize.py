@@ -419,7 +419,7 @@ def _split(state, n_i, n_o):
     return state[:r], state[r : r * (1 + n_i)].reshape(r, n_i), state[r * (1 + n_i) :].reshape(r, n_o)
 
 
-def _irka_map(fom, B, C, state, time_domain):
+def _irka_map(fom, state):
     """One evaluation of the IRKA fixed-point map.
 
     Petrov-Galerkin projection (``_project``) onto the orthonormalized real
@@ -429,7 +429,8 @@ def _irka_map(fom, B, C, state, time_domain):
     mirrored poles, matched to the shifts (``_nearest_order``), with their
     right and left residue factors (``_unit_aligned``).
     """
-    shifts, b_dirs, c_dirs = _split(state, B.shape[1], C.shape[0])
+    B, C, time_domain = fom.B, fom.C, fom.time_domain
+    shifts, b_dirs, c_dirs = _split(state, fom.n_i, fom.n_o)
     v_cols, w_cols = [], []
     for k, paired in _conjugate_leads(shifts):
         lu = fom.factor(shifts[k])
@@ -528,7 +529,7 @@ def irka_init(fom, r):
     extrapolate = True
     fallback = None  # the plain iterate and |F(z) - z| before an extrapolation
     for _ in range(IRKA_MAX_ITERS):
-        reduced, poles, image = _irka_map(fom, fom.B, fom.C, state, time_domain)
+        reduced, poles, image = _irka_map(fom, state)
         residual = image - state
         if fallback is not None:
             (plain, before), fallback = fallback, None

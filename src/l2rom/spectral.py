@@ -1,9 +1,13 @@
-"""Pencil diagonalization and pole-residue representations.
+"""Pole-residue representations and the conversions to them.
 
 Covers the conversion from state-space data to partial-fraction (pole-residue)
 form, including the singular-coefficient case that produces a constant term,
 and the two-variable Kronecker-structured case; ``pole_residue(rom)`` picks
-the conversion from a structured reduced model's operator structure.
+the conversion from a structured reduced model's operator structure.  Every
+dense conversion diagonalizes through one eigen-step (``_eig_pencil``); the
+symmetric band path of ``pole_residue_affine_singular`` uses a tridiagonal
+eigensolver instead.  ``PoleResidue`` and ``PoleResidue2D`` check once, when
+built, that their poles are pairwise distinct.
 ``stable`` and ``mirror`` hold the geometry of the two time domains: the
 stability region and the reflection across its boundary.
 ``PoleResidue`` and ``PoleResidue2D`` answer the batched ``evaluate``/``partial``
@@ -19,9 +23,7 @@ import numpy as np
 __all__ = [
     "PoleResidue",
     "PoleResidue2D",
-    "PencilDiag",
     "DefectivePencilError",
-    "diagonalize_pencil",
     "rom_structure",
     "pole_residue",
     "pole_residue_lti",
@@ -55,15 +57,6 @@ def _time_domain(time_domain):
 
 class DefectivePencilError(np.linalg.LinAlgError):
     """The pencil has clustered or defective eigenvalues."""
-
-
-@dataclass(frozen=True)
-class PencilDiag:
-    """Diagonalization S^* E T = I, S^* A T = Lambda of a regular pencil."""
-
-    eigenvalues: np.ndarray  # (r,) complex
-    T: np.ndarray  # (r, r) right transformation
-    S: np.ndarray  # (r, r) left transformation
 
 
 @dataclass(frozen=True)
@@ -170,35 +163,32 @@ def _check_distinct(poles):
             raise DefectivePencilError(f"poles not pairwise distinct: separation {sep:.2e} at pole {p[i]}")
 
 
-def diagonalize_pencil(E, A):
-    """Diagonalize the pencil (E, A): S^* E T = I and S^* A T = Lambda.
+def _eig_pencil(E, A):
+    """(lam, T, S^*) with S^* E T = I and S^* A T = diag(lam), from the eigenvectors T of E^{-1} A.
 
-    Requires E invertible and E^{-1} A diagonalizable with simple eigenvalues.
+    S^* = (E T)^{-1} gives the first identity; the second follows from the
+    eigendecomposition.  Requires E invertible and E^{-1} A diagonalizable;
+    a pencil that fails either identity to 1e-10 relative raises
+    DefectivePencilError.  Whether the poles are distinct is checked by the
+    pole-residue form that holds them.
     """
-    E = np.asarray(E, dtype=complex)
-    A = np.asarray(A, dtype=complex)
     lam, T = np.linalg.eig(np.linalg.solve(E, A))
-    _check_distinct(lam)
-    # S^* = (E T)^{-1} enforces the first identity; the second follows from
-    # the eigendecomposition of E^{-1} A.
-    S = np.linalg.inv(E @ T).conj().T
-    diag = PencilDiag(eigenvalues=lam, T=T, S=S)
-    r = len(lam)
-    res_e = np.linalg.norm(S.conj().T @ E @ T - np.eye(r))
-    res_a = np.linalg.norm(S.conj().T @ A @ T - np.diag(lam))
+    Sh = np.linalg.inv(E @ T)
+    res_e = np.linalg.norm(Sh @ E @ T - np.eye(len(lam)))
+    res_a = np.linalg.norm(Sh @ A @ T - np.diag(lam))
     if res_e > 1e-10 * max(np.linalg.norm(E), 1e-300) or res_a > 1e-10 * max(np.linalg.norm(A), 1e-300):
         raise DefectivePencilError("pencil diagonalization residual too large (near-defective pencil)")
-    return diag
+    return lam, T, Sh
 
 
 def pole_residue_lti(E, A, B, C):
     """Pole-residue form of C (sE - A)^{-1} B with simple poles."""
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     C = np.atleast_2d(np.asarray(C, dtype=complex))
-    diag = diagonalize_pencil(E, A)
-    left = (C @ diag.T).T  # row j: c_j
-    right = (B.T @ diag.S).T  # row j: b_j
-    return PoleResidue(poles=diag.eigenvalues, left_factors=left, right_factors=right)
+    lam, T, Sh = _eig_pencil(np.asarray(E, dtype=complex), np.asarray(A, dtype=complex))
+    left = (C @ T).T  # row j: c_j
+    right = Sh.conj() @ B  # row j: b_j, so that b_j^* is row j of S^* B
+    return PoleResidue(poles=lam, left_factors=left, right_factors=right)
 
 
 def _dense_band(ab, ku):
@@ -307,8 +297,10 @@ def pole_residue_affine_singular(A1, A2, B, C):
     takes a symmetric eigensolver path that tolerates repeated eigenvalues,
     factors A1 on its band and projects B and C without forming the
     eigenvectors; an A1 whose band Cholesky factorization fails falls back
-    to the general path, which densifies the bands (``_dense_band``) and
-    uses a low-rank update identity on A1.  A2 may be rank-deficient; its
+    to the general path, which densifies the bands (``_dense_band``),
+    uses a low-rank update identity on A1 and diagonalizes the reduced
+    coupling matrix M as the pencil (I, M) (``_eig_pencil``), so a
+    defective M raises DefectivePencilError.  A2 may be rank-deficient; its
     numerical rank is determined from the singular values (eigenvalues on
     the symmetric path) at threshold n * eps times the largest, and its
     null space goes into the constant term.
@@ -341,15 +333,13 @@ def pole_residue_affine_singular(A1, A2, B, C):
     B_V = V.T @ A1_inv_B
 
     M = V.T @ A1_inv_U
-    d, T = np.linalg.eig(M)
-    _check_distinct(d)
+    d, T, T_inv = _eig_pencil(np.eye(n2), M)
     if np.any(np.abs(d) < 1e-14 * max(np.max(np.abs(d)), 1e-300)):
         raise ValueError("zero eigenvalue in the reduced coupling matrix (pole at infinity)")
 
     constant = C @ A1_inv_B - C_U @ np.linalg.solve(M, B_V)
-    T_inv_BV = np.linalg.solve(T, B_V)
     left = (C_U @ T).T  # row i: C_U T e_i
-    right = np.conj(T_inv_BV / (d[:, None] ** 2))  # row i so that b_i^* = e_i^T T^{-1} B_V / d_i^2
+    right = np.conj(T_inv @ B_V / (d[:, None] ** 2))  # row i so that b_i^* = e_i^T T^{-1} B_V / d_i^2
     poles = -1.0 / d
     return PoleResidue(poles=poles, left_factors=left, right_factors=right, constant=constant)
 
@@ -358,20 +348,24 @@ def kron_pole_residue(E, A, E_xi, A_xi, B, C):
     """Two-variable pole-residue form of C [(sE - A) kron (xi E_xi - A_xi)]^{-1} B."""
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     C = np.atleast_2d(np.asarray(C, dtype=complex))
-    ds = diagonalize_pencil(E, A)
-    dxi = diagonalize_pencil(E_xi, A_xi)
-    r_s, r_xi = len(ds.eigenvalues), len(dxi.eigenvalues)
-    TT = np.kron(ds.T, dxi.T)
-    SS = np.kron(ds.S, dxi.S)
-    left = (C @ TT).T.reshape(r_s, r_xi, -1)
-    right = (B.T @ SS).T.reshape(r_s, r_xi, -1)
-    return PoleResidue2D(
-        s_poles=ds.eigenvalues, xi_poles=dxi.eigenvalues, left_factors=left, right_factors=right
+    (lam_s, T_s, Sh_s), (lam_xi, T_xi, Sh_xi) = (
+        _eig_pencil(np.asarray(e, dtype=complex), np.asarray(a, dtype=complex)) for e, a in ((E, A), (E_xi, A_xi))
     )
+    r_s, r_xi = len(lam_s), len(lam_xi)
+    left = (C @ np.kron(T_s, T_xi)).T.reshape(r_s, r_xi, -1)
+    right = (np.kron(Sh_s, Sh_xi).conj() @ B).reshape(r_s, r_xi, -1)
+    return PoleResidue2D(s_poles=lam_s, xi_poles=lam_xi, left_factors=left, right_factors=right)
 
 
 def rom_structure(rom):
-    """Classify a structured rom by its scalar families: lti, stationary, kron or unknown."""
+    """Classify a structured rom by its scalar families: lti, stationary, kron or unknown.
+
+    Every known structure has one B-term and one C-term, each of the unit
+    constant family; any other input or output terms make it unknown.
+    """
+    one = ((1.0, (0,) * rom.n_p),)
+    if tuple(fam.terms for fam, _ in (*rom.B_terms, *rom.C_terms)) != (one, one):
+        return "unknown"
     if rom.kron is not None:
         return "kron"
     fams = tuple(fam.terms for fam, _ in rom.A_terms)

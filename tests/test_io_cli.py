@@ -156,6 +156,18 @@ def test_cli_fit_init_file_must_match_structure(tmp_path, capsys):
     assert "(outputs, inputs) (1, 2) differ from the samples' (1, 1)" in capsys.readouterr().err
 
 
+def test_cli_certify_rejects_a_rom_with_a_second_input_term(tmp_path, capsys):
+    model, samples, rom = (str(tmp_path / f"{name}.json") for name in ("m", "s", "rom"))
+    cli.main(["generate", "random-lti", "--n", "6", "-o", model])
+    cli.main(["sample", model, "--scheme", "logspace 0.1 1 4", "-o", samples])
+    payload = io.rom_to_payload(lti_rom(np.eye(2), -np.diag([1.0, 2.0]), np.ones((2, 1)), np.ones((1, 2))))
+    payload["B_terms"].append(payload["B_terms"][0])
+    io.write_payload(rom, payload)
+    capsys.readouterr()
+    assert cli.main(["certify", rom, "--family", "discrete-ls", "--samples", samples]) == 2
+    assert "certificate family discrete-ls requires a lti rom, found unknown" in capsys.readouterr().err
+
+
 def test_cli_rejects_a_rom_file_with_misshapen_terms(tmp_path, capsys):
     model = str(tmp_path / "m.json")
     samples = str(tmp_path / "s.json")

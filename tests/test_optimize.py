@@ -473,8 +473,8 @@ def test_irka_fixed_points_satisfy_h2_conditions(monkeypatch):
     maps = []
     plain_map = optimize._irka_map
 
-    def recording(fom, B, C, state, time_domain):
-        out = plain_map(fom, B, C, state, time_domain)
+    def recording(fom, state):
+        out = plain_map(fom, state)
         maps.append((state.copy(), out[2].copy()))
         return out
 

@@ -8,7 +8,6 @@ from l2rom.models import _band_layouts
 from l2rom.spectral import (
     DefectivePencilError,
     PoleResidue,
-    diagonalize_pencil,
     kron_pole_residue,
     pole_residue,
     pole_residue_affine_singular,
@@ -27,15 +26,23 @@ def random_pencil(n, shift=-2.0):
 
 def test_diagonalize_pencil_identities():
     e, a = random_pencil(6)
-    diag = diagonalize_pencil(e, a)
-    assert np.linalg.norm(diag.S.conj().T @ e @ diag.T - np.eye(6)) <= 1e-10
-    assert np.linalg.norm(diag.S.conj().T @ a @ diag.T - np.diag(diag.eigenvalues)) <= 1e-9
+    lam, t, s_h = spectral._eig_pencil(e, a)
+    assert np.linalg.norm(s_h @ e @ t - np.eye(6)) <= 1e-10
+    assert np.linalg.norm(s_h @ a @ t - np.diag(lam)) <= 1e-9
 
 
-def test_diagonalize_rejects_jordan_block():
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])  # defective
+JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])  # defective
+
+
+@pytest.mark.parametrize("convert", [
+    lambda: pole_residue_lti(np.eye(2), JORDAN, np.ones((2, 1)), np.ones((1, 2))),
+    lambda: kron_pole_residue(np.eye(2), JORDAN, np.eye(1), np.diag([2.0]), np.ones((2, 1)), np.ones((1, 2))),
+    lambda: kron_pole_residue(np.eye(1), np.diag([-1.0]), np.eye(2), JORDAN, np.ones((2, 1)), np.ones((1, 2))),
+    lambda: pole_residue_affine_singular(np.eye(2), JORDAN, np.ones((2, 1)), np.ones((1, 2))),  # general path
+], ids=["lti", "kron-s", "kron-xi", "affine-general"])
+def test_diagonalize_rejects_jordan_block(convert):
     with pytest.raises(DefectivePencilError):
-        diagonalize_pencil(np.eye(2), a)
+        convert()
 
 
 def test_pole_residue_lti_round_trip():
@@ -180,6 +187,20 @@ def test_rom_structure_and_pole_residue_dispatch():
     assert rom_structure(other) == "unknown"
     with pytest.raises(ValueError):
         pole_residue(other)
+
+
+def test_rom_structure_reads_the_input_and_output_terms():
+    # an lti or stationary operator with another B-term is no known structure:
+    # its pole-residue form would read the first B-term alone
+    b = np.ones((2, 1))
+    s = ScalarFamily.coordinate(0)
+    for rom in (lti_rom(np.eye(2), np.diag([-1.0, -2.0]), b, np.ones((1, 2))),
+                stationary_rom(np.eye(2), np.diag([1.0, 2.0]), b, np.ones((1, 2)))):
+        for B_terms in (((rom.B_terms[0][0], b), (s, b)), ((s, b),), ((ScalarFamily.constant(2.0), b),)):
+            other = StructuredRom(A_terms=rom.A_terms, B_terms=B_terms, C_terms=rom.C_terms)
+            assert rom_structure(other) == "unknown"
+            with pytest.raises(ValueError, match="unrecognized operator structure"):
+                pole_residue(other)
 
 
 def _dense_symmetric_pencil(n=9, rank=4):
